@@ -13,8 +13,9 @@ The package groups five experiment families behind one CLI:
 - quantstat: thermal mode statistics, detailed balance, entropy of cell
   occupations and detector counting distributions.
 
-numkit carries the shared numerics: counter-based random streams,
-sampled functions on uniform grids, width and spectral measures.
+numkit carries the shared numerics: counter-based random streams and
+their samplers, sampled functions on uniform grids, width and spectral
+measures.
 """
 
 from .errors import (
@@ -34,8 +35,11 @@ from .numkit import (
     integrate_1d,
     log_binomial,
     position_width,
+    sample_haar_unitary,
+    sample_integer,
     sample_isotropic_direction,
     sample_isotropic_directions,
+    sample_normals,
     sampled_gaussian,
 )
 from .spincorr import (
@@ -56,7 +60,6 @@ from .spincorr import (
     marginal,
     no_signaling_audit,
     random_lhv_model,
-    sample_pair,
     sample_pair_counts,
     semiclassical_lhv_model,
     sign_anticorrelated_model,
@@ -89,6 +92,7 @@ from .wavepacket import (
     PacketEvolution,
     SpectralPacket,
     accumulation_time,
+    carrier_wavenumber,
     coherence_profile,
     group_velocity,
     instantaneous_spreading_velocity,
@@ -101,6 +105,7 @@ from .wavepacket import (
     width_at_time,
 )
 from .quantstat import (
+    RADIATION_CONSTANT,
     CavitySpec,
     CountDistribution,
     ModeBin,
@@ -118,6 +123,7 @@ from .quantstat import (
     packet_quanta_dist,
     photon_bins,
     photon_mode_count,
+    sample_balance_args,
     sample_counts,
     spectral_distribution,
     thinned_count_distribution,

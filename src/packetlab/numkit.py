@@ -1,8 +1,9 @@
 """Shared numerical substrate.
 
-Unit vectors, reproducible counter-based random streams, adaptive
-quadrature, log-space binomial coefficients, sampled 1-D functions and
-their position/wavenumber widths.
+Unit vectors, reproducible counter-based random streams and the samplers
+that draw from them (isotropic directions, Box-Muller normals, Haar
+unitaries, bounded integers), adaptive quadrature, log-space binomial
+coefficients, sampled 1-D functions and their position/wavenumber widths.
 
 Everything is desk scale on purpose. The quadrature is a plain adaptive
 Simpson rule and the wavenumber moments use the direct O(N^2) discrete
@@ -27,6 +28,9 @@ __all__ = [
     "SampledFunction1D",
     "sample_isotropic_direction",
     "sample_isotropic_directions",
+    "sample_normals",
+    "sample_haar_unitary",
+    "sample_integer",
     "log_binomial",
     "integrate_1d",
     "fourier_widths",
@@ -144,6 +148,31 @@ def sample_isotropic_directions(rng: RandomStream, n: int) -> np.ndarray:
     phi = 2.0 * math.pi * u[1::2]
     s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
     return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+
+
+def sample_normals(rng: RandomStream, n: int) -> np.ndarray:
+    """n Box-Muller normals; consumes 2*ceil(n/2) uniforms."""
+    m = (n + 1) // 2
+    u1 = 1.0 - rng.uniform(size=m)  # (0, 1], keeps the log finite
+    u2 = rng.uniform(size=m)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    z = np.concatenate([radius * np.cos(2.0 * np.pi * u2),
+                        radius * np.sin(2.0 * np.pi * u2)])
+    return z[:n]
+
+
+def sample_haar_unitary(rng: RandomStream, dim: int) -> np.ndarray:
+    """Haar-distributed unitary via QR with the phase convention fixed."""
+    z = sample_normals(rng, dim * dim) + 1j * sample_normals(rng, dim * dim)
+    q, r = np.linalg.qr(z.reshape(dim, dim) / math.sqrt(2.0))
+    diag = np.diagonal(r).copy()
+    diag[diag == 0] = 1.0
+    return q * (diag / np.abs(diag))
+
+
+def sample_integer(rng: RandomStream, lo: int, hi: int) -> int:
+    """Uniform integer in [lo, hi], one uniform consumed."""
+    return min(lo + int(float(rng.uniform()) * (hi - lo + 1)), hi)
 
 
 def log_binomial(n, k):

@@ -1,12 +1,13 @@
 """Equilibrium statistics of quantized wave fields in a cavity.
 
 Mode counting over phase-space cells, the Bose/Fermi/Boltzmann occupancy
-laws per cell, spectral distributions, the collision balance identity
-that fixes the equilibrium form, Einstein's A/B recovery from the Planck
-case, combinatorial entropy with its thermodynamic derivatives, the von
-Laue factorization of bundle degrees of freedom, and the counting laws
-for quanta seen by an imperfect detector (negative binomial, binomial,
-Poisson limit).
+laws per cell, spectral distributions, the radiation constant of the
+Stefan-Boltzmann law, the collision balance identity that fixes the
+equilibrium form (with a sampler of consistent parameter sets for it),
+Einstein's A/B recovery from the Planck case, combinatorial entropy with
+its thermodynamic derivatives, the von Laue factorization of bundle
+degrees of freedom, and the counting laws for quanta seen by an
+imperfect detector (negative binomial, binomial, Poisson limit).
 
 SI units: volumes m^3, temperatures K, energies J, momenta kg m/s.
 """
@@ -33,6 +34,7 @@ from .errors import (
 from .numkit import log_binomial
 
 __all__ = [
+    "RADIATION_CONSTANT",
     "Statistics",
     "CavitySpec",
     "ModeBin",
@@ -44,6 +46,7 @@ __all__ = [
     "occupancy",
     "spectral_distribution",
     "balance_residual",
+    "sample_balance_args",
     "einstein_balance",
     "entropy_and_derivatives",
     "vonlaue_dof",
@@ -65,6 +68,11 @@ _MAX_SUPPORT = 10_000_000
 _STIRLING_MIN = 10.0
 # classes with less probability than this carry no entropy mass worth guarding
 _GUARD_MASS = 1e-9
+
+# a in u = a T^4, the photon-gas energy density (Stefan-Boltzmann law)
+RADIATION_CONSTANT = (
+    8.0 * math.pi**5 * K_BOLTZMANN**4 / (15.0 * H_PLANCK**3 * C_LIGHT**3)
+)
 
 
 class Statistics(Enum):
@@ -341,8 +349,10 @@ def balance_residual(
         raise DomainError("normalization factors a, a_prime must be nonzero")
     lhs66 = n * (e1i - e1f)
     rhs66 = n_prime * (e2f - e2i)
-    scale = max(abs(lhs66), abs(rhs66))
-    if scale > 0 and abs(lhs66 - rhs66) > 1e-12 * scale:
+    # the rounding of each energy difference scales with its operands, not
+    # with the step itself, which may be many orders of magnitude smaller
+    scale = n * max(abs(e1i), abs(e1f)) + n_prime * max(abs(e2i), abs(e2f))
+    if abs(lhs66 - rhs66) > 1e-12 * scale:
         raise PreconditionError(
             "energy bookkeeping violated: n(e1i - e1f) must equal n'(e2f - e2i)"
         )
@@ -363,6 +373,33 @@ def balance_residual(
     if lhs == 0.0:
         raise NumericalError("balance product underflowed; rescale the parameters")
     return abs(lhs - rhs) / abs(lhs)
+
+
+def sample_balance_args(rng) -> dict:
+    """One consistent balance_residual parameter set; consumes 14 uniforms."""
+    u = rng.uniform(size=14)
+    n = 1 + int(3.0 * u[5])
+    n_prime = 1 + int(3.0 * u[6])
+    e1i = 0.5 + 1.5 * u[7]
+    d1 = -0.4 + 0.8 * u[8]
+    e2i = 0.5 + 1.5 * u[9]
+    return {
+        "a": 0.5 + 1.5 * u[0],
+        "a_prime": 0.5 + 1.5 * u[1],
+        "b": 0.1 + 1.9 * u[2],
+        "c": -1.0 + 2.0 * u[3],
+        "c_prime": -1.0 + 2.0 * u[4],
+        "n": n,
+        "n_prime": n_prime,
+        "e1i": e1i,
+        "e1f": e1i - d1,
+        "e2i": e2i,
+        "e2f": e2i + n * d1 / n_prime,
+        "s": n + 5.0 * u[10],
+        "r": 5.0 * u[11],
+        "s_prime": n_prime + 5.0 * u[12],
+        "r_prime": 5.0 * u[13],
+    }
 
 
 def einstein_balance(

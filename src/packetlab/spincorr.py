@@ -24,19 +24,16 @@ from .errors import DomainError, PreconditionError, UnsupportedModelError
 from .numkit import RandomStream, UnitVector3, sample_isotropic_directions
 
 __all__ = [
-    "Outcome",
     "ModelKind",
     "PairModel",
     "JointProbability",
     "LhvModel",
     "BipartiteCoefficients",
-    "spin_up_probability",
     "joint_probability",
     "joint_table",
     "expectation",
     "chsh",
     "marginal",
-    "sample_pair",
     "sample_pair_counts",
     "coincidence_expectation",
     "lhv_expectation",
@@ -54,18 +51,10 @@ __all__ = [
 CHSH_BOUND_TOL = 1e-9
 
 
-class Outcome(enum.IntEnum):
-    """Analyzer outcome, +1 or -1 only."""
-
-    PLUS = 1
-    MINUS = -1
-
-
 def _outcome(r) -> int:
-    try:
-        return int(Outcome(r))
-    except ValueError:
-        raise DomainError(f"outcome must be +1 or -1, got {r!r}") from None
+    if r not in (1, -1):
+        raise DomainError(f"outcome must be +1 or -1, got {r!r}")
+    return int(r)
 
 
 class ModelKind(enum.Enum):
@@ -126,12 +115,6 @@ class JointProbability:
         if abs(sum(entries) - 1.0) > 1e-12:
             raise PreconditionError("joint probabilities must sum to 1 within 1e-12")
 
-    def prob(self, r_a: int, r_b: int) -> float:
-        r_a, r_b = _outcome(r_a), _outcome(r_b)
-        if r_a > 0:
-            return self.pp if r_b > 0 else self.pm
-        return self.mp if r_b > 0 else self.mm
-
     @property
     def expectation(self) -> float:
         return self.pp + self.mm - self.pm - self.mp
@@ -145,13 +128,6 @@ def _angle_between(a: UnitVector3, b: UnitVector3) -> float:
 def coplanar_axis(angle_rad: float) -> UnitVector3:
     """Axis in the x-z plane at the given angle from the z axis."""
     return UnitVector3(math.sin(angle_rad), 0.0, math.cos(angle_rad))
-
-
-def spin_up_probability(theta: float) -> float:
-    """Probability (1 + cos theta)/2 of the up outcome at angle theta."""
-    if not 0.0 <= theta <= math.pi:
-        raise DomainError("theta must lie in [0, pi]")
-    return 0.5 * (1.0 + math.cos(theta))
 
 
 def joint_probability(
@@ -221,37 +197,21 @@ def marginal(model: PairModel, a: UnitVector3, b: UnitVector3, r_b: int) -> floa
     )
 
 
-def sample_pair(
-    model: PairModel, a: UnitVector3, b: UnitVector3, rng: RandomStream
-) -> tuple:
-    """Draw one outcome pair by the sequential reduction picture.
-
-    Singlet: a hidden spin direction sigma is drawn isotropically, r_A
-    with probability (1 + r_A sigma.a)/2; particle 2 then points along
-    -r_A a and r_B follows with probability (1 + r_B (-r_A a).b)/2.
-    Semiclassical: both outcomes are drawn independently from sigma, with
-    particle 2 pointing along -sigma.
-
-    Consumes exactly four uniforms per call, in the order
-    (cos polar, azimuth, A outcome, B outcome).
-    """
-    counts = sample_pair_counts(model, a, b, 1, rng)
-    if counts[0]:
-        return Outcome.PLUS, Outcome.PLUS
-    if counts[1]:
-        return Outcome.PLUS, Outcome.MINUS
-    if counts[2]:
-        return Outcome.MINUS, Outcome.PLUS
-    return Outcome.MINUS, Outcome.MINUS
-
-
 def sample_pair_counts(
     model: PairModel, a: UnitVector3, b: UnitVector3, n: int, rng: RandomStream
 ) -> tuple:
-    """Vectorized pair sampling; returns counts (n_pp, n_pm, n_mp, n_mm).
+    """Draw n outcome pairs; returns the counts (n_pp, n_pm, n_mp, n_mm).
 
-    Uses the same per-pair uniform layout as sample_pair, so n batched
-    pairs reproduce n sequential scalar calls exactly.
+    Pairs follow the sequential reduction picture. Singlet: a hidden spin
+    direction sigma is drawn isotropically, r_A with probability
+    (1 + r_A sigma.a)/2; particle 2 then points along -r_A a and r_B
+    follows with probability (1 + r_B (-r_A a).b)/2. Semiclassical: both
+    outcomes are drawn independently from sigma, with particle 2 pointing
+    along -sigma.
+
+    Consumes exactly four uniforms per pair, in the order (cos polar,
+    azimuth, A outcome, B outcome), so one batch of n pairs reproduces n
+    one-pair calls on the same stream exactly.
     """
     if model.kind is ModelKind.TRIPLET:
         raise UnsupportedModelError("no sampling law for triplet states")

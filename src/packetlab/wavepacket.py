@@ -29,6 +29,7 @@ __all__ = [
     "Dispersion",
     "SpectralPacket",
     "PacketEvolution",
+    "carrier_wavenumber",
     "group_velocity",
     "width_at_time",
     "instantaneous_spreading_velocity",
@@ -107,6 +108,14 @@ class PacketEvolution:
             raise DomainError("initial width must be positive")
         if self.dv_g < 0:
             raise DomainError("group-velocity spread must be nonnegative")
+
+
+def carrier_wavenumber(dispersion: Dispersion, kinetic: float) -> float:
+    """Carrier k0 = pc / (hbar c) at kinetic energy T (J): (pc)^2 = T (T + 2 mc^2)."""
+    if not kinetic > 0:
+        raise DomainError("kinetic energy must be positive")
+    mc2 = dispersion.mass * C_LIGHT**2
+    return math.sqrt(kinetic * (kinetic + 2.0 * mc2)) / (HBAR * C_LIGHT)
 
 
 def group_velocity(dispersion: Dispersion, k0: float) -> tuple:

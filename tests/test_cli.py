@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from packetlab import cli
 from packetlab.cli import run
 
 # the wide default photon window includes sparse near-pole bins; their
@@ -16,6 +17,48 @@ pytestmark = pytest.mark.filterwarnings(
 
 TWO_SQRT_TWO = 2.8284271247461903
 SC_K = 0.9428090415820635
+
+# (name, expected, tol, mode) of every regress check, in record order
+REGRESS_TABLE = [
+    ("chsh_qm_closed", TWO_SQRT_TWO, 1e-9, "abs"),
+    ("chsh_sc_closed", SC_K, 1e-12, "abs"),
+    ("chsh_qm_mc", TWO_SQRT_TWO, 0.02, "abs"),
+    ("marginal_half", 0.0, 1e-12, "le"),
+    ("triplet_m0_expectation", -0.7071067811865476, 1e-12, "abs"),
+    ("triplet_m1_expectation", 0.7071067811865476, 1e-12, "abs"),
+    ("lhv_random_max_K", 2.0, 1e-9, "le"),
+    ("lhv_semiclassical_canonical_K", SC_K, 1e-9, "abs"),
+    ("lhv_semiclassical_max_K", 1.3333333333333333, 1e-9, "le"),
+    ("lhv_sign_max_K", 2.0, 1e-9, "le"),
+    ("nosignal_max_deviation", 0.0, 1e-10, "le"),
+    ("reduce_window_mass", 1.0, 1e-12, "abs"),
+    ("reduce_pick_certain", 0.0, 0.0, "abs"),
+    ("condspace_conditional_norm", 1.0, 1e-9, "abs"),
+    ("condspace_product_residual", 0.0, 1e-8, "le"),
+    ("accumulation_time_s", 997927160605.7142, 1e-12, "rel"),
+    ("accumulation_vs_paper_1e12", 1e12, 0.05, "rel"),
+    ("proton_spread_m", 0.023, 0.1, "rel"),
+    ("heisenberg_gaussian_product", 0.5, 0.01, "rel"),
+    ("coherence_length_gaussian", 2.0, 0.01, "rel"),
+    ("planck_peak_x", 2.8214393721220787, 0.01, "abs"),
+    ("photon_mode_count", 1165971040577118.0, 1e-12, "rel"),
+    ("einstein_identity_residual", 0.0, 1e-10, "le"),
+    ("einstein_a_over_b_1e15", 3.0903223630929913e-13, 1e-12, "rel"),
+    ("balance_max_residual", 0.0, 1e-12, "le"),
+    ("balance_intact_fixed", 0.0, 1e-12, "le"),
+    ("balance_broken_fixed", 0.001, 0.0, "ge"),
+    ("counts_bose_g1_w", 0.0, 1e-12, "le"),
+    ("counts_bose_g1_variance", 2.0, 1e-9, "abs"),
+    ("counts_fermi_g1_w0", 0.7, 1e-12, "abs"),
+    ("counts_binomial_fold", 0.0, 1e-12, "le"),
+    ("counts_bose_poisson_tv", 0.0, 0.001, "le"),
+    ("vonlaue_ratio_r_2pi", 1.0, 1e-10, "abs"),
+    ("vonlaue_ratio_r_1", 6.283185307179586, 1e-10, "rel"),
+    ("bohr_magneton", 9.2740100783e-24, 1e-6, "rel"),
+    ("entropy_ds_de_times_t", 1.0, 0.01, "abs"),
+    ("entropy_ds_dn_over_k", 0.0, 0.01, "le"),
+    ("stefan_boltzmann_ratio", 1.0, 0.005, "abs"),
+]
 
 
 def run_cli(*argv):
@@ -300,6 +343,12 @@ class TestCommandValues:
         rec = record("nosignal", "--trials", "20", "--max-dim", "5")
         assert rec["max_deviation"] < 1e-10
 
+    def test_balance_small_energy_step_seed(self):
+        # one of this seed's sets moves 8.4e-5 of energy between levels near
+        # 1.84; the bookkeeping guard used to reject it
+        rec = record("balance", "--seed", "14279167644398334059")
+        assert rec["max_residual"] < 1e-12
+
 
 class TestRegress:
     def test_green_and_deterministic(self):
@@ -310,6 +359,12 @@ class TestRegress:
         assert rec["all_ok"] is True
         assert rec["failures"] == 0
         assert rec["total"] == len(rec["checks"])
+        rows = [(c["name"], c["expected"], c["tol"], c["mode"]) for c in rec["checks"]]
+        assert rows == REGRESS_TABLE
+
+    def test_check_table_is_pinned(self):
+        # a dropped, reordered or edited row changes what regress certifies
+        assert cli._REGRESSION_CHECKS == REGRESS_TABLE
 
     def test_seed_choice_stays_green(self):
         rec = record("regress", "--seed", "1")

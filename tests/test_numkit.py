@@ -16,8 +16,11 @@ from packetlab.numkit import (
     integrate_1d,
     log_binomial,
     position_width,
+    sample_haar_unitary,
+    sample_integer,
     sample_isotropic_direction,
     sample_isotropic_directions,
+    sample_normals,
     sampled_gaussian,
 )
 
@@ -119,6 +122,35 @@ class TestIsotropicSampling:
     def test_n_guard(self):
         with pytest.raises(DomainError):
             sample_isotropic_directions(RandomStream(0), 0)
+
+
+class TestSamplers:
+    @pytest.mark.parametrize("n", [1, 2, 7, 50])
+    def test_normals_consume_pairs_of_uniforms(self, n):
+        rng = RandomStream(6)
+        assert sample_normals(rng, n).shape == (n,)
+        assert rng.position == 2 * math.ceil(n / 2)
+
+    def test_normals_moments(self):
+        z = sample_normals(RandomStream(7), 10**5)
+        assert abs(z.mean()) < 4.0 / math.sqrt(z.size)
+        assert abs(z.var() - 1.0) < 0.02
+
+    def test_haar_unitary_is_unitary(self):
+        rng = RandomStream(8)
+        for dim in range(2, 9):
+            u = sample_haar_unitary(rng, dim)
+            assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < 1e-12
+
+    def test_integer_bounds_and_consumption(self):
+        rng = RandomStream(9)
+        seen = set()
+        for k in range(1, 2001):
+            x = sample_integer(rng, 2, 8)
+            assert rng.position == k
+            seen.add(x)
+        assert seen == set(range(2, 9))
+        assert sample_integer(rng, 5, 5) == 5
 
 
 class TestLogBinomial:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.constants import c as C_LIGHT
 from scipy.constants import h as H_PLANCK
+from scipy.constants import Stefan_Boltzmann
 from scipy.constants import k as K_BOLTZMANN
 from scipy.stats import binom, nbinom, poisson
 
@@ -20,6 +21,7 @@ from packetlab.errors import (
 )
 from packetlab.numkit import RandomStream
 from packetlab.quantstat import (
+    RADIATION_CONSTANT,
     CavitySpec,
     CountDistribution,
     ModeBin,
@@ -36,6 +38,7 @@ from packetlab.quantstat import (
     packet_quanta_dist,
     photon_bins,
     photon_mode_count,
+    sample_balance_args,
     sample_counts,
     spectral_distribution,
     thinned_count_distribution,
@@ -220,6 +223,12 @@ class TestOccupancy:
 
 
 class TestSpectralDistribution:
+    def test_radiation_constant(self):
+        # u = a T^4 with a = 4 sigma / c
+        assert RADIATION_CONSTANT == pytest.approx(
+            4.0 * Stefan_Boltzmann / C_LIGHT, rel=1e-12
+        )
+
     def test_photon_planck_counts(self):
         cavity = CavitySpec.photon_gas(1.0, 1000.0)
         bins = photon_bins(1.0, 1000.0, 30)
@@ -292,6 +301,26 @@ class TestCollisionBalance:
         bad["e2f"] = 1.7
         with pytest.raises(PreconditionError):
             balance_residual(**bad)
+
+    def test_bookkeeping_tolerance_stays_tight(self):
+        bad = dict(self.INTACT, e2f=self.INTACT["e2f"] + 1e-9)
+        with pytest.raises(PreconditionError):
+            balance_residual(**bad)
+
+    def test_small_energy_step_accepted(self):
+        # a 1e-5 step between levels near 0.6 and 1.8: the rounding of each
+        # energy difference scales with the levels, not with the step
+        small = dict(self.INTACT, n=2, n_prime=3, e1i=0.6, e1f=0.6 - 1e-5,
+                     e2i=1.8, e2f=1.8 + 2e-5 / 3)
+        assert balance_residual(**small) < 1e-12
+
+    def test_generated_sets_keep_the_bookkeeping(self):
+        # this seed's 406th set moves 8.4e-5 of energy between levels near
+        # 1.84, which a tolerance scaled by the step alone rejected
+        rng = RandomStream(14279167644398334059)
+        for _ in range(2000):
+            assert balance_residual(**sample_balance_args(rng)) < 1e-12
+        assert rng.position == 14 * 2000
 
     def test_occupancy_cannot_go_negative(self):
         bad = dict(self.INTACT)

@@ -39,12 +39,10 @@ from packetlab.spincorr import (
     marginal,
     no_signaling_audit,
     random_lhv_model,
-    sample_pair,
     sample_pair_counts,
     semiclassical_lhv_model,
     sign_anticorrelated_model,
     singlet_coefficients,
-    spin_up_probability,
 )
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
@@ -53,18 +51,6 @@ TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 def _random_axes(seed, n):
     rng = RandomStream(seed)
     return [sample_isotropic_direction(rng) for _ in range(n)]
-
-
-class TestSpinUpProbability:
-    def test_endpoints(self):
-        assert spin_up_probability(0.0) == pytest.approx(1.0)
-        assert spin_up_probability(math.pi) == pytest.approx(0.0, abs=1e-15)
-        assert spin_up_probability(math.pi / 2.0) == pytest.approx(0.5)
-
-    def test_half_angle_form(self):
-        for theta in np.linspace(0.0, math.pi, 17):
-            want = math.cos(theta / 2.0) ** 2
-            assert spin_up_probability(theta) == pytest.approx(want, abs=1e-14)
 
 
 class TestSingletClosedForms:
@@ -184,15 +170,9 @@ class TestSampling:
         a, b = coplanar_axis(0.0), coplanar_axis(0.6)
         counts = sample_pair_counts(model, a, b, 500, RandomStream(31))
         rng = RandomStream(31)
-        tally = {(1, 1): 0, (1, -1): 0, (-1, 1): 0, (-1, -1): 0}
-        for _ in range(500):
-            tally[sample_pair(model, a, b, rng)] += 1
-        assert counts == (
-            tally[(1, 1)],
-            tally[(1, -1)],
-            tally[(-1, 1)],
-            tally[(-1, -1)],
-        )
+        singles = [sample_pair_counts(model, a, b, 1, rng) for _ in range(500)]
+        assert counts == tuple(int(x) for x in np.sum(singles, axis=0))
+        assert rng.position == 4 * 500
 
     def test_qm_parallel_frequencies(self):
         # theta = 0: all weight on the anticorrelated outcomes

@@ -17,6 +17,7 @@ from packetlab.wavepacket import (
     PacketEvolution,
     SpectralPacket,
     accumulation_time,
+    carrier_wavenumber,
     coherence_profile,
     group_velocity,
     instantaneous_spreading_velocity,
@@ -52,6 +53,17 @@ class TestDispersion:
     def test_mass_guard(self):
         with pytest.raises(DomainError):
             Dispersion(-1.0)
+
+    def test_carrier_wavenumber(self):
+        t = 6e6 * EV
+        k0 = carrier_wavenumber(Dispersion(proton_mass), t)
+        assert k0 == pytest.approx(_proton_k0(6e6), rel=1e-15)
+        # massless: pc = T
+        assert carrier_wavenumber(Dispersion(0.0), t) == pytest.approx(
+            t / (hbar * C_LIGHT), rel=1e-15
+        )
+        with pytest.raises(DomainError):
+            carrier_wavenumber(Dispersion(proton_mass), 0.0)
 
     def test_group_velocity_closed_form(self):
         d = Dispersion(proton_mass)

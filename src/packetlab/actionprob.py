@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_hermite, gammaln
 
+from . import numkit
 from .errors import DomainError, PreconditionError
 from .numkit import SampledFunction1D, position_width, sampled_gaussian
 
@@ -174,9 +174,10 @@ def final_packet_family(
     out = []
     for k in range(count):
         norm = 1.0 / math.sqrt(
-            2.0**k * math.exp(gammaln(k + 1)) * math.sqrt(math.pi) * width
+            2.0**k * math.exp(numkit.gammaln(k + 1)) * math.sqrt(math.pi) * width
         )
-        out.append(SampledFunction1D(start, spacing, norm * eval_hermite(k, u) * env))
+        hermite = numkit.eval_hermite(k, u)
+        out.append(SampledFunction1D(start, spacing, norm * hermite * env))
     return out
 
 

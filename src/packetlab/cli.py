@@ -18,14 +18,10 @@ import math
 import sys
 
 import numpy as np
-from scipy import stats as scipy_stats
-from scipy.constants import e as E_CHARGE
-from scipy.constants import h as H_PLANCK
-from scipy.constants import k as K_BOLTZMANN
-from scipy.constants import proton_mass as M_PROTON
 
 from . import actionprob, configspace, numkit, quantstat, spincorr, wavepacket
 from .errors import PacketLabError
+from .numkit import E_CHARGE, H_PLANCK, K_BOLTZMANN, M_PROTON
 
 __all__ = ["main", "run", "CliError"]
 
@@ -84,13 +80,7 @@ def _render_json(value) -> str:
 
 
 def _csv_cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _fmt_float(float(v))
-    return str(v)
+    return v if isinstance(v, str) else _render_json(v)
 
 
 def _render_csv(header, rows) -> str:
@@ -110,7 +100,7 @@ def _as_int(raw, name: str) -> int:
     if isinstance(raw, int):
         return raw
     if isinstance(raw, float):
-        if raw != int(raw):
+        if not raw.is_integer():  # also false for inf and nan
             raise CliError(f"parameter {name}: expected an integer, got {raw!r}")
         return int(raw)
     try:
@@ -137,9 +127,12 @@ def _flt(raw, name: str) -> float:
     if isinstance(raw, bool):
         raise CliError(f"parameter {name}: expected a number, got a boolean")
     try:
-        return float(raw)
+        value = float(raw)
     except (TypeError, ValueError):
         raise CliError(f"parameter {name}: {raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise CliError(f"parameter {name}: {raw!r} is not a finite number")
+    return value
 
 
 def _posflt(raw, name: str) -> float:
@@ -391,8 +384,7 @@ _HELP = {
 class _Run:
     """Resolved parameters plus the RNG and warning plumbing for one call."""
 
-    def __init__(self, command: str, params: dict, stderr):
-        self.command = command
+    def __init__(self, params: dict, stderr):
         self.params = params
         self.stderr = stderr
 
@@ -1130,7 +1122,9 @@ def _regress_values(run: _Run) -> dict:
     v["counts_binomial_fold"] = quantstat.binomial_fold_check(5, 7, 0.3)
 
     bose_big = quantstat.count_distribution(quantstat.Statistics.BOSE, 10000, 2e-4, 1.0)
-    poisson = scipy_stats.poisson.pmf(np.arange(bose_big.w.size), 2.0)
+    # Poisson(2) pmf, in the term order of scipy.stats.poisson's log-pmf
+    k = np.arange(bose_big.w.size)
+    poisson = np.exp(k * math.log(2.0) - numkit.gammaln(k + 1) - 2.0)
     v["counts_bose_poisson_tv"] = 0.5 * float(
         np.sum(np.abs(bose_big.w - poisson))
     ) + 0.5 * float(1.0 - poisson.sum())
@@ -1306,7 +1300,7 @@ def run(argv, stdout=None, stderr=None) -> int:
                 "csv output is only available for "
                 + ", ".join(sorted(_CSV_COMMANDS))
             )
-        fields, csv_payload = _HANDLERS[key](_Run(key, params, stderr))
+        fields, csv_payload = _HANDLERS[key](_Run(params, stderr))
 
         if params["format"] == "csv":
             text = _render_csv(*csv_payload)

@@ -3,7 +3,9 @@
 Unit vectors, reproducible counter-based random streams and the samplers
 that draw from them (isotropic directions, Box-Muller normals, Haar
 unitaries, bounded integers), adaptive quadrature, log-space binomial
-coefficients, sampled 1-D functions and their position/wavenumber widths.
+coefficients, sampled 1-D functions and their position/wavenumber widths,
+plus the physical constants and the special functions the other modules
+share.
 
 Everything is desk scale on purpose. The quadrature is a plain adaptive
 Simpson rule and the wavenumber moments use the direct O(N^2) discrete
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import gammaln
 
 from .errors import DomainError, NumericalError, PreconditionError
 
@@ -37,6 +38,15 @@ __all__ = [
     "position_width",
     "sampled_gaussian",
 ]
+
+# CODATA 2022, as scipy.constants carries them (c, h and e exact by the SI)
+C_LIGHT = 299792458.0  # m/s
+H_PLANCK = 6.62607015e-34  # J s
+HBAR = 1.0545718176461565e-34  # J s, h / (2 pi)
+K_BOLTZMANN = 1.380649e-23  # J/K
+E_CHARGE = 1.602176634e-19  # C
+M_ELECTRON = 9.1093837139e-31  # kg
+M_PROTON = 1.67262192595e-27  # kg
 
 _UNIT_TOL = 1e-12
 _MAX_DFT_POINTS = 4096
@@ -173,6 +183,26 @@ def sample_haar_unitary(rng: RandomStream, dim: int) -> np.ndarray:
 def sample_integer(rng: RandomStream, lo: int, hi: int) -> int:
     """Uniform integer in [lo, hi], one uniform consumed."""
     return min(lo + int(float(rng.uniform()) * (hi - lo + 1)), hi)
+
+
+def _bind_scipy_special(name: str):
+    # scipy.special takes a few hundred milliseconds to import and most
+    # commands never need it, so the first call of either wrapper below
+    # imports it and rebinds both module names to scipy's own ufuncs
+    global eval_hermite, gammaln
+    from scipy.special import eval_hermite, gammaln
+
+    return globals()[name]
+
+
+def gammaln(x):
+    """ln|Gamma(x)|, elementwise (scipy.special.gammaln)."""
+    return _bind_scipy_special("gammaln")(x)
+
+
+def eval_hermite(n, x):
+    """Physicists' Hermite polynomial H_n(x) (scipy.special.eval_hermite)."""
+    return _bind_scipy_special("eval_hermite")(n, x)
 
 
 def log_binomial(n, k):

@@ -20,18 +20,15 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.constants import c as C_LIGHT
-from scipy.constants import h as H_PLANCK
-from scipy.constants import k as K_BOLTZMANN
-from scipy.special import gammaln
 
+from . import numkit
 from .errors import (
     AccuracyWarning,
     DomainError,
     NumericalError,
     PreconditionError,
 )
-from .numkit import log_binomial
+from .numkit import C_LIGHT, H_PLANCK, K_BOLTZMANN, log_binomial
 
 __all__ = [
     "RADIATION_CONSTANT",
@@ -246,14 +243,13 @@ def _poisson_weights(lam: float) -> np.ndarray:
     if lam == 0.0:
         return np.array([1.0])
     m = int(lam + 15.0 * math.sqrt(lam) + 30.0)
-    while True:
+    while m + 1 <= _MAX_SUPPORT:
         s = np.arange(m + 1, dtype=float)
-        w = np.exp(s * math.log(lam) - lam - gammaln(s + 1.0))
+        w = np.exp(s * math.log(lam) - lam - numkit.gammaln(s + 1.0))
         if _tail_within_budget(float(w[-1]), lam / (m + 1.0), m, lam):
             return w
         m *= 2
-        if m > _MAX_SUPPORT:
-            raise NumericalError("Poisson support exceeds the bookkeeping cap")
+    raise NumericalError("Poisson support exceeds the bookkeeping cap")
 
 
 def occupancy(
@@ -541,7 +537,7 @@ def _negative_binomial_weights(g: int, mean_per_packet: float) -> np.ndarray:
     sb = mean_per_packet
     mean = g * sb
     m = int(mean + 15.0 * math.sqrt(g * sb * (1.0 + sb)) + 30.0)
-    while True:
+    while m + 1 <= _MAX_SUPPORT:
         n = np.arange(m + 1, dtype=float)
         log_w = (
             log_binomial(g + n - 1.0, n)
@@ -554,8 +550,7 @@ def _negative_binomial_weights(g: int, mean_per_packet: float) -> np.ndarray:
         if _tail_within_budget(float(w[-1]), ratio, m, mean):
             return w
         m *= 2
-        if m > _MAX_SUPPORT:
-            raise NumericalError("count support exceeds the bookkeeping cap")
+    raise NumericalError("count support exceeds the bookkeeping cap")
 
 
 def binomial_pmf(n: int, eta: float) -> np.ndarray:

@@ -17,13 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as C_LIGHT
-from scipy.constants import e as E_CHARGE
-from scipy.constants import electron_mass as M_ELECTRON
-from scipy.constants import hbar as HBAR
 
 from .errors import DomainError, PreconditionError
-from .numkit import SampledFunction1D
+from .numkit import C_LIGHT, E_CHARGE, HBAR, M_ELECTRON, SampledFunction1D
 
 __all__ = [
     "Dispersion",

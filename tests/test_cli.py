@@ -3,9 +3,14 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import packetlab
 from packetlab import cli
 from packetlab.cli import run
 
@@ -71,6 +76,26 @@ def record(*argv):
     code, out, err = run_cli(*argv)
     assert code == 0, f"exit {code}, stderr: {err!r}"
     return json.loads(out)
+
+
+def fresh_python(code: str) -> str:
+    """stdout of a new interpreter that runs code with this packetlab importable."""
+    src = os.path.dirname(os.path.dirname(packetlab.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+    )
+    return done.stdout
+
+
+SCIPY_MODULES = (
+    "import sys; "
+    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+)
 
 
 class TestChsh:
@@ -231,6 +256,13 @@ class TestOutputContracts:
         assert lines[0] == "nu,x,g,count,energy_density"
         assert len(lines) == 17
 
+    def test_csv_cells_render_like_json_scalars(self):
+        assert cli._csv_cell("x") == "x"
+        assert cli._csv_cell(np.float64(0.1)) == "0.10000000000000001"
+        assert cli._csv_cell(0.0) == "0"
+        assert cli._csv_cell(np.int64(7)) == "7"
+        assert cli._csv_cell(np.bool_(True)) == "true"
+
     def test_condspace_csv(self):
         code, out, _ = run_cli("condspace", "--format", "csv")
         assert code == 0
@@ -264,6 +296,38 @@ class TestExitCodes:
     def test_missing_command_exits_one(self):
         code, *_ = run_cli()
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spread", "--distance", "inf"),
+            ("cavity", "--temperature", "inf"),
+            ("cavity", "--temperature", "nan"),
+            ("cavity", "--mu=-inf"),
+            ("chsh", "--angles-deg", "0,45,nan,-45"),
+        ],
+    )
+    def test_non_finite_value_exits_one(self, argv):
+        # Infinity and NaN are not strict JSON, and no experiment has a
+        # meaningful answer at them
+        code, out, err = run_cli(*argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "is not a finite number" in err
+
+    def test_non_finite_integer_in_config_exits_one(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"bins": Infinity}')
+        code, _, err = run_cli("cavity", "--config", str(path))
+        assert code == 1
+        assert err == "error: parameter bins: expected an integer, got inf\n"
+
+    def test_support_over_the_cap_exits_two(self):
+        code, out, err = run_cli("counts", "--mbar", "1e12")
+        assert code == 2
+        assert out == ""
+        assert err == "error: count support exceeds the bookkeeping cap\n"
 
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help")[0] == 0
@@ -374,3 +438,28 @@ class TestRegress:
         base = record("regress")
         sharded = record("regress", "--shards", "4")
         assert sharded["checks"] == base["checks"]
+
+
+class TestColdStart:
+    # every subcommand runs as a fresh process, so what the import pulls in
+    # is paid on every call; scipy must stay off that path
+
+    def test_cli_import_loads_no_scipy(self):
+        out = fresh_python("import packetlab.cli; " + SCIPY_MODULES)
+        assert out == "[]\n"
+
+    def test_package_import_loads_no_scipy(self):
+        out = fresh_python("import packetlab; " + SCIPY_MODULES)
+        assert out == "[]\n"
+
+    def test_special_functions_load_on_first_use(self):
+        out = fresh_python(
+            "import sys\n"
+            "from packetlab import actionprob, numkit, quantstat\n"
+            "print('scipy.special' in sys.modules)\n"
+            "quantstat.count_distribution(quantstat.Statistics.BOSE, 3, 0.5, 1.0)\n"
+            "import scipy.special\n"
+            "print(numkit.gammaln is scipy.special.gammaln)\n"
+            "print(numkit.eval_hermite is scipy.special.eval_hermite)\n"
+        )
+        assert out.split() == ["False", "True", "True"]

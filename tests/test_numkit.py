@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import constants
 
+from packetlab import numkit
 from packetlab.errors import DomainError, NumericalError, PreconditionError
 from packetlab.numkit import (
+    HBAR,
+    H_PLANCK,
     RandomStream,
     SampledFunction1D,
     UnitVector3,
@@ -151,6 +155,42 @@ class TestSamplers:
             seen.add(x)
         assert seen == set(range(2, 9))
         assert sample_integer(rng, 5, 5) == 5
+
+
+class TestConstants:
+    @pytest.mark.parametrize(
+        "ours, theirs",
+        [
+            ("C_LIGHT", "c"),
+            ("H_PLANCK", "h"),
+            ("HBAR", "hbar"),
+            ("K_BOLTZMANN", "k"),
+            ("E_CHARGE", "e"),
+            ("M_ELECTRON", "electron_mass"),
+            ("M_PROTON", "proton_mass"),
+        ],
+    )
+    def test_literal_equals_scipy_constant(self, ours, theirs):
+        assert getattr(numkit, ours) == getattr(constants, theirs)
+
+    def test_hbar_is_h_over_two_pi(self):
+        assert HBAR == H_PLANCK / (2 * math.pi)
+
+
+class TestSpecialFunctions:
+    def test_gammaln_matches_lgamma(self):
+        n = np.arange(1, 30)
+        want = [math.lgamma(float(k)) for k in n]
+        assert np.allclose(numkit.gammaln(n), want, rtol=1e-14, atol=0.0)
+
+    def test_eval_hermite_recurrence(self):
+        # physicists' convention: H0 = 1, H1 = 2x, H_{n+1} = 2x H_n - 2n H_{n-1}
+        x = np.linspace(-3.0, 3.0, 13)
+        h = [np.ones_like(x), 2.0 * x]
+        for n in range(1, 8):
+            h.append(2.0 * x * h[n] - 2.0 * n * h[n - 1])
+        for n, want in enumerate(h):
+            assert np.allclose(numkit.eval_hermite(n, x), want, rtol=1e-12, atol=1e-9)
 
 
 class TestLogBinomial:

@@ -1,6 +1,7 @@
 """Cavity statistics: mode counting, occupancy laws, balance, count laws."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from scipy.constants import Stefan_Boltzmann
 from scipy.constants import k as K_BOLTZMANN
 from scipy.stats import binom, nbinom, poisson
 
+from packetlab import quantstat
 from packetlab.errors import (
     AccuracyWarning,
     DomainError,
@@ -618,6 +620,43 @@ class TestCountLaws:
         r_large = binomial_fold_check(5, 9, 0.4, eta2=0.44)
         assert r_small > 0.0
         assert r_large / r_small == pytest.approx(4.0, rel=0.3)
+
+
+class TestSupportCap:
+    # the cap holds the support of one law; it must be checked before the
+    # support is allocated, or a large mean dies on the allocation itself
+
+    @pytest.mark.parametrize(
+        "weights, args",
+        [
+            # 1e12 would have asked for a multi-terabyte support
+            ("_poisson_weights", (1e12,)),
+            # first supports of 10,047,465 and 10,350,780 points, about
+            # 80 MB each, just over the cap
+            ("_poisson_weights", (1e7,)),
+            ("_negative_binomial_weights", (10000, 900.0)),
+        ],
+    )
+    def test_over_the_cap_raises_before_allocating(self, weights, args):
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalError):
+                getattr(quantstat, weights)(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_count_distribution_reports_the_cap(self):
+        with pytest.raises(NumericalError, match="bookkeeping cap"):
+            count_distribution(Statistics.BOSE, 1, 1e12, 1.0)
+        with pytest.raises(NumericalError, match="bookkeeping cap"):
+            count_distribution(Statistics.BOLTZMANN, 1, 1e12, 1.0)
+
+    def test_large_support_under_the_cap_still_works(self):
+        w = quantstat._poisson_weights(1e5)
+        assert w.size < quantstat._MAX_SUPPORT
+        assert float(np.sum(w)) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSampling:

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import actionprob, configspace, numkit, quantstat, spincorr, wavepacket
-from .errors import PacketLabError
+from .errors import NumericalError, PacketLabError
 from .numkit import E_CHARGE, H_PLANCK, K_BOLTZMANN, M_PROTON
 
 __all__ = ["main", "run", "CliError"]
@@ -45,10 +45,9 @@ _JSON_SEP_KEY = ": "
 
 
 def _fmt_float(v: float) -> str:
-    if math.isnan(v):
-        return "NaN"
-    if math.isinf(v):
-        return "Infinity" if v > 0 else "-Infinity"
+    if not math.isfinite(v):
+        # NaN and Infinity are not strict JSON, and no result is meaningful at them
+        raise NumericalError(f"a result is not finite ({v!r})")
     if v == 0.0:
         return "0"
     return format(v, ".17g")
@@ -871,7 +870,10 @@ def _cmd_counts(run: _Run):
     if p["sbar"] is not None:
         s_bar = p["sbar"]
     else:
-        s_bar = p["mbar"] / (g * eta)
+        try:
+            s_bar = p["mbar"] / (g * eta)
+        except OverflowError:  # g beyond float range
+            raise CliError("parameter g: too large to convert to a float") from None
     dist = quantstat.count_distribution(statistics, g, s_bar, eta)
     w = dist.w if p["mmax"] is None else dist.w[: p["mmax"] + 1]
 
@@ -1322,9 +1324,12 @@ def run(argv, stdout=None, stderr=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=stderr)
         return 1
-    except PacketLabError as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=stderr)
         return 2
+    except PacketLabError as exc:  # bad input the library refused
+        print(f"error: {exc}", file=stderr)
+        return 1
 
 
 def main():

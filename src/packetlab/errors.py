@@ -1,8 +1,8 @@
 """Error taxonomy shared by all packetlab modules.
 
 The split matters for the CLI exit-code contract: input-shaped problems
-(bad values, violated preconditions) and genuine numerical failures are
-reported differently.
+(bad values, violated preconditions) exit 1, and genuine numerical
+failures (NumericalError) exit 2.
 """
 
 

@@ -527,8 +527,9 @@ def vonlaue_dof(
 
 
 def _check_packet_count(g) -> int:
-    if int(g) != g or g < 1:
-        raise DomainError("g must be a positive integer")
+    # the laws use g as a float, which holds every integer only up to 2**53
+    if not 1 <= g <= 2**53 or int(g) != g:
+        raise DomainError("g must be a positive integer no larger than 2**53")
     return int(g)
 
 
@@ -560,6 +561,8 @@ def binomial_pmf(n: int, eta: float) -> np.ndarray:
     if not 0.0 <= eta <= 1.0:
         raise DomainError("eta must lie in [0, 1]")
     n = int(n)
+    if n + 1 > _MAX_SUPPORT:
+        raise NumericalError("count support exceeds the bookkeeping cap")
     if eta == 0.0:
         out = np.zeros(n + 1)
         out[0] = 1.0

@@ -237,53 +237,37 @@ def spread_after_flight(
 def coherence_profile(psi: SampledFunction1D, shifts) -> tuple:
     """(|gamma| at the requested shifts, coherence length).
 
-    gamma(b) = integral psi*(y) psi(y + b) dy for a unit-norm psi. The
-    coherence length is where |gamma| first falls to e^(-1/2), found on
-    the grid's own cell ladder and refined by linear interpolation; None
-    if |gamma| never crosses inside the grid.
+    gamma(b) = integral psi*(y) psi(y + b) dy for a unit-norm psi, zero off
+    the grid. At whole-cell shifts it is the inverse FFT of |psi_hat|^2
+    (Wiener-Khinchin), zero-padded to 2N so the correlation does not wrap;
+    between cells it is interpolated linearly, and gamma(-b) = gamma(b)*.
+    The coherence length is where |gamma| first falls to e^(-1/2) on that
+    cell ladder, refined by linear interpolation; None if |gamma| never
+    crosses inside the grid.
     """
     if abs(psi.norm_sq() - 1.0) > 1e-8:
         raise PreconditionError("psi must be normalized to 1 within 1e-8")
-    x = psi.grid
-    vals = np.asarray(psi.values)
+    shifts = np.asarray(shifts, dtype=float)
+    beyond = np.abs(shifts) > psi.end - psi.start
+    if beyond.any():
+        raise DomainError(f"shift {shifts[beyond][0]} extends beyond the sampled grid")
+
+    n = psi.n
     dx = psi.spacing
+    power = np.abs(np.fft.fft(psi.values, 2 * n)) ** 2
+    gamma = np.fft.ifft(power)[:n] * dx
+    requested = np.abs(np.interp(np.abs(shifts) / dx, np.arange(n), gamma)).tolist()
 
-    def gamma_abs(b: float) -> float:
-        xs = x + b
-        inside = (xs >= psi.start) & (xs <= psi.end)
-        if not np.any(inside):
-            return 0.0
-        shifted = np.zeros_like(vals)
-        pos = (xs[inside] - psi.start) / dx
-        i0 = np.floor(pos).astype(int)
-        frac = pos - i0
-        i0 = np.clip(i0, 0, psi.n - 2)
-        shifted[inside] = vals[i0] * (1.0 - frac) + vals[i0 + 1] * frac
-        return abs(complex(np.sum(np.conj(vals) * shifted)) * dx)
-
-    span = psi.end - psi.start
-    requested = []
-    for b in shifts:
-        if abs(b) > span:
-            raise DomainError(f"shift {b} extends beyond the sampled grid")
-        requested.append(gamma_abs(float(b)))
-
-    coherence_length = None
-    prev = gamma_abs(0.0)
-    for j in range(1, psi.n):
-        b = j * dx
-        cur = gamma_abs(b)
-        if cur <= _COHERENCE_LEVEL:
-            # linear interpolation between the straddling cells
-            if prev == cur:
-                coherence_length = b
-            else:
-                coherence_length = (j - 1) * dx + dx * (prev - _COHERENCE_LEVEL) / (
-                    prev - cur
-                )
-            break
-        prev = cur
-    return requested, coherence_length
+    magnitude = np.abs(gamma)
+    below = np.flatnonzero(magnitude[1:] <= _COHERENCE_LEVEL)
+    if below.size == 0:
+        return requested, None
+    j = int(below[0]) + 1
+    prev, cur = float(magnitude[j - 1]), float(magnitude[j])
+    if prev == cur:
+        return requested, j * dx
+    # linear interpolation between the straddling cells
+    return requested, (j - 1) * dx + dx * (prev - _COHERENCE_LEVEL) / (prev - cur)
 
 
 def accumulation_time(energy_threshold: float, flux: float, area: float) -> float:

@@ -272,10 +272,20 @@ class TestOutputContracts:
 
 
 class TestExitCodes:
-    def test_domain_error_exits_two(self):
-        code, _, err = run_cli("actionprob", "--width-ratio", "1")
-        assert code == 2
-        assert err.startswith("error:")
+    def test_input_errors_exit_one_numerical_failures_two(self):
+        cases = [
+            # a DomainError is bad input, as errors.py and the README say
+            (("actionprob", "--width-ratio", "1"), 1),
+            (("counts", "--stat", "fermi", "--sbar", "2"), 1),
+            (("nosignal", "--max-dim", "70"), 1),
+            # a NumericalError is a numerical failure
+            (("counts", "--mbar", "1e12"), 2),
+        ]
+        for argv, want in cases:
+            code, out, err = run_cli(*argv)
+            assert code == want, argv
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
 
     def test_bad_flag_value_exits_one(self):
         code, _, err = run_cli("sample", "--n", "0")
@@ -322,6 +332,45 @@ class TestExitCodes:
         code, _, err = run_cli("cavity", "--config", str(path))
         assert code == 1
         assert err == "error: parameter bins: expected an integer, got inf\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("vonlaue", "--area", "1e300", "--length", "1e300", "--dnu", "1e300"),
+            ("spread", "--distance", "1e308", "--kinetic-mev", "1e-300"),
+        ],
+    )
+    def test_non_finite_result_exits_two(self, argv, tmp_path):
+        # finite inputs whose results overflow; the record would carry
+        # Infinity or NaN, which are not strict JSON
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "not finite" in err
+        path = tmp_path / "rec.json"
+        code, out, _ = run_cli(*argv, "--out", str(path))
+        assert code == 2
+        assert out == "" and not path.exists()
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (("counts", "--stat", "boltzmann", "--g", "1" + "0" * 320, "--sbar", "0.5"), 1),
+            (("counts", "--stat", "bose", "--g", "1" + "0" * 320, "--sbar", "0.5"), 1),
+            (("counts", "--stat", "fermi", "--g", "1" + "0" * 320, "--sbar", "0.5"), 1),
+            (("counts", "--stat", "bose", "--g", "1" + "0" * 320, "--mbar", "0.5"), 1),
+            (("counts", "--stat", "fermi", "--g", str(2**53 + 1), "--sbar", "0.5"), 1),
+            # a 10**8 + 1 point binomial support, over the cap
+            (("counts", "--stat", "fermi", "--g", "100000000", "--sbar", "0.5"), 2),
+        ],
+        ids=["boltzmann", "bose", "fermi", "bose-mbar", "fermi-2**53+1", "fermi-1e8"],
+    )
+    def test_oversized_packet_count_is_one_error_line(self, argv, want):
+        code, out, err = run_cli(*argv)
+        assert code == want
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_support_over_the_cap_exits_two(self):
         code, out, err = run_cli("counts", "--mbar", "1e12")

@@ -296,6 +296,51 @@ class TestSampledFunction1D:
             f.values[0] = 1.0
 
 
+def _dft_widths(psi):
+    """(delta_x, delta_k) through the direct O(N^2) DFT in 256-row blocks.
+
+    The transform fourier_widths used before it took numpy's FFT; kept as
+    its oracle.
+    """
+    x = psi.grid
+    n = psi.n
+    j = np.arange(n)
+    j_signed = np.where(j < (n + 1) // 2, j, j - n)
+    k = 2.0 * math.pi * j_signed / (n * psi.spacing)
+    weights = np.empty(n)
+    block = 256
+    for lo in range(0, n, block):
+        phases = np.exp(-1j * np.outer(k[lo : lo + block], x))
+        weights[lo : lo + block] = np.abs(phases @ psi.values) ** 2
+    weights /= weights.sum()
+    k_mean = float(np.dot(weights, k))
+    k_var = float(np.dot(weights, (k - k_mean) ** 2))
+    return position_width(psi)[1], math.sqrt(max(k_var, 0.0))
+
+
+@st.composite
+def packets(draw):
+    """Normalized Gaussian, chirped or two-hump packet, n in 8..4096.
+
+    The grid reaches at least 11 widths past the outer hump, so the edge
+    amplitude stays below 1e-13 of the peak.
+    """
+    n = draw(st.integers(min_value=8, max_value=4096))
+    kind = draw(st.sampled_from(["gaussian", "chirp", "two-hump"]))
+    center = draw(st.floats(min_value=-1.0, max_value=1.0))
+    k0 = draw(st.floats(min_value=-2.0, max_value=2.0))
+    offset = draw(st.floats(min_value=1.0, max_value=3.0)) if kind == "two-hump" else 0.0
+    half = abs(center) + offset + draw(st.floats(min_value=11.0, max_value=16.0))
+    x = np.linspace(-half, half, n)
+    psi = np.exp(-((x - center - offset) ** 2) / 4.0 + 1j * k0 * x)
+    if kind == "chirp":
+        psi = psi * np.exp(1j * draw(st.floats(min_value=0.05, max_value=1.0)) * x * x)
+    if kind == "two-hump":
+        phase = draw(st.floats(min_value=0.0, max_value=2.0 * math.pi))
+        psi = psi + np.exp(-((x - center + offset) ** 2) / 4.0 + 1j * phase)
+    return SampledFunction1D(x[0], x[1] - x[0], psi).normalized()
+
+
 class TestGaussianWidths:
     def test_gaussian_norm(self):
         g = sampled_gaussian(0.0, 1.0, -10.0, 20.0 / 511, 512)
@@ -338,10 +383,19 @@ class TestGaussianWidths:
         with pytest.raises(PreconditionError):
             fourier_widths(g.normalized())
 
-    def test_point_cap(self):
-        g = sampled_gaussian(0.0, 1.0, -10.0, 20.0 / 4999, 5000)
-        with pytest.raises(PreconditionError):
-            fourier_widths(g)
+    def test_no_point_cap(self):
+        # four times the 4,096 points the direct transform used to accept
+        g = sampled_gaussian(0.0, 1.0, -12.0, 24.0 / 16383, 16384)
+        dx, dk = fourier_widths(g.normalized())
+        assert dx * dk == pytest.approx(0.5, abs=1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(packets())
+    def test_matches_direct_dft(self, psi):
+        dx, dk = fourier_widths(psi)
+        want_dx, want_dk = _dft_widths(psi)
+        assert dx == want_dx
+        assert dk == pytest.approx(want_dk, rel=1e-12, abs=0.0)
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(min_value=0.3, max_value=3.0))

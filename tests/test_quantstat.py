@@ -635,6 +635,10 @@ class TestSupportCap:
             # 80 MB each, just over the cap
             ("_poisson_weights", (1e7,)),
             ("_negative_binomial_weights", (10000, 900.0)),
+            # 10**8 + 1 points, 800 MB, in every branch of the binomial
+            ("binomial_pmf", (10**8, 0.5)),
+            ("binomial_pmf", (10**8, 0.0)),
+            ("binomial_pmf", (10**8, 1.0)),
         ],
     )
     def test_over_the_cap_raises_before_allocating(self, weights, args):
@@ -646,6 +650,17 @@ class TestSupportCap:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize("statistics", list(Statistics))
+    @pytest.mark.parametrize(
+        "g", [2**53 + 1, 10**320, math.inf], ids=["2**53+1", "10**320", "inf"]
+    )
+    def test_packet_count_beyond_exact_floats(self, statistics, g):
+        # the laws use g as a float; past 2**53 it is no longer the count
+        with pytest.raises(DomainError, match="no larger than 2\\*\\*53"):
+            packet_quanta_dist(statistics, g, 0.5)
+        with pytest.raises(DomainError, match="no larger than 2\\*\\*53"):
+            count_distribution(statistics, g, 0.5, 1.0)
 
     def test_count_distribution_reports_the_cap(self):
         with pytest.raises(NumericalError, match="bookkeeping cap"):

@@ -225,7 +225,80 @@ class TestSpreadAfterFlight:
             spread_after_flight(d, _proton_k0(6e6), 1e-15, -1.0)
 
 
+def _overlap_profile(psi, shifts):
+    """coherence_profile by one interpolated O(N) overlap per shift.
+
+    The per-cell scan coherence_profile ran before it took one FFT; kept as
+    its oracle. Off-grid samples count as zero, so on a fractional shift the
+    last cell's half-step term is lost: the two agree only for packets with
+    negligible edge amplitude.
+    """
+    level = math.exp(-0.5)
+    x = psi.grid
+    vals = np.asarray(psi.values)
+    dx = psi.spacing
+
+    def gamma_abs(b):
+        xs = x + b
+        inside = (xs >= psi.start) & (xs <= psi.end)
+        if not np.any(inside):
+            return 0.0
+        shifted = np.zeros_like(vals)
+        pos = (xs[inside] - psi.start) / dx
+        i0 = np.floor(pos).astype(int)
+        frac = pos - i0
+        i0 = np.clip(i0, 0, psi.n - 2)
+        shifted[inside] = vals[i0] * (1.0 - frac) + vals[i0 + 1] * frac
+        return abs(complex(np.sum(np.conj(vals) * shifted)) * dx)
+
+    requested = [gamma_abs(float(b)) for b in shifts]
+    prev = gamma_abs(0.0)
+    for j in range(1, psi.n):
+        cur = gamma_abs(j * dx)
+        if cur <= level:
+            if prev == cur:
+                return requested, j * dx
+            return requested, (j - 1) * dx + dx * (prev - level) / (prev - cur)
+        prev = cur
+    return requested, None
+
+
+@st.composite
+def packets(draw):
+    """Normalized Gaussian, chirped or two-hump packet, n in 8..4096.
+
+    The grid reaches at least 11 widths past the outer hump, so the edge
+    amplitude stays below 1e-13 of the peak.
+    """
+    n = draw(st.integers(min_value=8, max_value=4096))
+    kind = draw(st.sampled_from(["gaussian", "chirp", "two-hump"]))
+    center = draw(st.floats(min_value=-1.0, max_value=1.0))
+    k0 = draw(st.floats(min_value=-2.0, max_value=2.0))
+    offset = draw(st.floats(min_value=1.0, max_value=3.0)) if kind == "two-hump" else 0.0
+    half = abs(center) + offset + draw(st.floats(min_value=11.0, max_value=16.0))
+    x = np.linspace(-half, half, n)
+    psi = np.exp(-((x - center - offset) ** 2) / 4.0 + 1j * k0 * x)
+    if kind == "chirp":
+        psi = psi * np.exp(1j * draw(st.floats(min_value=0.05, max_value=1.0)) * x * x)
+    if kind == "two-hump":
+        phase = draw(st.floats(min_value=0.0, max_value=2.0 * math.pi))
+        psi = psi + np.exp(-((x - center + offset) ** 2) / 4.0 + 1j * phase)
+    return SampledFunction1D(x[0], x[1] - x[0], psi).normalized()
+
+
 class TestCoherence:
+    @settings(max_examples=40, deadline=None)
+    @given(packets(), st.lists(st.floats(min_value=-1.0, max_value=1.0), max_size=4))
+    def test_matches_overlap_oracle(self, psi, fractions):
+        shifts = [f * (psi.end - psi.start) for f in fractions]
+        gamma, length = coherence_profile(psi, shifts)
+        want_gamma, want_length = _overlap_profile(psi, shifts)
+        assert gamma == pytest.approx(want_gamma, rel=0.0, abs=1e-12)
+        if want_length is None:
+            assert length is None
+        else:
+            assert length == pytest.approx(want_length, rel=1e-12, abs=0.0)
+
     def test_gaussian_profile_closed_form(self):
         sigma = 1.0
         g = sampled_gaussian(0.0, sigma, -8.0, 16.0 / 2047, 2048).normalized()

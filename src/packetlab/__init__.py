@@ -109,7 +109,6 @@ from .quantstat import (
     RADIATION_CONSTANT,
     CavitySpec,
     CountDistribution,
-    ModeBin,
     OccupancyDistribution,
     Statistics,
     balance_residual,

@@ -6,16 +6,20 @@ flags; flags win over config. Output is a single JSON record (or CSV for
 the distribution-shaped commands) with the resolved parameters embedded,
 so a record is reproducible from itself.
 
-Exit codes: 0 on success, 1 for invalid input, 2 for numerical failure
-or a module-level domain rejection.
+Exit codes: 0 on success, 1 for invalid input (a malformed flag or a
+value the library rejects), 2 for numerical failure. Library warnings
+are written to stderr as one `warning: <message>` line each.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import math
+import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -196,7 +200,20 @@ def _choice(*options: str):
 
 
 # ---------------------------------------------------------------------------
-# command parameter tables: (flag, converter, default, help)
+# the command registry: each handler registers its key, help line and
+# parameter table of (flag, converter, default, help) with @_command
+
+_Command = collections.namedtuple("_Command", "help flags handler")
+_COMMANDS = {}  # key -> _Command, in --help order
+
+
+def _command(key: str, help_text: str, *flags):
+    def register(handler):
+        _COMMANDS[key] = _Command(help_text, flags, handler)
+        return handler
+
+    return register
+
 
 _GLOBAL_FLAGS = [
     ("seed", _u64, 0, "base RNG seed (unsigned 64-bit)"),
@@ -206,175 +223,15 @@ _GLOBAL_FLAGS = [
     ("config", _text, None, "JSON file whose keys mirror the flags"),
 ]
 
-_FLAGS = {
-    "bell": [
-        ("model", _choice("qm", "sc"), "qm", "pair model"),
-        ("angles-deg", _float_list(2), None, "coplanar analyser angles a,b"),
-        ("a", _float_list(3), None, "analyser direction a as x,y,z"),
-        ("b", _float_list(3), None, "analyser direction b as x,y,z"),
-    ],
-    "chsh": [
-        ("model", _choice("qm", "sc"), "qm", "pair model"),
-        ("angles-deg", _float_list(4), None, "coplanar angles a,b,a',b'"),
-        ("a", _float_list(3), None, "direction a as x,y,z"),
-        ("b", _float_list(3), None, "direction b as x,y,z"),
-        ("a2", _float_list(3), None, "direction a' as x,y,z"),
-        ("b2", _float_list(3), None, "direction b' as x,y,z"),
-        ("mc", _posint, None, "also estimate K from this many pairs per setting"),
-    ],
-    "sample": [
-        ("model", _choice("qm", "sc"), "qm", "pair model"),
-        ("angles-deg", _float_list(2), None, "coplanar analyser angles a,b"),
-        ("a", _float_list(3), None, "analyser direction a as x,y,z"),
-        ("b", _float_list(3), None, "analyser direction b as x,y,z"),
-        ("n", _posint, 100000, "number of simulated pairs"),
-    ],
-    "lhv": [
-        (
-            "family",
-            _choice("random", "semiclassical", "sign"),
-            "random",
-            "hidden-variable model family",
-        ),
-        ("models", _posint, 100, "models to draw (random and sign families)"),
-        ("settings", _posint, 100, "setting quadruples per model"),
-        ("n-lambda", _posint, 16, "hidden-variable grid size per model"),
-    ],
-    "nosignal": [
-        ("trials", _posint, 200, "random state/apparatus trials"),
-        ("max-dim", _posint, 8, "largest expansion dimension per side"),
-    ],
-    "reduce": [
-        ("coeffs", _float_list(), None, "expansion coefficients (normalized)"),
-        ("mode", _choice("window", "pick"), "window", "reduction mode"),
-        ("window", _int_list, None, "indices kept by the reduction"),
-    ],
-    "condspace": [
-        ("centers", _float_list(2), [-1.0, 1.0], "packet centers"),
-        ("sigmas", _float_list(2), [0.7, 0.7], "packet widths"),
-        ("k0", _float_list(2), [0.0, 0.0], "packet carrier wavenumbers"),
-        ("grid", _float_list(3), [-8.0, 8.0, 161], "grid as start,stop,points"),
-        ("x2", _flt, 1.0, "conditioning position of the second particle"),
-        ("symmetry", _choice("none", "bose", "fermi"), "bose", "exchange symmetry"),
-    ],
-    "actionprob": [
-        ("width-ratio", _posflt, 100.0, "packet width over scatterer width"),
-        ("probes", _posint, 9, "scatterer positions probed across the packet"),
-        ("finals", _posint, 8, "final packets summed per probe"),
-    ],
-    "packet spread": [
-        ("mass-kg", _posflt, M_PROTON, "particle mass"),
-        ("kinetic-mev", _posflt, 6.0, "kinetic energy"),
-        ("width0", _posflt, None, "initial standard-deviation width (m)"),
-        ("full-length", _posflt, None, "initial full length 2*width0 (m)"),
-        ("distance", _posflt, 0.05, "flight distance (m)"),
-        (
-            "direction",
-            _choice("longitudinal", "transverse"),
-            "longitudinal",
-            "spreading direction relative to the motion",
-        ),
-    ],
-    "packet coherence": [
-        ("sigma", _posflt, 1.0, "Gaussian width"),
-        ("points", _posint, 2048, "grid points"),
-        ("span-sigmas", _posflt, 8.0, "half grid span in units of sigma"),
-        ("shifts", _float_list(), None, "probe shifts (default 0.5, 1, 2 sigma)"),
-    ],
-    "packet accum": [
-        ("threshold-ev", _posflt, 2.18, "energy the site must soak up"),
-        ("flux", _posflt, 3.5e-13, "incident energy flux (W/m^2)"),
-        ("area", _posflt, 1e-18, "absorbing cross-section (m^2)"),
-    ],
-    "packet sterngerlach": [
-        ("mu-z", _flt, wavepacket.BOHR_MAGNETON, "magnetic moment component (J/T)"),
-        ("grad-b", _flt, 1e3, "field gradient (T/m)"),
-        ("dt", _posflt, 7e-5, "transit time through the gradient (s)"),
-        ("p-y", _posflt, 8.96e-23, "forward momentum (kg m/s)"),
-    ],
-    "cavity": [
-        ("temperature", _posflt, 5800.0, "cavity temperature (K)"),
-        ("volume", _posflt, 1.0, "cavity volume (m^3)"),
-        (
-            "statistics",
-            _choice("bose", "fermi", "boltzmann"),
-            "bose",
-            "occupancy statistics",
-        ),
-        ("mu", _flt, 0.0, "chemical potential (J)"),
-        ("bins", _posint, 200, "log-spaced frequency bins"),
-        ("x-lo", _posflt, 1e-3, "lowest h nu / k T"),
-        ("x-hi", _posflt, 40.0, "highest h nu / k T"),
-        ("polarizations", _posint, 2, "polarizations per mode (1 or 2)"),
-        ("entropy", _boolean, False, "also report entropy and its derivatives"),
-    ],
-    "counts": [
-        (
-            "stat",
-            _choice("bose", "fermi", "boltzmann"),
-            "bose",
-            "occupancy statistics",
-        ),
-        ("g", _posint, 1, "cells per packet"),
-        ("mbar", _posflt, None, "mean detector count (g eta s_bar)"),
-        ("sbar", _posflt, None, "mean occupancy per cell"),
-        ("eta", _posflt, 1.0, "detection efficiency in (0, 1]"),
-        ("mmax", _posint, None, "truncate the reported distribution at this count"),
-        ("mc", _posint, None, "also sample this many Monte Carlo counts"),
-    ],
-    "balance": [
-        ("trials", _posint, 1000, "random detailed-balance parameter sets"),
-        ("broken-trials", _posint, 100, "trials with a mismatched second constant"),
-        (
-            "temperatures",
-            _float_list(),
-            [250.0, 300.0, 1000.0, 5800.0],
-            "Einstein-balance temperatures (K)",
-        ),
-        (
-            "frequencies",
-            _float_list(),
-            [1e12, 1e13, 1e14, 1e15],
-            "Einstein-balance frequencies (Hz)",
-        ),
-    ],
-    "vonlaue": [
-        ("area", _posflt, 1e-4, "bundle cross-section (m^2)"),
-        ("length", _posflt, 1.0, "bundle length (m)"),
-        ("dnu", _posflt, 1e9, "bundle spectral width (Hz)"),
-        ("focal-area", _posflt, 1e-8, "focal spot area (m^2)"),
-        ("packet-dy", _posflt, 1e-3, "packet length (m)"),
-        ("packet-dnu", _posflt, None, "packet spectral width (Hz)"),
-        ("r", _posflt, 2.0 * math.pi, "extension convention Dy Dnu = r c / 4 pi"),
-    ],
-    "regress": [],
-}
+_PAIR_FLAGS = (
+    ("model", _choice("qm", "sc"), "qm", "pair model"),
+    ("angles-deg", _float_list(2), None, "coplanar analyser angles a,b"),
+    ("a", _float_list(3), None, "analyser direction a as x,y,z"),
+    ("b", _float_list(3), None, "analyser direction b as x,y,z"),
+)
 
 # distribution-shaped commands may emit CSV
 _CSV_COMMANDS = frozenset({"condspace", "cavity", "counts"})
-
-_PACKET_SUBCOMMANDS = ("spread", "coherence", "accum", "sterngerlach")
-
-_HELP = {
-    "bell": "joint outcome table for one pair of analyser settings",
-    "chsh": "CHSH combination K, closed form and optionally Monte Carlo",
-    "sample": "simulate coincidence counts for one pair of settings",
-    "lhv": "audit hidden-variable model families against the CHSH bound",
-    "nosignal": "remote-measurement invariance of one-side probabilities",
-    "reduce": "reduce an eigenfunction expansion (window or single pick)",
-    "condspace": "two-particle configuration-space conditional density",
-    "actionprob": "factorization audit of first-order transition probabilities",
-    "packet spread": "relativistic wavepacket spreading over a flight",
-    "packet coherence": "autocorrelation profile and coherence length",
-    "packet accum": "classical energy-accumulation time at an absorber",
-    "packet sterngerlach": "deflection angle in a field gradient",
-    "cavity": "thermal mode occupation spectrum of a cavity",
-    "counts": "detector count distribution from g cells",
-    "balance": "detailed-balance and Einstein-coefficient identities",
-    "vonlaue": "degree-of-freedom count of a bounded ray bundle",
-    "regress": "fixed-seed regression record over all modules",
-}
-
 
 # ---------------------------------------------------------------------------
 # run context
@@ -514,6 +371,7 @@ def _balance_max_residual(rng: numkit.RandomStream, trials: int) -> float:
 # handlers; each returns (fields, csv_payload)
 
 
+@_command("bell", "joint outcome table for one pair of analyser settings", *_PAIR_FLAGS)
 def _cmd_bell(run: _Run):
     p = run.params
     model = _pair_model(p["model"])
@@ -530,6 +388,16 @@ def _cmd_bell(run: _Run):
     return fields, None
 
 
+@_command(
+    "chsh", "CHSH combination K, closed form and optionally Monte Carlo",
+    ("model", _choice("qm", "sc"), "qm", "pair model"),
+    ("angles-deg", _float_list(4), None, "coplanar angles a,b,a',b'"),
+    ("a", _float_list(3), None, "direction a as x,y,z"),
+    ("b", _float_list(3), None, "direction b as x,y,z"),
+    ("a2", _float_list(3), None, "direction a' as x,y,z"),
+    ("b2", _float_list(3), None, "direction b' as x,y,z"),
+    ("mc", _posint, None, "also estimate K from this many pairs per setting"),
+)
 def _cmd_chsh(run: _Run):
     p = run.params
     model = _pair_model(p["model"])
@@ -548,6 +416,11 @@ def _cmd_chsh(run: _Run):
     return fields, None
 
 
+@_command(
+    "sample", "simulate coincidence counts for one pair of settings",
+    *_PAIR_FLAGS,
+    ("n", _posint, 100000, "number of simulated pairs"),
+)
 def _cmd_sample(run: _Run):
     p = run.params
     model = _pair_model(p["model"])
@@ -568,6 +441,14 @@ def _cmd_sample(run: _Run):
     return fields, None
 
 
+@_command(
+    "lhv", "audit hidden-variable model families against the CHSH bound",
+    ("family", _choice("random", "semiclassical", "sign"), "random",
+     "hidden-variable model family"),
+    ("models", _posint, 100, "models to draw (random and sign families)"),
+    ("settings", _posint, 100, "setting quadruples per model"),
+    ("n-lambda", _posint, 16, "hidden-variable grid size per model"),
+)
 def _cmd_lhv(run: _Run):
     p = run.params
     family = p["family"]
@@ -601,6 +482,11 @@ def _cmd_lhv(run: _Run):
     return fields, None
 
 
+@_command(
+    "nosignal", "remote-measurement invariance of one-side probabilities",
+    ("trials", _posint, 200, "random state/apparatus trials"),
+    ("max-dim", _posint, 8, "largest expansion dimension per side"),
+)
 def _cmd_nosignal(run: _Run):
     p = run.params
     if p["max-dim"] < 2:
@@ -615,6 +501,12 @@ def _cmd_nosignal(run: _Run):
     return fields, None
 
 
+@_command(
+    "reduce", "reduce an eigenfunction expansion (window or single pick)",
+    ("coeffs", _float_list(), None, "expansion coefficients (normalized)"),
+    ("mode", _choice("window", "pick"), "window", "reduction mode"),
+    ("window", _int_list, None, "indices kept by the reduction"),
+)
 def _cmd_reduce(run: _Run):
     p = run.params
     if p["coeffs"] is None:
@@ -651,6 +543,15 @@ def _cmd_reduce(run: _Run):
     return fields, None
 
 
+@_command(
+    "condspace", "two-particle configuration-space conditional density",
+    ("centers", _float_list(2), [-1.0, 1.0], "packet centers"),
+    ("sigmas", _float_list(2), [0.7, 0.7], "packet widths"),
+    ("k0", _float_list(2), [0.0, 0.0], "packet carrier wavenumbers"),
+    ("grid", _float_list(3), [-8.0, 8.0, 161], "grid as start,stop,points"),
+    ("x2", _flt, 1.0, "conditioning position of the second particle"),
+    ("symmetry", _choice("none", "bose", "fermi"), "bose", "exchange symmetry"),
+)
 def _cmd_condspace(run: _Run):
     p = run.params
     start, stop, num_raw = p["grid"]
@@ -697,6 +598,12 @@ def _cmd_condspace(run: _Run):
     return fields, (("x", "conditional", "density"), rows)
 
 
+@_command(
+    "actionprob", "factorization audit of first-order transition probabilities",
+    ("width-ratio", _posflt, 100.0, "packet width over scatterer width"),
+    ("probes", _posint, 9, "scatterer positions probed across the packet"),
+    ("finals", _posint, 8, "final packets summed per probe"),
+)
 def _cmd_actionprob(run: _Run):
     p = run.params
     setup, scatterer, centers, finals = actionprob.audit_scenario(
@@ -722,6 +629,16 @@ def _cmd_actionprob(run: _Run):
     return fields, None
 
 
+@_command(
+    "packet spread", "relativistic wavepacket spreading over a flight",
+    ("mass-kg", _posflt, M_PROTON, "particle mass"),
+    ("kinetic-mev", _posflt, 6.0, "kinetic energy"),
+    ("width0", _posflt, None, "initial standard-deviation width (m)"),
+    ("full-length", _posflt, None, "initial full length 2*width0 (m)"),
+    ("distance", _posflt, 0.05, "flight distance (m)"),
+    ("direction", _choice("longitudinal", "transverse"), "longitudinal",
+     "spreading direction relative to the motion"),
+)
 def _cmd_packet_spread(run: _Run):
     p = run.params
     if p["width0"] is not None and p["full-length"] is not None:
@@ -752,6 +669,13 @@ def _cmd_packet_spread(run: _Run):
     return fields, None
 
 
+@_command(
+    "packet coherence", "autocorrelation profile and coherence length",
+    ("sigma", _posflt, 1.0, "Gaussian width"),
+    ("points", _posint, 2048, "grid points"),
+    ("span-sigmas", _posflt, 8.0, "half grid span in units of sigma"),
+    ("shifts", _float_list(), None, "probe shifts (default 0.5, 1, 2 sigma)"),
+)
 def _cmd_packet_coherence(run: _Run):
     p = run.params
     sigma = p["sigma"]
@@ -773,6 +697,12 @@ def _cmd_packet_coherence(run: _Run):
     return fields, None
 
 
+@_command(
+    "packet accum", "classical energy-accumulation time at an absorber",
+    ("threshold-ev", _posflt, 2.18, "energy the site must soak up"),
+    ("flux", _posflt, 3.5e-13, "incident energy flux (W/m^2)"),
+    ("area", _posflt, 1e-18, "absorbing cross-section (m^2)"),
+)
 def _cmd_packet_accum(run: _Run):
     p = run.params
     t = wavepacket.accumulation_time(
@@ -788,6 +718,13 @@ def _cmd_packet_accum(run: _Run):
     return fields, None
 
 
+@_command(
+    "packet sterngerlach", "deflection angle in a field gradient",
+    ("mu-z", _flt, wavepacket.BOHR_MAGNETON, "magnetic moment component (J/T)"),
+    ("grad-b", _flt, 1e3, "field gradient (T/m)"),
+    ("dt", _posflt, 7e-5, "transit time through the gradient (s)"),
+    ("p-y", _posflt, 8.96e-23, "forward momentum (kg m/s)"),
+)
 def _cmd_packet_sterngerlach(run: _Run):
     p = run.params
     alpha = wavepacket.stern_gerlach_deflection(
@@ -805,6 +742,19 @@ def _cmd_packet_sterngerlach(run: _Run):
     return fields, None
 
 
+@_command(
+    "cavity", "thermal mode occupation spectrum of a cavity",
+    ("temperature", _posflt, 5800.0, "cavity temperature (K)"),
+    ("volume", _posflt, 1.0, "cavity volume (m^3)"),
+    ("statistics", _choice("bose", "fermi", "boltzmann"), "bose",
+     "occupancy statistics"),
+    ("mu", _flt, 0.0, "chemical potential (J)"),
+    ("bins", _posint, 200, "log-spaced frequency bins"),
+    ("x-lo", _posflt, 1e-3, "lowest h nu / k T"),
+    ("x-hi", _posflt, 40.0, "highest h nu / k T"),
+    ("polarizations", _posint, 2, "polarizations per mode (1 or 2)"),
+    ("entropy", _boolean, False, "also report entropy and its derivatives"),
+)
 def _cmd_cavity(run: _Run):
     p = run.params
     if p["polarizations"] not in (1, 2):
@@ -820,17 +770,11 @@ def _cmd_cavity(run: _Run):
     )
     counts = quantstat.spectral_distribution(cavity, bins)
 
-    kt = K_BOLTZMANN * temperature
-    nu = np.array([b.epsilon / H_PLANCK for b in bins])
-    x = np.array([b.epsilon / kt for b in bins])
-    g = np.array([b.g for b in bins])
-    u_density = np.array(
-        [
-            counts[i] * b.epsilon / (volume * (b.d_epsilon / H_PLANCK))
-            for i, b in enumerate(bins)
-        ]
-    )
-    total_energy = float(np.sum(counts * np.array([b.epsilon for b in bins])))
+    eps, g = bins.epsilon, bins.g
+    nu = eps / H_PLANCK
+    x = eps / (K_BOLTZMANN * temperature)
+    u_density = counts * eps / (volume * (bins.d_epsilon / H_PLANCK))
+    total_energy = float(np.sum(counts * eps))
     fields = {
         "statistics": statistics.value,
         "temperature": temperature,
@@ -848,10 +792,8 @@ def _cmd_cavity(run: _Run):
         )
     if p["entropy"]:
         s, ds_de, ds_dn = quantstat.entropy_and_derivatives(cavity, bins)
-        fields["entropy"] = s
-        fields["ds_de"] = ds_de
-        fields["ds_dn"] = ds_dn
-        fields["ds_de_times_t"] = ds_de * temperature
+        fields.update(entropy=s, ds_de=ds_de, ds_dn=ds_dn,
+                      ds_de_times_t=ds_de * temperature)
     fields["nu"] = nu
     fields["g"] = g
     fields["mean_counts"] = counts
@@ -860,6 +802,17 @@ def _cmd_cavity(run: _Run):
     return fields, (("nu", "x", "g", "count", "energy_density"), rows)
 
 
+@_command(
+    "counts", "detector count distribution from g cells",
+    ("stat", _choice("bose", "fermi", "boltzmann"), "bose",
+     "occupancy statistics"),
+    ("g", _posint, 1, "cells per packet"),
+    ("mbar", _posflt, None, "mean detector count (g eta s_bar)"),
+    ("sbar", _posflt, None, "mean occupancy per cell"),
+    ("eta", _posflt, 1.0, "detection efficiency in (0, 1]"),
+    ("mmax", _posint, None, "truncate the reported distribution at this count"),
+    ("mc", _posint, None, "also sample this many Monte Carlo counts"),
+)
 def _cmd_counts(run: _Run):
     p = run.params
     statistics = quantstat.Statistics(p["stat"])
@@ -891,9 +844,7 @@ def _cmd_counts(run: _Run):
     if n is not None:
         if n < 2:
             raise CliError("parameter mc: need at least 2 samples")
-        total = 0
-        s1 = 0
-        s2 = 0
+        total = s1 = s2 = 0
         for size, rng in run.shard_plan(n):
             samples = quantstat.sample_counts(statistics, g, s_bar, eta, size, rng)
             total += size
@@ -911,6 +862,15 @@ def _cmd_counts(run: _Run):
     return fields, (("m", "W"), rows)
 
 
+@_command(
+    "balance", "detailed-balance and Einstein-coefficient identities",
+    ("trials", _posint, 1000, "random detailed-balance parameter sets"),
+    ("broken-trials", _posint, 100, "trials with a mismatched second constant"),
+    ("temperatures", _float_list(), [250.0, 300.0, 1000.0, 5800.0],
+     "Einstein-balance temperatures (K)"),
+    ("frequencies", _float_list(), [1e12, 1e13, 1e14, 1e15],
+     "Einstein-balance frequencies (Hz)"),
+)
 def _cmd_balance(run: _Run):
     p = run.params
     rng = run.stream(0)
@@ -942,6 +902,16 @@ def _cmd_balance(run: _Run):
     return fields, None
 
 
+@_command(
+    "vonlaue", "degree-of-freedom count of a bounded ray bundle",
+    ("area", _posflt, 1e-4, "bundle cross-section (m^2)"),
+    ("length", _posflt, 1.0, "bundle length (m)"),
+    ("dnu", _posflt, 1e9, "bundle spectral width (Hz)"),
+    ("focal-area", _posflt, 1e-8, "focal spot area (m^2)"),
+    ("packet-dy", _posflt, 1e-3, "packet length (m)"),
+    ("packet-dnu", _posflt, None, "packet spectral width (Hz)"),
+    ("r", _posflt, 2.0 * math.pi, "extension convention Dy Dnu = r c / 4 pi"),
+)
 def _cmd_vonlaue(run: _Run):
     p = run.params
     f_count, n1, n2, n3, ratio = quantstat.vonlaue_dof(
@@ -1096,8 +1066,8 @@ def _regress_values(run: _Run) -> dict:
     )
     # mean count times eps/d_eps is the spectral energy density up to
     # constants, so its argmax sits at the Planck peak
-    u_density = peak_counts * np.array([b.epsilon / b.d_epsilon for b in peak_bins])
-    peak_eps = peak_bins[int(np.argmax(u_density))].epsilon
+    u_density = peak_counts * (peak_bins.epsilon / peak_bins.d_epsilon)
+    peak_eps = peak_bins.epsilon[np.argmax(u_density)]
     v["planck_peak_x"] = peak_eps / (K_BOLTZMANN * 5800.0)
 
     v["photon_mode_count"] = quantstat.photon_mode_count(1.0, 5e14, 1e10)
@@ -1147,7 +1117,7 @@ def _regress_values(run: _Run) -> dict:
     sb_counts = quantstat.spectral_distribution(
         quantstat.CavitySpec.photon_gas(1.0, 1000.0), sb_bins
     )
-    sb_energy = float(np.sum(sb_counts * np.array([b.epsilon for b in sb_bins])))
+    sb_energy = float(np.sum(sb_counts * sb_bins.epsilon))
     v["stefan_boltzmann_ratio"] = sb_energy / (quantstat.RADIATION_CONSTANT * 1000.0**4)
     return v
 
@@ -1160,22 +1130,15 @@ _CHECK_MODES = {
 }
 
 
+@_command("regress", "fixed-seed regression record over all modules")
 def _cmd_regress(run: _Run):
     values = _regress_values(run)
     checks = []
     for name, expected, tol, mode in _REGRESSION_CHECKS:
         value = float(values[name])
-        ok = _CHECK_MODES[mode](value, expected, tol)
-        checks.append(
-            {
-                "name": name,
-                "value": value,
-                "expected": expected,
-                "tol": tol,
-                "mode": mode,
-                "ok": bool(ok),
-            }
-        )
+        ok = bool(_CHECK_MODES[mode](value, expected, tol))
+        checks.append({"name": name, "value": value, "expected": expected,
+                       "tol": tol, "mode": mode, "ok": ok})
     failures = sum(1 for ch in checks if not ch["ok"])
     fields = {
         "checks": checks,
@@ -1186,25 +1149,10 @@ def _cmd_regress(run: _Run):
     return fields, None
 
 
-_HANDLERS = {
-    "bell": _cmd_bell,
-    "chsh": _cmd_chsh,
-    "sample": _cmd_sample,
-    "lhv": _cmd_lhv,
-    "nosignal": _cmd_nosignal,
-    "reduce": _cmd_reduce,
-    "condspace": _cmd_condspace,
-    "actionprob": _cmd_actionprob,
-    "packet spread": _cmd_packet_spread,
-    "packet coherence": _cmd_packet_coherence,
-    "packet accum": _cmd_packet_accum,
-    "packet sterngerlach": _cmd_packet_sterngerlach,
-    "cavity": _cmd_cavity,
-    "counts": _cmd_counts,
-    "balance": _cmd_balance,
-    "vonlaue": _cmd_vonlaue,
-    "regress": _cmd_regress,
-}
+# the packet subcommands are also reachable without the prefix
+_PACKET_SUBCOMMANDS = tuple(
+    key.split()[1] for key in _COMMANDS if key.startswith("packet ")
+)
 
 
 # ---------------------------------------------------------------------------
@@ -1213,38 +1161,28 @@ _HANDLERS = {
 
 def _add_flags(parser: argparse.ArgumentParser, flags):
     for name, conv, _default, help_text in list(flags) + _GLOBAL_FLAGS:
-        dest = name.replace("-", "_")
         if conv is _boolean:
-            parser.add_argument(
-                f"--{name}",
-                dest=dest,
-                action="store_const",
-                const="true",
-                default=None,
-                help=help_text,
-            )
+            kind = dict(action="store_const", const="true")
         else:
-            parser.add_argument(
-                f"--{name}", dest=dest, default=None, metavar="V", help=help_text
-            )
+            kind = dict(metavar="V")
+        parser.add_argument(f"--{name}", dest=name.replace("-", "_"), default=None,
+                            help=help_text, **kind)
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="packetlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for key, flags in _FLAGS.items():
-        if key.startswith("packet "):
-            continue
-        _add_flags(sub.add_parser(key, help=_HELP[key]), flags)
+    for key, command in _COMMANDS.items():
+        if not key.startswith("packet "):
+            _add_flags(sub.add_parser(key, help=command.help), command.flags)
 
     packet = sub.add_parser("packet", help="wavepacket kinematics")
     inner = packet.add_subparsers(dest="packet_command", required=True,
                                   metavar="SUBCOMMAND")
     for name in _PACKET_SUBCOMMANDS:
-        key = f"packet {name}"
-        _add_flags(inner.add_parser(name, help=_HELP[key]), _FLAGS[key])
-        # the packet subcommands are also reachable without the prefix
-        _add_flags(sub.add_parser(name, help=_HELP[key]), _FLAGS[key])
+        command = _COMMANDS[f"packet {name}"]
+        _add_flags(inner.add_parser(name, help=command.help), command.flags)
+        _add_flags(sub.add_parser(name, help=command.help), command.flags)
     return parser
 
 
@@ -1286,23 +1224,51 @@ def _resolve(flags, ns: argparse.Namespace, config: dict) -> dict:
     return params
 
 
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+_BARE_FLAG = re.compile(r"--[^=]+")
+
+
+def _attach_negative_values(argv) -> list:
+    """Rewrite `--flag -1,2` as `--flag=-1,2`.
+
+    argparse reads any later token that starts with '-' as a flag, unless
+    it looks like a plain negative number; lists and exponents do not.
+    """
+    out = []
+    for token in argv:
+        if out and _NEGATIVE_VALUE.match(token) and _BARE_FLAG.fullmatch(out[-1]):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def run(argv, stdout=None, stderr=None) -> int:
-    """Parse argv, execute, write one record. Returns the exit code."""
+    """Parse argv, execute, write one record. Returns the exit code.
+
+    Warnings the library raises during the run go to stderr as one
+    `warning: <message>` line each.
+    """
     stdout = sys.stdout if stdout is None else stdout
     stderr = sys.stderr if stderr is None else stderr
     try:
         try:
-            ns = _build_parser().parse_args(argv)
+            ns = _build_parser().parse_args(_attach_negative_values(argv))
         except SystemExit as exc:  # --help
             return int(exc.code or 0)
         key = _command_key(ns)
-        params = _resolve(_FLAGS[key], ns, _load_config(getattr(ns, "config", None)))
+        command = _COMMANDS[key]
+        params = _resolve(command.flags, ns, _load_config(getattr(ns, "config", None)))
         if params["format"] == "csv" and key not in _CSV_COMMANDS:
-            raise CliError(
-                "csv output is only available for "
-                + ", ".join(sorted(_CSV_COMMANDS))
-            )
-        fields, csv_payload = _HANDLERS[key](_Run(params, stderr))
+            names = ", ".join(sorted(_CSV_COMMANDS))
+            raise CliError(f"csv output is only available for {names}")
+        context = _Run(params, stderr)
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                fields, csv_payload = command.handler(context)
+            finally:
+                for w in caught:
+                    context.warn(str(w.message))
 
         if params["format"] == "csv":
             text = _render_csv(*csv_payload)
@@ -1321,15 +1287,10 @@ def run(argv, stdout=None, stderr=None) -> int:
         if key == "regress" and not fields["all_ok"]:
             return 2
         return 0
-    except CliError as exc:
+    except (CliError, PacketLabError) as exc:
+        # a library error other than a numerical failure is bad input
         print(f"error: {exc}", file=stderr)
-        return 1
-    except NumericalError as exc:
-        print(f"error: {exc}", file=stderr)
-        return 2
-    except PacketLabError as exc:  # bad input the library refused
-        print(f"error: {exc}", file=stderr)
-        return 1
+        return 2 if isinstance(exc, NumericalError) else 1
 
 
 def main():

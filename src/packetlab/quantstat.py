@@ -9,6 +9,10 @@ its thermodynamic derivatives, the von Laue factorization of bundle
 degrees of freedom, and the counting laws for quanta seen by an
 imperfect detector (negative binomial, binomial, Poisson limit).
 
+The cavity bins are one numpy record array with the columns p, dp,
+epsilon, d_epsilon and g (see photon_bins); the spectral counts, the
+entropy and its derivatives are array expressions over those columns.
+
 SI units: volumes m^3, temperatures K, energies J, momenta kg m/s.
 """
 
@@ -34,7 +38,6 @@ __all__ = [
     "RADIATION_CONSTANT",
     "Statistics",
     "CavitySpec",
-    "ModeBin",
     "OccupancyDistribution",
     "CountDistribution",
     "mode_count",
@@ -65,6 +68,7 @@ _MAX_SUPPORT = 10_000_000
 _STIRLING_MIN = 10.0
 # classes with less probability than this carry no entropy mass worth guarding
 _GUARD_MASS = 1e-9
+_LN2 = math.log(2.0)
 
 # a in u = a T^4, the photon-gas energy density (Stefan-Boltzmann law)
 RADIATION_CONSTANT = (
@@ -116,43 +120,6 @@ class CavitySpec:
         return cls(volume, temperature, 0.0, 0.0, Statistics.BOSE, photon=True)
 
 
-@dataclass(frozen=True)
-class ModeBin:
-    """One momentum (or frequency) shell: center, width, energy, cell count."""
-
-    p: float
-    dp: float
-    epsilon: float
-    d_epsilon: float
-    g: float
-
-    def __post_init__(self):
-        if self.p <= 0 or self.dp <= 0 or self.epsilon <= 0:
-            raise DomainError("p, dp and epsilon must be positive")
-        if self.g < 0:
-            raise DomainError("cell count must be nonnegative")
-
-    @classmethod
-    def from_momentum(
-        cls, volume: float, mass: float, p: float, dp: float
-    ) -> "ModeBin":
-        eps = math.hypot(p * C_LIGHT, mass * C_LIGHT**2)
-        d_eps = p * C_LIGHT**2 / eps * dp
-        return cls(p, dp, eps, d_eps, mode_count(volume, p, dp))
-
-    @classmethod
-    def from_photon_frequency(
-        cls, volume: float, nu: float, dnu: float
-    ) -> "ModeBin":
-        return cls(
-            H_PLANCK * nu / C_LIGHT,
-            H_PLANCK * dnu / C_LIGHT,
-            H_PLANCK * nu,
-            H_PLANCK * dnu,
-            photon_mode_count(volume, nu, dnu),
-        )
-
-
 def photon_bins(
     volume: float,
     temperature: float,
@@ -160,12 +127,16 @@ def photon_bins(
     x_lo: float = 1e-3,
     x_hi: float = 40.0,
     polarizations: int = 2,
-) -> list:
-    """Log-spaced photon ModeBins covering x = h nu / kT in [x_lo, x_hi].
+) -> np.recarray:
+    """Log-spaced photon bins covering x = h nu / kT in [x_lo, x_hi].
 
-    polarizations multiplies the per-polarization cell count; the default
-    2 describes the physical cavity field.
+    A record array: bins.epsilon is a column, and iterating yields records
+    with b.epsilon. Each bin is centered on the geometric mean of its
+    frequency edges; polarizations multiplies the per-polarization cell
+    count, and the default 2 describes the physical cavity field.
     """
+    if not (volume > 0 and temperature > 0):
+        raise DomainError("volume and temperature must be positive")
     if n_bins < 1:
         raise DomainError("need at least one bin")
     if not 0 < x_lo < x_hi:
@@ -176,15 +147,17 @@ def photon_bins(
     edges = nu_scale * np.exp(
         np.linspace(math.log(x_lo), math.log(x_hi), n_bins + 1)
     )
-    bins = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        nu_c = math.sqrt(lo * hi)
-        base = ModeBin.from_photon_frequency(volume, nu_c, hi - lo)
-        bins.append(
-            ModeBin(base.p, base.dp, base.epsilon, base.d_epsilon,
-                    polarizations * base.g)
-        )
-    return bins
+    lo, hi = edges[:-1], edges[1:]
+    nu = np.sqrt(lo * hi)
+    dnu = hi - lo
+    p, dp = H_PLANCK * nu / C_LIGHT, H_PLANCK * dnu / C_LIGHT
+    # the comparisons let NaN through, as a cell count overflowing does
+    if np.any(p <= 0) or np.any(dp <= 0):
+        raise DomainError("p, dp and epsilon must be positive")
+    g = polarizations * (4.0 * math.pi * volume * nu * nu * dnu / C_LIGHT**3)
+    return np.rec.fromarrays(
+        (p, dp, H_PLANCK * nu, H_PLANCK * dnu, g), names="p,dp,epsilon,d_epsilon,g"
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,17 +212,23 @@ def _tail_within_budget(w_last: float, ratio: float, m: int, mean: float) -> boo
     return tail_mass <= _TAIL_MASS and tail_mean <= _TAIL_MEAN * max(1.0, mean)
 
 
-def _poisson_weights(lam: float) -> np.ndarray:
+def _poisson_law(lam: float) -> tuple:
+    # (log w, w) over the truncated support; the entropy wants the exact logs
     if lam == 0.0:
-        return np.array([1.0])
+        return np.array([0.0]), np.array([1.0])
     m = int(lam + 15.0 * math.sqrt(lam) + 30.0)
     while m + 1 <= _MAX_SUPPORT:
         s = np.arange(m + 1, dtype=float)
-        w = np.exp(s * math.log(lam) - lam - numkit.gammaln(s + 1.0))
+        log_w = s * math.log(lam) - lam - numkit.gammaln(s + 1.0)
+        w = np.exp(log_w)
         if _tail_within_budget(float(w[-1]), lam / (m + 1.0), m, lam):
-            return w
+            return log_w, w
         m *= 2
     raise NumericalError("Poisson support exceeds the bookkeeping cap")
+
+
+def _poisson_weights(lam: float) -> np.ndarray:
+    return _poisson_law(lam)[1]
 
 
 def occupancy(
@@ -286,29 +265,33 @@ def occupancy(
     return OccupancyDistribution(statistics, lam, _poisson_weights(lam))
 
 
+def _mean_occupancy(statistics: Statistics, y: np.ndarray) -> np.ndarray:
+    """Mean quanta per cell at y = (eps - mu)/kT; past y = 700 every law
+    is the bare exponential, which keeps exp and expm1 from overflowing."""
+    if statistics is Statistics.BOLTZMANN:
+        if np.any(y < -700.0):
+            raise NumericalError("Boltzmann weight overflows double precision")
+        return np.exp(-y)
+    tail = np.exp(-np.maximum(y, 700.0))
+    core = np.minimum(y, 700.0)
+    if statistics is Statistics.FERMI:
+        return np.where(y > 700.0, tail, 1.0 / (np.exp(core) + 1.0))
+    poles = np.flatnonzero(y <= 0)
+    if poles.size:
+        raise DomainError(
+            f"Bose pole in bin {poles[0]}: epsilon <= mu makes the occupancy diverge"
+        )
+    return np.where(y > 700.0, tail, 1.0 / np.expm1(core))
+
+
 def spectral_distribution(cavity: CavitySpec, bins) -> np.ndarray:
     """Expected quanta count N dp per bin: g / (exp((eps-mu)/kT) -+ ... ).
 
     BOSE uses the minus sign, FERMI the plus sign, BOLTZMANN the bare
-    exponential.
+    exponential. bins is the record array of photon_bins.
     """
-    kt = K_BOLTZMANN * cavity.temperature
-    out = np.empty(len(bins))
-    for i, b in enumerate(bins):
-        y = (b.epsilon - cavity.mu) / kt
-        if cavity.statistics is Statistics.BOSE:
-            if y <= 0:
-                raise DomainError(
-                    f"Bose pole in bin {i}: epsilon <= mu makes the occupancy diverge"
-                )
-            out[i] = b.g * math.exp(-y) if y > 700.0 else b.g / math.expm1(y)
-        elif cavity.statistics is Statistics.FERMI:
-            out[i] = b.g * math.exp(-y) if y > 700.0 else b.g / (math.exp(y) + 1.0)
-        else:
-            if y < -700.0:
-                raise NumericalError("Boltzmann weight overflows double precision")
-            out[i] = b.g * math.exp(-y)
-    return out
+    y = (bins.epsilon - cavity.mu) / (K_BOLTZMANN * cavity.temperature)
+    return bins.g * _mean_occupancy(cavity.statistics, y)
 
 
 def balance_residual(
@@ -412,46 +395,73 @@ def einstein_balance(
         raise DomainError("all inputs must be positive")
     x = H_PLANCK * nu / (K_BOLTZMANN * temperature)
     a_over_b = 4.0 * math.pi * H_PLANCK * nu**3 / C_LIGHT**3
-    mode = ModeBin.from_photon_frequency(volume, nu, dnu)
-    if x > 700.0:
-        n_planck = mode.g * math.exp(-x)
-    else:
-        n_planck = mode.g / math.expm1(x)
+    g = photon_mode_count(volume, nu, dnu)
+    n_planck = g * math.exp(-x) if x > 700.0 else g / math.expm1(x)
     rho = H_PLANCK * nu * n_planck / (volume * dnu)
     lhs = rho
     rhs = math.exp(-x) * (rho + a_over_b)
     return lhs, rhs, a_over_b
 
 
-def _stirling(z):
-    # z ln z - z, continued by 0 at z = 0
-    z = np.asarray(z, dtype=float)
-    out = np.zeros_like(z)
-    pos = z > 0
-    out[pos] = z[pos] * np.log(z[pos]) - z[pos]
-    return out
+def _cell_entropy(statistics: Statistics, y: np.ndarray, s_bar: np.ndarray) -> tuple:
+    """(H, q_light) per bin: the entropy H = -sum_s q_s ln q_s of the cell law,
+    and the probability of its least likely class with q_s > _GUARD_MASS (NaN
+    when no class is that likely)."""
+    if statistics is Statistics.BOSE:
+        y = np.minimum(y, 800.0)  # exp(-800) is 0: the vacuum alone, H = 0
+        # ln q_0 = ln(1 - x), x = exp(-y), each form where it keeps its digits
+        log_q0 = np.where(
+            y < _LN2,
+            np.log(-np.expm1(-np.minimum(y, _LN2))),
+            np.log1p(-np.exp(-np.maximum(y, _LN2))),
+        )
+        # q_s = (1 - x) x^s falls with s; the last s with q_s > _GUARD_MASS
+        last = np.ceil((log_q0 - math.log(_GUARD_MASS)) / y) - 1.0
+        q_light = np.where(last >= 0, np.exp(log_q0 - y * last), np.nan)
+        return y * s_bar - log_q0, q_light
+    if statistics is Statistics.FERMI:
+        a = np.minimum(np.abs(y), 800.0)
+        e = np.exp(-a)
+        q_rare = e / (1.0 + e)  # min(q_0, q_1)
+        q_light = np.where(q_rare > _GUARD_MASS, q_rare, 1.0 - q_rare)
+        return np.log1p(e) + a * q_rare, q_light
+    # the Poisson entropy has no closed form: sum over each bin's support
+    h = np.empty(y.size)
+    q_light = np.empty(y.size)
+    for i, lam in enumerate(s_bar):
+        log_q, q = _poisson_law(float(lam))
+        h[i] = -float(np.sum(q * log_q))
+        q_light[i] = np.min(q[q > _GUARD_MASS])
+    return h, q_light
 
 
 def _entropy_energy_number(
     statistics: Statistics, bins, temperature: float, mu: float
 ) -> tuple:
-    s_total = 0.0
-    energy = 0.0
-    number = 0.0
-    for b in bins:
-        d = occupancy(statistics, b.epsilon, mu, temperature)
-        s_total += float(_stirling(b.g)) - float(np.sum(_stirling(b.g * d.q)))
-        energy += b.g * d.s_bar * b.epsilon
-        number += b.g * d.s_bar
-    return K_BOLTZMANN * s_total, energy, number
+    # (S, E, N, q_light) of the bins at (T, mu)
+    y = (bins.epsilon - mu) / (K_BOLTZMANN * temperature)
+    s_bar = _mean_occupancy(statistics, y)
+    h, q_light = _cell_entropy(statistics, y, s_bar)
+    return (
+        K_BOLTZMANN * float(np.sum(bins.g * h)),
+        float(np.sum(bins.g * s_bar * bins.epsilon)),
+        float(np.sum(bins.g * s_bar)),
+        q_light,
+    )
 
 
 def entropy_and_derivatives(cavity: CavitySpec, bins) -> tuple:
     """(S, dS_dE, dS_dN) for fixed bins at the cavity's (T, mu).
 
     S counts the ways of distributing the cells of each bin over the
-    occupancy classes, ln g! - sum_s ln (g q_s)! under Stirling. The
-    derivatives come from centered finite differences over T and mu
+    occupancy classes, ln g! - sum_s ln (g q_s)! under Stirling. Because
+    the class probabilities q_s sum to 1, that count is g H(q) with
+    H(q) = -sum_s q_s ln q_s the entropy of the cell law, taken in closed
+    form for BOSE (H = y s_bar - ln(1 - exp(-y))) and FERMI (H =
+    ln(1 + exp(-|y|)) + |y| min(q_0, q_1)) and summed over the Poisson
+    support for BOLTZMANN. Stirling needs every class with q_s > 1e-9 to
+    hold at least 10 cells; an AccuracyWarning says when one does not.
+    The derivatives come from centered finite differences over T and mu
     with the bins held fixed, solved as a 2x2 system; at equilibrium
     they return 1/T and -mu/T.
     """
@@ -460,35 +470,30 @@ def entropy_and_derivatives(cavity: CavitySpec, bins) -> tuple:
     temperature, mu = cavity.temperature, cavity.mu
     stats = cavity.statistics
 
-    # Stirling guard on the classes that actually carry mass
-    for b in bins:
-        q = occupancy(stats, b.epsilon, mu, temperature).q
-        heavy = q > _GUARD_MASS
-        if np.any(b.g * q[heavy] < _STIRLING_MIN):
-            warnings.warn(
-                "some occupancy classes hold fewer than 10 cells; "
-                "the Stirling entropy is degraded",
-                AccuracyWarning,
-                stacklevel=2,
-            )
-            break
-
-    s0, _, _ = _entropy_energy_number(stats, bins, temperature, mu)
+    s0, _, _, q_light = _entropy_energy_number(stats, bins, temperature, mu)
+    if np.any(bins.g * q_light < _STIRLING_MIN):
+        warnings.warn(
+            "some occupancy classes hold fewer than 10 cells; "
+            "the Stirling entropy is degraded",
+            AccuracyWarning,
+            stacklevel=2,
+        )
     dt = 1e-4 * temperature
     dmu = 1e-4 * max(abs(mu), K_BOLTZMANN * temperature)
-    s_tp, e_tp, n_tp = _entropy_energy_number(stats, bins, temperature + dt, mu)
-    s_tm, e_tm, n_tm = _entropy_energy_number(stats, bins, temperature - dt, mu)
-    s_mp, e_mp, n_mp = _entropy_energy_number(stats, bins, temperature, mu + dmu)
-    s_mm, e_mm, n_mm = _entropy_energy_number(stats, bins, temperature, mu - dmu)
-    jac = np.array(
-        [
-            [(e_tp - e_tm) / (2 * dt), (n_tp - n_tm) / (2 * dt)],
-            [(e_mp - e_mm) / (2 * dmu), (n_mp - n_mm) / (2 * dmu)],
-        ]
-    )
-    grad_s = np.array([(s_tp - s_tm) / (2 * dt), (s_mp - s_mm) / (2 * dmu)])
+    if stats is Statistics.BOSE:
+        # the mu stencil must stay below the pole at the lowest bin energy
+        dmu = min(dmu, 0.5 * (float(np.min(bins.epsilon)) - mu))
+
+    def sen(t, m):
+        return _entropy_energy_number(stats, bins, t, m)[:3]
+
+    # centered differences of (S, E, N): one row over T, one over mu
+    diff = np.array([
+        np.subtract(sen(temperature + dt, mu), sen(temperature - dt, mu)) / (2 * dt),
+        np.subtract(sen(temperature, mu + dmu), sen(temperature, mu - dmu)) / (2 * dmu),
+    ])
     try:
-        ds_de, ds_dn = np.linalg.solve(jac, grad_s)
+        ds_de, ds_dn = np.linalg.solve(diff[:, 1:], diff[:, 0])
     except np.linalg.LinAlgError as exc:
         raise NumericalError("degenerate (T, mu) response; cannot separate dS/dE from dS/dN") from exc
     return s0, float(ds_de), float(ds_dn)

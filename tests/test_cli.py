@@ -6,13 +6,18 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import packetlab
 from packetlab import cli
 from packetlab.cli import run
+from packetlab.errors import AccuracyWarning
+from packetlab.numkit import K_BOLTZMANN
 
 # the wide default photon window includes sparse near-pole bins; their
 # Stirling warning is by design and not under test here
@@ -78,18 +83,28 @@ def record(*argv):
     return json.loads(out)
 
 
-def fresh_python(code: str) -> str:
-    """stdout of a new interpreter that runs code with this packetlab importable."""
+def fresh_process(*args, check=True) -> subprocess.CompletedProcess:
+    """A new interpreter run with args and this packetlab importable."""
     src = os.path.dirname(os.path.dirname(packetlab.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-c", code],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
-        check=True,
+        check=check,
     )
-    return done.stdout
+
+
+def fresh_python(code: str) -> str:
+    """stdout of a new interpreter that runs code."""
+    return fresh_process("-c", code).stdout
+
+
+STIRLING_WARNING = (
+    "warning: some occupancy classes hold fewer than 10 cells; "
+    "the Stirling entropy is degraded\n"
+)
 
 
 SCIPY_MODULES = (
@@ -384,6 +399,70 @@ class TestExitCodes:
         capsys.readouterr()
 
 
+class TestNegativeValues:
+    # argparse takes a token that starts with '-' for a flag unless it reads
+    # as a plain negative number; lists and exponents do not
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (("bell", "--angles-deg", "-45,0"), "angles-deg", [-45.0, 0.0]),
+            (("cavity", "--mu", "-1e-21", "--bins", "8"), "mu", -1e-21),
+            (("bell", "--a", "-1,0,0", "--b", "0,0,1"), "a", [-1.0, 0.0, 0.0]),
+        ],
+        ids=["angles", "mu", "vector"],
+    )
+    def test_space_separated_form_reads_the_value(self, argv, flag, value):
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["params"][flag] == value
+        joined = [argv[0], f"{argv[1]}={argv[2]}", *argv[3:]]
+        assert run_cli(*joined)[1] == out
+
+    def test_a_negative_value_still_meets_its_converter(self):
+        code, out, err = run_cli("cavity", "--bins", "-3")
+        assert (code, out) == (1, "")
+        assert err == "error: parameter bins: must be a positive integer\n"
+
+
+class TestWarnings:
+    def test_library_warning_is_one_stderr_line(self):
+        argv = ("cavity", "--temperature", "5800", "--entropy")
+        done = fresh_process("-m", "packetlab.cli", *argv)
+        assert done.stderr == STIRLING_WARNING
+        assert done.stdout == run_cli(*argv)[1]
+
+    def test_regress_reports_the_stirling_warning(self):
+        # its 200-bin entropy check holds classes of a few cells near x = 1e-3
+        with warnings.catch_warnings():
+            warnings.simplefilter("default", AccuracyWarning)
+            code, _, err = run_cli("regress")
+        assert code == 0
+        assert err == STIRLING_WARNING
+
+    def test_no_warning_without_sparse_classes(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("default", AccuracyWarning)
+            code, _, err = run_cli("cavity", "--x-lo", "0.5", "--entropy")
+        assert (code, err) == (0, "")
+
+
+class TestCommandRegistry:
+    def test_one_entry_per_command_in_help_order(self):
+        assert list(cli._COMMANDS) == [
+            "bell", "chsh", "sample", "lhv", "nosignal", "reduce", "condspace",
+            "actionprob", "packet spread", "packet coherence", "packet accum",
+            "packet sterngerlach", "cavity", "counts", "balance", "vonlaue", "regress",
+        ]
+        assert cli._PACKET_SUBCOMMANDS == ("spread", "coherence", "accum", "sterngerlach")
+
+    def test_help_lists_every_command(self, capsys):
+        assert run_cli("--help")[0] == 0
+        listing = capsys.readouterr().out
+        for key, command in cli._COMMANDS.items():
+            if not key.startswith("packet "):
+                assert key in listing and command.help in listing
+
+
 class TestPacketAliases:
     def test_spread_alias_is_byte_identical(self):
         _, prefixed, _ = run_cli("packet", "spread")
@@ -438,6 +517,20 @@ class TestCommandValues:
         rec = record("cavity", "--temperature", "1000", "--entropy")
         assert rec["ds_de_times_t"] == pytest.approx(1.0, abs=0.01)
 
+    def test_boltzmann_entropy_at_large_means(self):
+        # Poisson cells with means up to 2.6e5 once failed the 1e-10 sum check
+        rec = record(
+            "cavity", "--statistics", "boltzmann", "--mu=1e-18", "--bins", "20",
+            "--entropy",
+        )
+        # a Poisson cell holds about ln(2 pi e lam) / 2 of entropy, far below
+        # the Boltzmann-gas entropy at these means, so T dS/dE is not 1 here
+        assert rec["entropy"] > 0.0 and math.isfinite(rec["ds_de_times_t"])
+
+    def test_entropy_next_to_the_bose_pole(self):
+        rec = record("cavity", "--x-lo", "1e-7", "--entropy")
+        assert rec["ds_de_times_t"] == pytest.approx(1.0, abs=0.01)
+
     def test_lhv_semiclassical_family(self):
         rec = record("lhv", "--family", "semiclassical", "--settings", "200")
         assert rec["canonical_K"] == pytest.approx(SC_K, rel=1e-9)
@@ -461,6 +554,50 @@ class TestCommandValues:
         # 1.84; the bookkeeping guard used to reject it
         rec = record("balance", "--seed", "14279167644398334059")
         assert rec["max_residual"] < 1e-12
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-finite token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestCavityFuzz:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        statistics=st.sampled_from(["bose", "fermi", "boltzmann"]),
+        entropy=st.booleans(),
+        mu_over_kt=st.floats(min_value=-30.0, max_value=10.0),
+        bins=st.integers(min_value=1, max_value=200),
+        x_lo=st.floats(allow_nan=False, allow_infinity=False),
+        x_hi=st.floats(allow_nan=False, allow_infinity=False),
+        csv=st.booleans(),
+    )
+    def test_exit_code_and_output_contract(
+        self, statistics, entropy, mu_over_kt, bins, x_lo, x_hi, csv
+    ):
+        mu = mu_over_kt * K_BOLTZMANN * 5800.0
+        argv = ["cavity", "--statistics", statistics, f"--mu={mu!r}",
+                "--bins", str(bins), "--x-lo", repr(x_lo), "--x-hi", repr(x_hi)]
+        argv += ["--entropy"] * entropy + ["--format", "csv"] * csv
+        code, out, err = run_cli(*argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        if code == 0:
+            assert all(line.startswith("warning: ") for line in lines)
+            if csv:
+                header, *rows = out.splitlines()
+                assert header == "nu,x,g,count,energy_density" and len(rows) == bins
+                assert all(math.isfinite(float(c)) for r in rows for c in r.split(","))
+            else:
+                assert _strict_json(out)["bins"] == bins
+        else:
+            assert out == ""
+            assert [line.startswith("error: ") for line in lines].count(True) == 1
+            assert lines[-1].startswith("error: ")
+            assert all(line.startswith("warning: ") for line in lines[:-1])
 
 
 class TestRegress:

@@ -14,7 +14,7 @@ from scipy.constants import Stefan_Boltzmann
 from scipy.constants import k as K_BOLTZMANN
 from scipy.stats import binom, nbinom, poisson
 
-from packetlab import quantstat
+from packetlab import numkit, quantstat
 from packetlab.errors import (
     AccuracyWarning,
     DomainError,
@@ -26,7 +26,6 @@ from packetlab.quantstat import (
     RADIATION_CONSTANT,
     CavitySpec,
     CountDistribution,
-    ModeBin,
     Statistics,
     balance_residual,
     binomial_fold_check,
@@ -83,29 +82,25 @@ class TestModeCounting:
         with pytest.raises(DomainError):
             photon_mode_count(1.0, -1.0, 1.0)
 
-    def test_bin_from_momentum_dispersion(self):
-        m = 9.1093837015e-31
-        p = 1.0e-24
-        b = ModeBin.from_momentum(1.0, m, p, 1.0e-27)
-        expected_eps = math.hypot(p * C_LIGHT, m * C_LIGHT**2)
-        assert b.epsilon == pytest.approx(expected_eps, rel=1e-14)
-        # d eps / dp = p c^2 / eps
-        assert b.d_epsilon == pytest.approx(
-            p * C_LIGHT**2 / expected_eps * 1.0e-27, rel=1e-14
-        )
-        assert b.g == pytest.approx(mode_count(1.0, p, 1.0e-27), rel=1e-15)
-
     def test_bin_from_photon_frequency(self):
-        b = ModeBin.from_photon_frequency(1.0, 5.0e14, 1.0e10)
-        assert b.epsilon == pytest.approx(H_PLANCK * 5.0e14, rel=1e-15)
-        assert b.p == pytest.approx(H_PLANCK * 5.0e14 / C_LIGHT, rel=1e-15)
-        assert b.g == pytest.approx(photon_mode_count(1.0, 5.0e14, 1.0e10), rel=1e-15)
+        # each record is the photon frequency form at the bin's geometric center
+        (b,) = photon_bins(2.0, 300.0, 1, x_lo=1.0, x_hi=1.5, polarizations=1)
+        lo, hi = 1.0 * K_BOLTZMANN * 300.0 / H_PLANCK, 1.5 * K_BOLTZMANN * 300.0 / H_PLANCK
+        nu, dnu = math.sqrt(lo * hi), hi - lo
+        assert b.epsilon == pytest.approx(H_PLANCK * nu, rel=1e-12)
+        assert b.d_epsilon == pytest.approx(H_PLANCK * dnu, rel=1e-12)
+        assert b.p == pytest.approx(H_PLANCK * nu / C_LIGHT, rel=1e-12)
+        assert b.dp == pytest.approx(H_PLANCK * dnu / C_LIGHT, rel=1e-12)
+        assert b.g == pytest.approx(photon_mode_count(2.0, nu, dnu), rel=1e-12)
 
     def test_bin_guards(self):
-        with pytest.raises(DomainError):
-            ModeBin(0.0, 1.0, 1.0, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            ModeBin(1.0, 1.0, 1.0, 1.0, -1.0)
+        # volume and temperature are checked directly, not through the bins
+        for volume, temperature in ((0.0, 300.0), (-1.0, 300.0), (1.0, 0.0), (1.0, -5.0)):
+            with pytest.raises(DomainError, match="volume and temperature"):
+                photon_bins(volume, temperature, 10)
+        # a window too narrow to split leaves bins of zero width
+        with pytest.raises(DomainError, match="must be positive"):
+            photon_bins(1.0, 300.0, 4, x_lo=1.0, x_hi=1.0 + 2e-16)
 
 
 class TestPhotonBins:
@@ -257,10 +252,15 @@ class TestSpectralDistribution:
             assert n == pytest.approx(b.g * math.exp(-x), rel=1e-12)
 
     def test_bose_pole_in_bin_rejected(self):
-        cavity = CavitySpec(1.0, 300.0, 1.0e-20, 0.0, Statistics.BOSE)
-        bins = [ModeBin(1.0, 1.0, 5.0e-21, 1.0, 10.0)]
-        with pytest.raises(DomainError):
+        # mu between the energies of bins 2 and 3; reversed, the first bin
+        # at or below mu is bin 7 of 10
+        bins = photon_bins(1.0, 300.0, 10, x_lo=0.1, x_hi=10.0)[::-1]
+        mu = 0.5 * (bins.epsilon[6] + bins.epsilon[7])
+        cavity = CavitySpec(1.0, 300.0, mu, 0.0, Statistics.BOSE)
+        with pytest.raises(DomainError, match="Bose pole in bin 7"):
             spectral_distribution(cavity, bins)
+        with pytest.raises(DomainError, match="Bose pole in bin 7"):
+            entropy_and_derivatives(cavity, bins)
 
 
 class TestCollisionBalance:
@@ -422,6 +422,192 @@ class TestEntropy:
     def test_empty_bins_rejected(self):
         with pytest.raises(DomainError):
             entropy_and_derivatives(CavitySpec.photon_gas(1.0, 300.0), [])
+
+
+# ---------------------------------------------------------------------------
+# the per-bin cavity code that the record array replaced, kept as oracles
+
+_H, _C, _K = numkit.H_PLANCK, numkit.C_LIGHT, numkit.K_BOLTZMANN
+
+
+def _old_bins(volume, temperature, n_bins, x_lo, x_hi, polarizations):
+    """(p, dp, epsilon, d_epsilon, g) per bin, built one bin at a time."""
+    nu_scale = _K * temperature / _H
+    edges = nu_scale * np.exp(np.linspace(math.log(x_lo), math.log(x_hi), n_bins + 1))
+    rows = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        nu, dnu = math.sqrt(lo * hi), hi - lo
+        g = 4.0 * math.pi * volume * nu * nu * dnu / _C**3
+        rows.append((_H * nu / _C, _H * dnu / _C, _H * nu, _H * dnu, polarizations * g))
+    return rows
+
+
+def _old_spectral(statistics, mu, temperature, rows):
+    kt = _K * temperature
+    out = []
+    for i, (_, _, eps, _, g) in enumerate(rows):
+        y = (eps - mu) / kt
+        if statistics is Statistics.BOSE:
+            if y <= 0:
+                raise DomainError(f"Bose pole in bin {i}")
+            out.append(g * math.exp(-y) if y > 700.0 else g / math.expm1(y))
+        elif statistics is Statistics.FERMI:
+            out.append(g * math.exp(-y) if y > 700.0 else g / (math.exp(y) + 1.0))
+        else:
+            if y < -700.0:
+                raise NumericalError("Boltzmann weight overflows double precision")
+            out.append(g * math.exp(-y))
+    return np.array(out)
+
+
+def _old_stirling(z):
+    # z ln z - z, continued by 0 at z = 0
+    z = np.asarray(z, dtype=float)
+    out = np.zeros_like(z)
+    pos = z > 0
+    out[pos] = z[pos] * np.log(z[pos]) - z[pos]
+    return out
+
+
+def _old_entropy_energy_number(statistics, rows, temperature, mu):
+    """S = k sum ln g! - sum_s ln (g q_s)! under Stirling, E and N, per bin."""
+    s_total = energy = number = 0.0
+    for _, _, eps, _, g in rows:
+        d = occupancy(statistics, eps, mu, temperature)
+        s_total += float(_old_stirling(g)) - float(np.sum(_old_stirling(g * d.q)))
+        energy += g * d.s_bar * eps
+        number += g * d.s_bar
+    return _K * s_total, energy, number
+
+
+def _old_guard(statistics, rows, temperature, mu, margin):
+    """(warns, near): the per-bin Stirling guard, and whether some class
+    lies within `margin` (relative) of one of its two thresholds."""
+    warns = near = False
+    for _, _, eps, _, g in rows:
+        q = occupancy(statistics, eps, mu, temperature).q
+        q = q[q > 0]
+        warns |= bool(np.any(g * q[q > 1e-9] < 10.0))
+        near |= bool(np.any(np.abs(np.log(q / 1e-9)) < margin))
+        near |= bool(np.any(np.abs(math.log(g / 10.0) + np.log(q)) < margin))
+    return warns, near
+
+
+def _sparse_warning(cavity, bins) -> bool:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        entropy_and_derivatives(cavity, bins)
+    return any(issubclass(w.category, AccuracyWarning) for w in caught)
+
+
+class TestAgainstPerBinCode:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        statistics=st.sampled_from(list(Statistics)),
+        n_bins=st.integers(min_value=1, max_value=300),
+        log_t=st.floats(min_value=1.0, max_value=4.0),
+        log_v=st.floats(min_value=-12.0, max_value=1.0),
+        log_x_lo=st.floats(min_value=-4.0, max_value=0.5),
+        log_span=st.floats(min_value=0.05, max_value=3.0),
+        mu_over_kt=st.floats(min_value=-10.0, max_value=10.0),
+        polarizations=st.sampled_from([1, 2]),
+    )
+    def test_bins_counts_entropy_and_guard(
+        self, statistics, n_bins, log_t, log_v, log_x_lo, log_span, mu_over_kt,
+        polarizations,
+    ):
+        t, v = 10.0**log_t, 10.0**log_v
+        x_lo, x_hi = 10.0**log_x_lo, 10.0 ** (log_x_lo + log_span)
+        mu = mu_over_kt * _K * t
+        rows = _old_bins(v, t, n_bins, x_lo, x_hi, polarizations)
+        bins = photon_bins(v, t, n_bins, x_lo, x_hi, polarizations)
+        columns = np.column_stack([bins[name] for name in bins.dtype.names])
+        assert columns.tobytes() == np.array(rows).tobytes()
+
+        cavity = CavitySpec(1.0, t, mu, 0.0, statistics)
+        try:
+            old_counts = _old_spectral(statistics, mu, t, rows)
+        except DomainError:
+            with pytest.raises(DomainError):
+                spectral_distribution(cavity, bins)
+            with pytest.raises(DomainError):
+                entropy_and_derivatives(cavity, bins)
+            return
+        counts = spectral_distribution(cavity, bins)
+        assert np.all(np.abs(counts - old_counts) <= 1e-15 * np.abs(old_counts))
+
+        new = quantstat._entropy_energy_number(statistics, bins, t, mu)[:3]
+        try:
+            old = _old_entropy_energy_number(statistics, rows, t, mu)
+        except (NumericalError, PreconditionError):
+            # the old per-cell supports hit their cap next to the Bose pole,
+            # or their 1e-10 sum check at large Poisson means
+            assert all(math.isfinite(value) for value in new)
+            return
+        s_new, e_new, n_new = new
+        s_old, e_old, n_old = old
+        assert e_new == pytest.approx(e_old, rel=1e-9, abs=0.0)
+        assert n_new == pytest.approx(n_old, rel=1e-9, abs=0.0)
+        # ln g! - sum_s ln (g q_s)! cancels terms of size g |ln g| in floats,
+        # so the old sum holds no digits below this; compare above it
+        g = bins.g
+        noise = 1e-15 * _K * float(np.sum(g * (np.abs(np.log(g)) + 1.0)))
+        if noise < 1e-10 * abs(s_old):
+            assert s_new == pytest.approx(s_old, rel=1e-9, abs=0.0)
+
+        # the old 1 - q_1 of a Fermi cell is off by 1e-16 absolute, which is
+        # 1e-7 relative at the 1e-9 mass threshold
+        warns, near = _old_guard(statistics, rows, t, mu, margin=1e-6)
+        if not near:
+            assert _sparse_warning(cavity, bins) == warns
+
+
+class TestCellEntropy:
+    @pytest.mark.parametrize("statistics", list(Statistics))
+    def test_tail_cells_keep_their_entropy(self, statistics):
+        # far above mu every law is x = exp(-y) quanta at most: H = (1 + y) x
+        y = np.array([40.0, 200.0, 700.0])
+        h, _ = quantstat._cell_entropy(
+            statistics, y, quantstat._mean_occupancy(statistics, y)
+        )
+        assert h == pytest.approx((1.0 + y) * np.exp(-y), rel=1e-12, abs=0.0)
+
+    def test_fermi_holes_mirror_particles(self):
+        y = np.array([0.3, 5.0, 30.0, 600.0])
+        law = lambda y: quantstat._cell_entropy(
+            Statistics.FERMI, y, quantstat._mean_occupancy(Statistics.FERMI, y)
+        )
+        assert law(-y)[0] == pytest.approx(law(y)[0], rel=1e-15, abs=0.0)
+        # beyond double range on either side the cell is certain: H = 0
+        h, _ = law(np.array([-np.inf, np.inf]))
+        assert np.array_equal(h, [0.0, 0.0])
+
+    def test_boltzmann_class_entropy_at_large_mean(self):
+        # the bins of `cavity --statistics boltzmann --mu=1e-18 --bins 20`,
+        # whose largest Poisson mean is about 2.6e5
+        t = 5800.0
+        bins = photon_bins(1.0, t, 20)
+        y = (bins.epsilon - 1e-18) / (_K * t)
+        lam = np.exp(-y)
+        assert lam.max() > 1e5
+        h, _ = quantstat._cell_entropy(Statistics.BOLTZMANN, y, lam)
+        big = lam > 100.0
+        asymptotic = 0.5 * np.log(2.0 * math.pi * math.e * lam) - 1.0 / (12.0 * lam)
+        assert h[big] == pytest.approx(asymptotic[big], rel=1e-6)
+
+    def test_boltzmann_entropy_no_longer_trips_the_sum_check(self):
+        cavity = CavitySpec(1.0, 5800.0, 1e-18, 0.0, Statistics.BOLTZMANN)
+        s, ds_de, ds_dn = entropy_and_derivatives(cavity, photon_bins(1.0, 5800.0, 20))
+        assert s > 0.0 and math.isfinite(ds_de) and math.isfinite(ds_dn)
+
+    def test_near_pole_window_has_an_entropy(self):
+        # x_lo = 1e-7 once needed a 3e8-point geometric support per cell; the
+        # mu stencil now stays below the pole at the lowest bin
+        cavity = CavitySpec.photon_gas(1.0, 5800.0)
+        _, ds_de, _ = entropy_and_derivatives(
+            cavity, photon_bins(1.0, 5800.0, 200, x_lo=1e-7)
+        )
+        assert ds_de * 5800.0 == pytest.approx(1.0, abs=1e-3)
 
 
 class TestVonLaue:

@@ -217,7 +217,8 @@ def _command(key: str, help_text: str, *flags):
 
 _GLOBAL_FLAGS = [
     ("seed", _u64, 0, "base RNG seed (unsigned 64-bit)"),
-    ("shards", _posint, 1, "independent Monte Carlo shards, merged after the run"),
+    ("shards", _posint, 1,
+     "Monte Carlo worker threads, capped at the CPU count; results do not depend on N"),
     ("out", _text, None, "write the record to this path instead of stdout"),
     ("format", _choice("json", "csv"), "json", "output format"),
     ("config", _text, None, "JSON file whose keys mirror the flags"),
@@ -250,16 +251,6 @@ class _Run:
     def stream(self, stream_id: int = 0) -> numkit.RandomStream:
         return numkit.RandomStream(self.params["seed"], stream_id=stream_id)
 
-    def shard_plan(self, n: int) -> list:
-        """[(size, stream), ...] splitting n draws over the shards.
-
-        Shard i draws from stream i; empty shards are dropped.
-        """
-        shards = self.params["shards"]
-        base, extra = divmod(n, shards)
-        sizes = [base + (1 if i < extra else 0) for i in range(shards)]
-        return [(size, self.stream(i)) for i, size in enumerate(sizes) if size > 0]
-
 
 def _axis_from(values, name: str, run: _Run) -> numkit.UnitVector3:
     arr = np.array(values, dtype=float)
@@ -268,15 +259,13 @@ def _axis_from(values, name: str, run: _Run) -> numkit.UnitVector3:
         raise CliError(f"parameter {name}: zero vector cannot define a direction")
     if abs(norm - 1.0) > 1e-6:
         run.warn(f"direction {name} renormalized from |v| = {norm:.8g}")
-    arr = arr / norm
-    return numkit.UnitVector3(arr[0], arr[1], arr[2])
+    return numkit.UnitVector3(*(arr / norm))
 
 
 def _settings_from(run: _Run, vec_keys: tuple, default_angles: tuple) -> list:
     """Analyser directions from vector flags or coplanar angles."""
     p = run.params
-    given = [k for k in vec_keys if p[k] is not None]
-    if given:
+    if any(p[k] is not None for k in vec_keys):
         if p["angles-deg"] is not None:
             raise CliError("give either --angles-deg or direction vectors, not both")
         missing = [k for k in vec_keys if p[k] is None]
@@ -301,36 +290,10 @@ _CANONICAL_DEG = (0.0, 45.0, 90.0, -45.0)
 # experiment cores shared by the subcommands and regress
 
 
-def _pair_counts(model: spincorr.PairModel, a, b, draws) -> np.ndarray:
-    """Coincidence counts (n_pp, n_pm, n_mp, n_mm) over (pairs, stream) draws."""
-    totals = np.zeros(4, dtype=np.int64)
-    for size, rng in draws:
-        counts = spincorr.sample_pair_counts(model, a, b, size, rng)
-        totals += np.asarray(counts, dtype=np.int64)
-    return totals
-
-
-def _chsh_mc(model: spincorr.PairModel, settings, draws) -> tuple:
-    """(K estimate, the four correlation estimates) from sampled pairs.
-
-    Each draw's stream advances through all four settings, so every
-    setting sees fresh draws and the shard merge stays commutative.
-    """
-    a, b, a2, b2 = settings
-    estimates = [
-        spincorr.coincidence_expectation(*map(int, _pair_counts(model, x, y, draws)))
-        for x, y in ((a, b), (a, b2), (a2, b), (a2, b2))
-    ]
-    return abs(estimates[0] + estimates[1] + estimates[2] - estimates[3]), estimates
-
-
 def _lhv_max_k(models, settings) -> float:
     """Largest CHSH value any model reaches over the setting batches."""
-    max_k = 0.0
-    for model in models:
-        k_vals = spincorr.lhv_chsh_audit(model, *settings)[0]
-        max_k = max(max_k, float(np.max(k_vals)))
-    return max_k
+    peaks = [float(np.max(spincorr.lhv_chsh_audit(m, *settings)[0])) for m in models]
+    return max([0.0] + peaks)
 
 
 def _nosignal_max_deviation(
@@ -360,11 +323,8 @@ def _nosignal_max_deviation(
 
 def _balance_max_residual(rng: numkit.RandomStream, trials: int) -> float:
     """Largest balance residual over random consistent parameter sets."""
-    worst = 0.0
-    for _ in range(trials):
-        args = quantstat.sample_balance_args(rng)
-        worst = max(worst, quantstat.balance_residual(**args))
-    return worst
+    draws = [quantstat.sample_balance_args(rng) for _ in range(trials)]
+    return max([0.0] + [quantstat.balance_residual(**args) for args in draws])
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +368,9 @@ def _cmd_chsh(run: _Run):
     }
     n = p["mc"]
     if n is not None:
-        fields["K_mc"], estimates = _chsh_mc(model, settings, run.shard_plan(n))
+        fields["K_mc"], estimates = spincorr.chsh_estimate(
+            model, settings, n, p["seed"], workers=p["shards"]
+        )
         fields["samples_per_setting"] = n
         fields["three_sigma"] = 3.0 * math.sqrt(
             sum((1.0 - e * e) / n for e in estimates)
@@ -426,18 +388,15 @@ def _cmd_sample(run: _Run):
     model = _pair_model(p["model"])
     a, b = _settings_from(run, ("a", "b"), (0.0, 45.0))
     n = p["n"]
-    totals = _pair_counts(model, a, b, run.shard_plan(n))
-    estimate = spincorr.coincidence_expectation(*map(int, totals))
-    fields = {
-        "n_pp": int(totals[0]),
-        "n_pm": int(totals[1]),
-        "n_mp": int(totals[2]),
-        "n_mm": int(totals[3]),
+    totals = spincorr.block_pair_counts(model, a, b, n, p["seed"], workers=p["shards"])
+    estimate = spincorr.coincidence_expectation(*totals)
+    fields = dict(zip(("n_pp", "n_pm", "n_mp", "n_mm"), totals))
+    fields.update({
         "samples": n,
         "expectation_estimate": estimate,
         "three_sigma": 3.0 * math.sqrt((1.0 - estimate**2) / n),
         "expectation_closed_form": spincorr.expectation(model, a, b),
-    }
+    })
     return fields, None
 
 
@@ -462,16 +421,10 @@ def _cmd_lhv(run: _Run):
         bound = 4.0 / 3.0
         canonical = [spincorr.coplanar_axis(math.radians(d)) for d in _CANONICAL_DEG]
         fields["canonical_K"] = spincorr.lhv_chsh_audit(models[0], *canonical)[0]
-    elif family == "sign":
-        models = [
-            spincorr.sign_anticorrelated_model(rng, p["n-lambda"])
-            for _ in range(p["models"])
-        ]
-        bound = 2.0
     else:
-        models = [
-            spincorr.random_lhv_model(rng, p["n-lambda"]) for _ in range(p["models"])
-        ]
+        make = {"sign": spincorr.sign_anticorrelated_model,
+                "random": spincorr.random_lhv_model}[family]
+        models = [make(rng, p["n-lambda"]) for _ in range(p["models"])]
         bound = 2.0
 
     max_k = _lhv_max_k(models, settings)
@@ -519,15 +472,10 @@ def _cmd_reduce(run: _Run):
         run.warn(f"coefficients renormalized from |c| = {norm:.8g}")
     coeffs = configspace.ExpansionCoefficients(arr / norm)
 
-    window = p["window"]
-    if p["mode"] == "window":
-        if window is None:
-            raise CliError("window mode needs --window")
-        out = configspace.reduce_expansion(coeffs, window=window)
-        picked = None
-    else:
-        out = configspace.reduce_expansion(coeffs, window=window, rng=run.stream(0))
-        picked = int(np.argmax(out.probabilities()))
+    window, pick = p["window"], p["mode"] == "pick"
+    if window is None and not pick:
+        raise CliError("window mode needs --window")
+    out = configspace.reduce_expansion(coeffs, window, run.stream(0) if pick else None)
 
     fields = {
         "mode": p["mode"],
@@ -538,8 +486,8 @@ def _cmd_reduce(run: _Run):
     }
     if window is not None:
         fields["window_mass"] = float(np.sum(coeffs.probabilities()[sorted(set(window))]))
-    if picked is not None:
-        fields["picked"] = picked
+    if pick:
+        fields["picked"] = int(np.argmax(out.probabilities()))
     return fields, None
 
 
@@ -567,16 +515,13 @@ def _cmd_condspace(run: _Run):
         for center, sigma, k0 in zip(p["centers"], p["sigmas"], p["k0"])
     ]
     psi = configspace.ManyBodyWavefunction.from_product(factors)
-    convention = "marginal"
-    if p["symmetry"] != "none":
-        psi = configspace.symmetrize(psi, +1 if p["symmetry"] == "bose" else -1)
-        convention = "exchange"
-
-    conditional = configspace.conditional_probability(psi, p["x2"])
+    convention = "marginal" if p["symmetry"] == "none" else "exchange"
     if convention == "exchange":
+        psi = configspace.symmetrize(psi, +1 if p["symmetry"] == "bose" else -1)
         density = configspace.one_particle_density(psi)
     else:
         density = np.sum(np.abs(psi.tensor) ** 2, axis=1) * spacing
+    conditional = configspace.conditional_probability(psi, p["x2"])
     is_product, residual = configspace.product_form_test(psi)
 
     i2 = min(max(int(round((p["x2"] - start) / spacing)), 0), num - 1)
@@ -643,12 +588,8 @@ def _cmd_packet_spread(run: _Run):
     p = run.params
     if p["width0"] is not None and p["full-length"] is not None:
         raise CliError("give either --width0 or --full-length, not both")
-    if p["full-length"] is not None:
-        width0 = 0.5 * p["full-length"]
-    elif p["width0"] is not None:
-        width0 = p["width0"]
-    else:
-        width0 = 2e-15
+    width0 = p["width0"] if p["full-length"] is None else 0.5 * p["full-length"]
+    width0 = 2e-15 if width0 is None else width0
 
     disp = wavepacket.Dispersion(p["mass-kg"])
     k0 = wavepacket.carrier_wavenumber(disp, p["kinetic-mev"] * 1e6 * E_CHARGE)
@@ -844,19 +785,16 @@ def _cmd_counts(run: _Run):
     if n is not None:
         if n < 2:
             raise CliError("parameter mc: need at least 2 samples")
-        total = s1 = s2 = 0
-        for size, rng in run.shard_plan(n):
-            samples = quantstat.sample_counts(statistics, g, s_bar, eta, size, rng)
-            total += size
-            s1 += int(np.sum(samples))
-            s2 += int(np.sum(samples.astype(np.int64) ** 2))
-        mean = s1 / total
-        fields["mc_samples"] = total
+        s1, s2 = quantstat.sample_count_moments(
+            statistics, g, s_bar, eta, n, run.stream(0), workers=p["shards"]
+        )
+        mean = s1 / n
+        fields["mc_samples"] = n
         fields["mc_mean"] = mean
-        fields["mc_variance"] = (s2 - total * mean**2) / (total - 1)
+        fields["mc_variance"] = (s2 - n * mean**2) / (n - 1)
         mu4 = dist.central_moment(4)
         fields["variance_three_sigma"] = 3.0 * math.sqrt(
-            max(mu4 - dist.variance() ** 2, 0.0) / total
+            max(mu4 - dist.variance() ** 2, 0.0) / n
         )
     rows = list(zip(range(len(w)), w))
     return fields, (("m", "W"), rows)
@@ -875,18 +813,14 @@ def _cmd_balance(run: _Run):
     p = run.params
     rng = run.stream(0)
     max_residual = _balance_max_residual(rng, p["trials"])
-    broken_min = math.inf
-    for _ in range(p["broken-trials"]):
-        args = quantstat.sample_balance_args(rng)
-        broken_min = min(
-            broken_min, quantstat.balance_residual(**args, b2=1.05 * args["b"])
-        )
+    broken = [quantstat.sample_balance_args(rng) for _ in range(p["broken-trials"])]
+    broken_min = min(
+        [math.inf] + [quantstat.balance_residual(**a, b2=1.05 * a["b"]) for a in broken]
+    )
 
-    einstein_max = 0.0
-    for temperature in p["temperatures"]:
-        for nu in p["frequencies"]:
-            lhs, rhs, _ = quantstat.einstein_balance(temperature, nu, 1.0, 1e9)
-            einstein_max = max(einstein_max, abs(lhs - rhs) / lhs)
+    einstein = [quantstat.einstein_balance(t, nu, 1.0, 1e9)
+                for t in p["temperatures"] for nu in p["frequencies"]]
+    einstein_max = max([0.0] + [abs(lhs - rhs) / lhs for lhs, rhs, _ in einstein])
     a_over_b = [
         [nu, quantstat.einstein_balance(300.0, nu, 1.0, 1e9)[2]]
         for nu in p["frequencies"]
@@ -981,11 +915,7 @@ _REGRESSION_CHECKS = [
 
 
 def _regress_values(run: _Run) -> dict:
-    """The computed value of every regress check, keyed by check name.
-
-    Each Monte Carlo check draws from its own fixed stream id, so no value
-    depends on --shards.
-    """
+    """The computed value of every regress check, keyed by check name."""
     v = {}
     qm = spincorr.PairModel.qm_singlet()
     sc = spincorr.PairModel.semiclassical()
@@ -993,7 +923,7 @@ def _regress_values(run: _Run) -> dict:
 
     v["chsh_qm_closed"] = spincorr.chsh(qm, *axes4)
     v["chsh_sc_closed"] = spincorr.chsh(sc, *axes4)
-    v["chsh_qm_mc"] = _chsh_mc(qm, axes4, [(200000, run.stream(0))])[0]
+    v["chsh_qm_mc"] = spincorr.chsh_estimate(qm, axes4, 200000, run.params["seed"])[0]
 
     rng = run.stream(1)
     worst = 0.0

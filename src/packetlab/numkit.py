@@ -2,10 +2,10 @@
 
 Unit vectors, reproducible counter-based random streams and the samplers
 that draw from them (isotropic directions, Box-Muller normals, Haar
-unitaries, bounded integers), adaptive quadrature, log-space binomial
-coefficients, sampled 1-D functions and their position/wavenumber widths,
-plus the physical constants and the special functions the other modules
-share.
+unitaries, bounded integers), fixed Monte Carlo blocks, adaptive
+quadrature, log-space binomial coefficients, sampled 1-D functions and
+their position/wavenumber widths, plus the physical constants and the
+special functions the other modules share.
 
 Everything is desk scale on purpose: the quadrature is a plain adaptive
 Simpson rule, and the wavenumber moments come from numpy's FFT.
@@ -14,6 +14,7 @@ Simpson rule, and the wavenumber moments come from numpy's FFT.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "sample_normals",
     "sample_haar_unitary",
     "sample_integer",
+    "run_blocks",
     "log_binomial",
     "integrate_1d",
     "fourier_widths",
@@ -91,22 +93,22 @@ class RandomStream:
 
     Built on the counter-based Philox generator, so identical keys give
     identical sequences on every platform and distinct stream ids give
-    statistically independent sequences. Monte Carlo shards take the shard
-    index as stream_id and can then draw without any coordination.
-
-    ``position`` counts variates delivered to callers, which pins down the
-    consumption order documented by each sampler.
+    statistically independent sequences. ``position`` counts variates
+    delivered to callers, which pins down the consumption order documented
+    by each sampler. A stream may start at a ``position`` that is a multiple
+    of 4 (one Philox counter step yields four words, one per uniform); it
+    then matches a fresh stream that has drawn that many uniforms.
     """
 
-    def __init__(self, seed: int = 0, stream_id: int = 0):
-        seed = int(seed)
-        stream_id = int(stream_id)
+    def __init__(self, seed: int = 0, stream_id: int = 0, position: int = 0):
+        seed, stream_id, position = int(seed), int(stream_id), int(position)
         if not (0 <= seed < 2**64 and 0 <= stream_id < 2**64):
             raise DomainError("seed and stream_id must be unsigned 64-bit integers")
-        self.seed = seed
-        self.stream_id = stream_id
-        self.position = 0
-        self._gen = Generator(Philox(key=np.array([seed, stream_id], dtype=np.uint64)))
+        if position < 0 or position % 4:
+            raise DomainError("position must be a nonnegative multiple of 4")
+        self.seed, self.stream_id, self.position = seed, stream_id, position
+        bits = Philox(key=np.array([seed, stream_id], dtype=np.uint64))
+        self._gen = Generator(bits.advance(position // 4))
 
     def split(self, stream_id: int) -> "RandomStream":
         """Independent stream with the same seed and a new stream id."""
@@ -180,6 +182,34 @@ def sample_haar_unitary(rng: RandomStream, dim: int) -> np.ndarray:
 def sample_integer(rng: RandomStream, lo: int, hi: int) -> int:
     """Uniform integer in [lo, hi], one uniform consumed."""
     return min(lo + int(float(rng.uniform()) * (hi - lo + 1)), hi)
+
+
+# Monte Carlo draws per block: a block's arrays stay a few MB at any n
+MC_BLOCK = 2**16
+
+
+def run_blocks(work, n: int, workers: int = 1) -> np.ndarray:
+    """Sum of the integer tuples work(b, size) over the blocks b of n draws.
+
+    Blocks hold MC_BLOCK draws, the last one the rest. Thread i of
+    min(workers, os.cpu_count(), blocks) sums blocks i, i + threads, ... as
+    exact Python integers, so the sum does not depend on the thread count.
+    """
+    if n <= 0:
+        raise DomainError("n must be positive")
+    blocks = -(-n // MC_BLOCK)
+    threads = min(workers, os.cpu_count() or 1, blocks)
+
+    def part(i):
+        return sum(np.array(work(b, min(MC_BLOCK, n - b * MC_BLOCK)), dtype=object)
+                   for b in range(i, blocks, threads))
+
+    if threads == 1:
+        return part(0)
+    from concurrent.futures import ThreadPoolExecutor  # only when threads run
+
+    with ThreadPoolExecutor(threads) as pool:
+        return sum(pool.map(part, range(threads)))
 
 
 def _bind_scipy_special(name: str):

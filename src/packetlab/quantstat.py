@@ -57,6 +57,7 @@ __all__ = [
     "count_variance",
     "binomial_fold_check",
     "sample_counts",
+    "sample_count_moments",
 ]
 
 # truncated series bookkeeping: mass and mean deficits kept under these
@@ -212,23 +213,17 @@ def _tail_within_budget(w_last: float, ratio: float, m: int, mean: float) -> boo
     return tail_mass <= _TAIL_MASS and tail_mean <= _TAIL_MEAN * max(1.0, mean)
 
 
-def _poisson_law(lam: float) -> tuple:
-    # (log w, w) over the truncated support; the entropy wants the exact logs
+def _poisson_weights(lam: float) -> np.ndarray:
     if lam == 0.0:
-        return np.array([0.0]), np.array([1.0])
+        return np.array([1.0])
     m = int(lam + 15.0 * math.sqrt(lam) + 30.0)
     while m + 1 <= _MAX_SUPPORT:
         s = np.arange(m + 1, dtype=float)
-        log_w = s * math.log(lam) - lam - numkit.gammaln(s + 1.0)
-        w = np.exp(log_w)
+        w = np.exp(s * math.log(lam) - lam - numkit.gammaln(s + 1.0))
         if _tail_within_budget(float(w[-1]), lam / (m + 1.0), m, lam):
-            return log_w, w
+            return w
         m *= 2
     raise NumericalError("Poisson support exceeds the bookkeeping cap")
-
-
-def _poisson_weights(lam: float) -> np.ndarray:
-    return _poisson_law(lam)[1]
 
 
 def occupancy(
@@ -404,9 +399,9 @@ def einstein_balance(
 
 
 def _cell_entropy(statistics: Statistics, y: np.ndarray, s_bar: np.ndarray) -> tuple:
-    """(H, q_light) per bin: the entropy H = -sum_s q_s ln q_s of the cell law,
-    and the probability of its least likely class with q_s > _GUARD_MASS (NaN
-    when no class is that likely)."""
+    """(H, q_light) per bin, the entropy per cell and the Stirling guard's
+    share: BOSE and FERMI H = -sum_s q_s ln q_s and the least likely class
+    with q_s > _GUARD_MASS (NaN if none); BOLTZMANN H = s_bar (1 + y), s_bar."""
     if statistics is Statistics.BOSE:
         y = np.minimum(y, 800.0)  # exp(-800) is 0: the vacuum alone, H = 0
         # ln q_0 = ln(1 - x), x = exp(-y), each form where it keeps its digits
@@ -425,14 +420,7 @@ def _cell_entropy(statistics: Statistics, y: np.ndarray, s_bar: np.ndarray) -> t
         q_rare = e / (1.0 + e)  # min(q_0, q_1)
         q_light = np.where(q_rare > _GUARD_MASS, q_rare, 1.0 - q_rare)
         return np.log1p(e) + a * q_rare, q_light
-    # the Poisson entropy has no closed form: sum over each bin's support
-    h = np.empty(y.size)
-    q_light = np.empty(y.size)
-    for i, lam in enumerate(s_bar):
-        log_q, q = _poisson_law(float(lam))
-        h[i] = -float(np.sum(q * log_q))
-        q_light[i] = np.min(q[q > _GUARD_MASS])
-    return h, q_light
+    return s_bar * (1.0 + y), s_bar
 
 
 def _entropy_energy_number(
@@ -453,14 +441,14 @@ def _entropy_energy_number(
 def entropy_and_derivatives(cavity: CavitySpec, bins) -> tuple:
     """(S, dS_dE, dS_dN) for fixed bins at the cavity's (T, mu).
 
-    S counts the ways of distributing the cells of each bin over the
-    occupancy classes, ln g! - sum_s ln (g q_s)! under Stirling. Because
-    the class probabilities q_s sum to 1, that count is g H(q) with
-    H(q) = -sum_s q_s ln q_s the entropy of the cell law, taken in closed
-    form for BOSE (H = y s_bar - ln(1 - exp(-y))) and FERMI (H =
-    ln(1 + exp(-|y|)) + |y| min(q_0, q_1)) and summed over the Poisson
-    support for BOLTZMANN. Stirling needs every class with q_s > 1e-9 to
-    hold at least 10 cells; an AccuracyWarning says when one does not.
+    BOSE and FERMI count the ways of distributing the cells of each bin
+    over the occupancy classes, ln g! - sum_s ln (g q_s)! under Stirling,
+    which is g H(q) with H(q) = -sum_s q_s ln q_s in closed form: BOSE H =
+    y s_bar - ln(1 - exp(-y)), FERMI H = ln(1 + exp(-|y|)) + |y| min(q_0,
+    q_1); Stirling needs every class with q_s > 1e-9 to hold 10 cells.
+    BOLTZMANN counts the classical gas, ln(g^N / N!) for the N = g s_bar
+    quanta of a bin, N (1 + y) under Stirling, which needs every bin to
+    hold 10 quanta. An AccuracyWarning says when the rule fails.
     The derivatives come from centered finite differences over T and mu
     with the bins held fixed, solved as a 2x2 system; at equilibrium
     they return 1/T and -mu/T.
@@ -472,10 +460,10 @@ def entropy_and_derivatives(cavity: CavitySpec, bins) -> tuple:
 
     s0, _, _, q_light = _entropy_energy_number(stats, bins, temperature, mu)
     if np.any(bins.g * q_light < _STIRLING_MIN):
+        sparse = ("bins hold fewer than 10 quanta" if stats is Statistics.BOLTZMANN
+                  else "occupancy classes hold fewer than 10 cells")
         warnings.warn(
-            "some occupancy classes hold fewer than 10 cells; "
-            "the Stirling entropy is degraded",
-            AccuracyWarning,
+            f"some {sparse}; the Stirling entropy is degraded", AccuracyWarning,
             stacklevel=2,
         )
     dt = 1e-4 * temperature
@@ -719,11 +707,35 @@ def sample_counts(
     """
     if n <= 0:
         raise DomainError("sample count must be positive")
+    return _count_sampler(statistics, g, s_bar, eta)(n, rng)
+
+
+def sample_count_moments(
+    statistics: Statistics, g, s_bar: float, eta: float, n: int, rng, workers=1
+) -> tuple:
+    """(sum, sum of squares) of n sample_counts draws in blocks of MC_BLOCK.
+
+    A binomial takes a variable number of words, so blocks are keyed, not
+    addressed: block b draws from rng.split(b), whatever the worker count.
+    """
+    draw = _count_sampler(statistics, g, s_bar, eta)
+
+    def block(b, size):
+        counts = draw(size, rng.split(b)).astype(np.int64)
+        return int(np.sum(counts)), int(np.sum(counts**2))
+
+    return tuple(map(int, numkit.run_blocks(block, n, workers)))
+
+
+def _count_sampler(statistics: Statistics, g, s_bar: float, eta: float):
+    # the count law, built once; draw(n, rng) takes n uniforms, then n binomials
     if not 0.0 < eta <= 1.0:
         raise DomainError("eta must lie in (0, 1]")
     w = packet_quanta_dist(statistics, g, s_bar)
     cum = np.cumsum(w)
-    u = rng.uniform(size=n)
-    quanta = np.searchsorted(cum, u, side="right")
-    quanta = np.minimum(quanta, w.size - 1)
-    return rng.binomial(quanta, eta)
+
+    def draw(n, rng):
+        quanta = np.searchsorted(cum, rng.uniform(size=n), side="right")
+        return rng.binomial(np.minimum(quanta, w.size - 1), eta)
+
+    return draw

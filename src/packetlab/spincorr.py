@@ -2,9 +2,9 @@
 
 Closed-form joint probabilities and expectation values for the singlet,
 the semiclassical independent-evolution model and the triplet states,
-Monte Carlo pair sampling by the sequential reduction picture, CHSH
-combinations, local-hidden-variable bound audits, and the bipartite
-no-signaling check computed by three independent routes.
+Monte Carlo pair sampling by the sequential reduction picture in fixed
+blocks, CHSH combinations, local-hidden-variable bound audits, and the
+bipartite no-signaling check computed by three independent routes.
 
 Conventions: outcomes are +1/-1, theta is always arccos of the clamped
 dot product of the two apparatus axes, and hidden-variable models live on
@@ -21,7 +21,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, PreconditionError, UnsupportedModelError
-from .numkit import RandomStream, UnitVector3, sample_isotropic_directions
+from .numkit import MC_BLOCK, RandomStream, UnitVector3, run_blocks
+from .numkit import sample_isotropic_directions
 
 __all__ = [
     "ModelKind",
@@ -35,6 +36,8 @@ __all__ = [
     "chsh",
     "marginal",
     "sample_pair_counts",
+    "block_pair_counts",
+    "chsh_estimate",
     "coincidence_expectation",
     "lhv_expectation",
     "lhv_chsh_audit",
@@ -221,24 +224,47 @@ def sample_pair_counts(
     z = 2.0 * u[:, 0] - 1.0
     phi = 2.0 * math.pi * u[:, 1]
     s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    sigma = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
-    a_vec = a.as_array()
-    b_vec = b.as_array()
+    sx, sy = s * np.cos(phi), s * np.sin(phi)
 
-    p_a_plus = 0.5 * (1.0 + sigma @ a_vec)
-    r_a = np.where(u[:, 2] < p_a_plus, 1.0, -1.0)
+    a_minus = u[:, 2] >= 0.5 * (1.0 + (sx * a.x + sy * a.y + z * a.z))
     if model.kind is ModelKind.QM_SINGLET:
         # second packet reduced to point along -r_A a
-        p_b_plus = 0.5 * (1.0 - r_a * float(a_vec @ b_vec))
+        cos_ab = float(a.as_array() @ b.as_array())
+        p_b_plus = np.where(a_minus, 0.5 * (1.0 + cos_ab), 0.5 * (1.0 - cos_ab))
     else:
-        p_b_plus = 0.5 * (1.0 - sigma @ b_vec)
-    r_b = np.where(u[:, 3] < p_b_plus, 1.0, -1.0)
+        p_b_plus = 0.5 * (1.0 - (sx * b.x + sy * b.y + z * b.z))
+    b_minus = u[:, 3] >= p_b_plus
+    # outcome code 2 [r_A < 0] + [r_B < 0] indexes (pp, pm, mp, mm)
+    counts = np.bincount(2 * a_minus + b_minus, minlength=4)
+    return tuple(int(c) for c in counts)
 
-    n_pp = int(np.sum((r_a > 0) & (r_b > 0)))
-    n_pm = int(np.sum((r_a > 0) & (r_b < 0)))
-    n_mp = int(np.sum((r_a < 0) & (r_b > 0)))
-    n_mm = n - n_pp - n_pm - n_mp
-    return n_pp, n_pm, n_mp, n_mm
+
+def block_pair_counts(
+    model: PairModel, a: UnitVector3, b: UnitVector3, n: int, seed: int,
+    start: int = 0, workers: int = 1,
+) -> tuple:
+    """sample_pair_counts of n pairs from RandomStream(seed), in blocks.
+
+    Block k of MC_BLOCK pairs starts at pair start + k MC_BLOCK, so the
+    counts equal one call on a stream that has first drawn 4 start uniforms.
+    """
+    def block(k, size):
+        rng = RandomStream(seed, position=4 * (start + k * MC_BLOCK))
+        return sample_pair_counts(model, a, b, size, rng)
+
+    return tuple(map(int, run_blocks(block, n, workers)))
+
+
+def chsh_estimate(model: PairModel, settings, n: int, seed: int, workers=1) -> tuple:
+    """(K estimate, the four correlation estimates) from n pairs per setting.
+
+    Setting pair k of (a, b), (a, b'), (a', b), (a', b') takes pairs
+    [k n, (k + 1) n) of RandomStream(seed), so each sees fresh draws.
+    """
+    a, b, a2, b2 = settings
+    e = [coincidence_expectation(*block_pair_counts(model, x, y, n, seed, k * n, workers))
+         for k, (x, y) in enumerate(((a, b), (a, b2), (a2, b), (a2, b2)))]
+    return abs(e[0] + e[1] + e[2] - e[3]), e
 
 
 def coincidence_expectation(n_ll: int, n_lr: int, n_rl: int, n_rr: int) -> float:

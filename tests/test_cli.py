@@ -83,15 +83,20 @@ def record(*argv):
     return json.loads(out)
 
 
-def fresh_process(*args, check=True) -> subprocess.CompletedProcess:
-    """A new interpreter run with args and this packetlab importable."""
+def _child_env() -> dict:
+    """The environment of a new interpreter with this packetlab importable."""
     src = os.path.dirname(os.path.dirname(packetlab.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def fresh_process(*args, check=True) -> subprocess.CompletedProcess:
+    """A new interpreter run with args and this packetlab importable."""
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_child_env(),
         check=check,
     )
 
@@ -144,6 +149,58 @@ class TestChsh:
     def test_sharded_estimate_stays_consistent(self):
         rec = record("chsh", "--mc", "50000", "--shards", "4")
         assert abs(rec["K_mc"] - rec["K"]) < rec["three_sigma"]
+
+
+class TestShards:
+    # --shards only sets the worker threads; the draws follow from argv
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--n", "200003", "--seed", "5"),
+        ("sample", "--model", "sc", "--n", "65537", "--angles-deg", "10,70"),
+        ("chsh", "--mc", "70001", "--seed", "3"),
+        ("counts", "--stat", "bose", "--g", "4", "--mbar", "8", "--mc", "150000"),
+    ])
+    def test_records_do_not_depend_on_the_shard_count(self, argv):
+        records = []
+        for shards in ("1", "2", "3", "7"):
+            rec = record(*argv, "--shards", shards)
+            assert rec["params"].pop("shards") == int(shards)
+            records.append(rec)
+        assert all(rec == records[0] for rec in records[1:])
+
+    def test_pinned_counts_at_one_shard(self):
+        rec = record("sample", "--n", "1000")
+        counts = [rec[k] for k in ("n_pp", "n_pm", "n_mp", "n_mm")]
+        assert counts == [81, 422, 425, 72]
+
+    def test_shard_count_beyond_the_cpus_is_a_cap(self):
+        # one block of 10 pairs: no thread starts, however large N is
+        want = record("sample", "--n", "10")
+        done = subprocess.run(
+            [sys.executable, "-m", "packetlab.cli", "sample", "--n", "10",
+             "--shards", "1000000000000"],
+            capture_output=True, text=True, timeout=60, env=_child_env(),
+        )
+        assert done.returncode == 0, done.stderr
+        rec = json.loads(done.stdout)
+        assert rec["params"].pop("shards") == 10**12
+        want["params"].pop("shards")
+        assert rec == want
+
+    def test_ten_million_pairs_in_bounded_memory(self):
+        # fixed blocks of 65,536 pairs; one array of all 4e7 uniforms
+        # alone would take 320 MB
+        child = subprocess.Popen(
+            [sys.executable, "-m", "packetlab.cli", "sample", "--n", "10000000"],
+            stdout=subprocess.PIPE, env=_child_env(),
+        )
+        out = child.stdout.read()
+        _, status, usage = os.wait4(child.pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        peak_mb = usage.ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10)
+        assert peak_mb < 200.0
+        rec = json.loads(out)
+        counts = [rec[k] for k in ("n_pp", "n_pm", "n_mp", "n_mm")]
+        assert counts == [732939, 4265846, 4268753, 732462]
 
 
 class TestBell:
@@ -518,14 +575,17 @@ class TestCommandValues:
         assert rec["ds_de_times_t"] == pytest.approx(1.0, abs=0.01)
 
     def test_boltzmann_entropy_at_large_means(self):
-        # Poisson cells with means up to 2.6e5 once failed the 1e-10 sum check
-        rec = record(
-            "cavity", "--statistics", "boltzmann", "--mu=1e-18", "--bins", "20",
-            "--entropy",
-        )
-        # a Poisson cell holds about ln(2 pi e lam) / 2 of entropy, far below
-        # the Boltzmann-gas entropy at these means, so T dS/dE is not 1 here
-        assert rec["entropy"] > 0.0 and math.isfinite(rec["ds_de_times_t"])
+        # cells with means up to 2.6e5 at mu = 1e-18 J; the classical-gas
+        # entropy keeps T dS/dE = 1 and T dS/dN = -mu there, as at mu = 0
+        for mu in ("0", "1e-18"):
+            rec = record(
+                "cavity", "--statistics", "boltzmann", f"--mu={mu}", "--bins", "20",
+                "--entropy",
+            )
+            assert rec["ds_de_times_t"] == pytest.approx(1.0, abs=1e-6)
+            assert rec["ds_dn"] * rec["temperature"] == pytest.approx(
+                -float(mu), abs=1e-6 * K_BOLTZMANN * rec["temperature"]
+            )
 
     def test_entropy_next_to_the_bose_pole(self):
         rec = record("cavity", "--x-lo", "1e-7", "--entropy")
@@ -633,6 +693,20 @@ class TestColdStart:
     def test_cli_import_loads_no_scipy(self):
         out = fresh_python("import packetlab.cli; " + SCIPY_MODULES)
         assert out == "[]\n"
+
+    def test_single_worker_runs_load_no_thread_pool(self):
+        # concurrent.futures costs ~13 ms to import; only --shards > 1 needs it
+        out = fresh_python(
+            "import sys, io\n"
+            "from packetlab.cli import run\n"
+            "print('concurrent.futures' in sys.modules)\n"
+            "run(['sample', '--n', '200000'], io.StringIO())\n"
+            "print('concurrent.futures' in sys.modules)\n"
+            "run(['sample', '--n', '200000', '--shards', '2'], io.StringIO())\n"
+            "print('concurrent.futures' in sys.modules)\n"
+        )
+        want = "True" if (os.cpu_count() or 1) > 1 else "False"
+        assert out.split() == ["False", "False", want]
 
     def test_package_import_loads_no_scipy(self):
         out = fresh_python("import packetlab; " + SCIPY_MODULES)

@@ -1,6 +1,9 @@
 """Unit tests for the shared numerical substrate."""
 
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from packetlab.errors import DomainError, NumericalError, PreconditionError
 from packetlab.numkit import (
     HBAR,
     H_PLANCK,
+    MC_BLOCK,
     RandomStream,
     SampledFunction1D,
     UnitVector3,
@@ -25,6 +29,7 @@ from packetlab.numkit import (
     sample_isotropic_direction,
     sample_isotropic_directions,
     sample_normals,
+    run_blocks,
     sampled_gaussian,
 )
 
@@ -96,6 +101,74 @@ class TestRandomStream:
         rng = RandomStream(3)
         draws = rng.binomial(10, 0.5, size=1000)
         assert draws.min() >= 0 and draws.max() <= 10
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        stream_id=st.integers(min_value=0, max_value=2**64 - 1),
+        steps=st.integers(min_value=0, max_value=5000),
+        size=st.integers(min_value=1, max_value=50),
+    )
+    def test_position_matches_a_stream_that_drew_that_many(
+        self, seed, stream_id, steps, size
+    ):
+        drawn = RandomStream(seed, stream_id)
+        drawn.uniform(size=4 * steps)
+        started = RandomStream(seed, stream_id, position=4 * steps)
+        assert started.position == 4 * steps
+        assert np.array_equal(started.uniform(size=size), drawn.uniform(size=size))
+        assert started.position == drawn.position
+
+    @pytest.mark.parametrize("position", [1, 2, 3, 6, 4 * 2**40 + 1, -4])
+    def test_position_must_be_a_nonnegative_multiple_of_four(self, position):
+        with pytest.raises(DomainError):
+            RandomStream(1, 2, position=position)
+
+
+class TestRunBlocks:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
+    def test_sum_over_blocks_with_the_rest_last(self, workers):
+        # (blocks, sum of b, draws, sum of b * size) of 2 full blocks and 3
+        n = 2 * MC_BLOCK + 3
+        total = run_blocks(lambda b, size: (1, b, size, b * size), n, workers)
+        assert tuple(total) == (3, 3, n, MC_BLOCK + 2 * 3)
+        assert tuple(run_blocks(lambda b, size: (b, size), 5, workers)) == (0, 5)
+
+    def test_sums_stay_exact_beyond_64_bits(self):
+        big = 2**70 + 1
+        total = run_blocks(lambda b, size: (big, -big * b), 3 * MC_BLOCK, 2)
+        assert tuple(total) == (3 * big, -3 * big)
+
+    def test_threads_capped_by_cpus_and_blocks(self):
+        # each block records the thread that ran it; the pool never holds
+        # more threads than the CPU count, the block count or the workers
+        for workers, blocks in ((1, 5), (10**12, 5), (10**12, 1), (3, 2)):
+            seen = set()
+
+            def work(b, size):
+                seen.add(threading.get_ident())
+                time.sleep(0.01)  # keeps a finished thread from taking every block
+                return (1,)
+
+            assert tuple(run_blocks(work, blocks * MC_BLOCK, workers)) == (blocks,)
+            assert len(seen) <= min(workers, os.cpu_count() or 1, blocks)
+            if min(workers, os.cpu_count() or 1, blocks) == 1:
+                assert seen == {threading.get_ident()}
+
+    def test_block_errors_propagate(self):
+        def work(b, size):
+            if b == 1:
+                raise DomainError("block 1")
+            return (b,)
+
+        for workers in (1, 2):
+            with pytest.raises(DomainError, match="block 1"):
+                run_blocks(work, 3 * MC_BLOCK, workers)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_runs_rejected(self, n):
+        with pytest.raises(DomainError):
+            run_blocks(lambda b, size: (b,), n)
 
 
 class TestIsotropicSampling:

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from packetlab.quantstat import (
     photon_bins,
     photon_mode_count,
     sample_balance_args,
+    sample_count_moments,
     sample_counts,
     spectral_distribution,
     thinned_count_distribution,
@@ -423,6 +425,38 @@ class TestEntropy:
         with pytest.raises(DomainError):
             entropy_and_derivatives(CavitySpec.photon_gas(1.0, 300.0), [])
 
+    @pytest.mark.parametrize("statistics, mu_over_kt", [
+        (Statistics.BOSE, 0.0), (Statistics.BOSE, -0.5), (Statistics.BOSE, -3.0),
+        (Statistics.FERMI, 0.0), (Statistics.FERMI, 2.0), (Statistics.FERMI, -3.0),
+        (Statistics.FERMI, 10.0),
+        (Statistics.BOLTZMANN, 0.0), (Statistics.BOLTZMANN, 3.0),
+        (Statistics.BOLTZMANN, -3.0), (Statistics.BOLTZMANN, 12.0),
+    ])
+    @pytest.mark.parametrize("t", [300.0, 5800.0])
+    def test_equilibrium_identities(self, statistics, mu_over_kt, t):
+        # dS/dE = 1/T and dS/dN = -mu/T for every law, mu measured in kT
+        mu = mu_over_kt * K_BOLTZMANN * t
+        _, ds_de, ds_dn = entropy_and_derivatives(
+            CavitySpec(1.0, t, mu, 0.0, statistics), photon_bins(1.0, t, 200)
+        )
+        assert ds_de * t == pytest.approx(1.0, abs=1e-6)
+        assert ds_dn * t / (K_BOLTZMANN * t) == pytest.approx(-mu_over_kt, abs=1e-6)
+
+    @pytest.mark.parametrize("quanta, warns", [(10.5, False), (9.5, True)])
+    def test_boltzmann_guard_counts_quanta(self, quanta, warns):
+        # the Boltzmann rule: every bin must hold at least 10 quanta; mu
+        # shifts the emptiest bin of this window to the given count
+        t = 300.0
+        bins = photon_bins(1.0, t, 20)
+        y0 = bins.epsilon / (K_BOLTZMANN * t)
+        fewest = float(np.min(bins.g * np.exp(-y0)))
+        mu = K_BOLTZMANN * t * math.log(quanta / fewest)
+        cavity = CavitySpec(1.0, t, mu, 0.0, Statistics.BOLTZMANN)
+        assert _sparse_warning(cavity, bins) is warns
+        if warns:
+            with pytest.warns(AccuracyWarning, match="some bins hold fewer than 10 quanta"):
+                entropy_and_derivatives(cavity, bins)
+
 
 # ---------------------------------------------------------------------------
 # the per-bin cavity code that the record array replaced, kept as oracles
@@ -469,10 +503,24 @@ def _old_stirling(z):
     return out
 
 
+def _boltzmann_quanta(eps, g, temperature, mu):
+    y = (eps - mu) / (_K * temperature)
+    if y < -700.0:
+        raise NumericalError("Boltzmann weight overflows double precision")
+    return g * math.exp(-y)
+
+
 def _old_entropy_energy_number(statistics, rows, temperature, mu):
-    """S = k sum ln g! - sum_s ln (g q_s)! under Stirling, E and N, per bin."""
+    """S = k sum ln g! - sum_s ln (g q_s)! under Stirling, E and N, per bin;
+    for BOLTZMANN the gas count k sum ln(g^N / N!) = N ln g - ln N!."""
     s_total = energy = number = 0.0
     for _, _, eps, _, g in rows:
+        if statistics is Statistics.BOLTZMANN:
+            n = _boltzmann_quanta(eps, g, temperature, mu)
+            s_total += n * math.log(g) - float(_old_stirling(n))
+            energy += n * eps
+            number += n
+            continue
         d = occupancy(statistics, eps, mu, temperature)
         s_total += float(_old_stirling(g)) - float(np.sum(_old_stirling(g * d.q)))
         energy += g * d.s_bar * eps
@@ -482,9 +530,15 @@ def _old_entropy_energy_number(statistics, rows, temperature, mu):
 
 def _old_guard(statistics, rows, temperature, mu, margin):
     """(warns, near): the per-bin Stirling guard, and whether some class
-    lies within `margin` (relative) of one of its two thresholds."""
+    (for BOLTZMANN, some bin's quanta count) lies within `margin` (relative)
+    of one of its thresholds."""
     warns = near = False
     for _, _, eps, _, g in rows:
+        if statistics is Statistics.BOLTZMANN:
+            n = _boltzmann_quanta(eps, g, temperature, mu)
+            warns |= n < 10.0
+            near |= n > 0 and abs(math.log(n / 10.0)) < margin
+            continue
         q = occupancy(statistics, eps, mu, temperature).q
         q = q[q > 0]
         warns |= bool(np.any(g * q[q > 1e-9] < 10.0))
@@ -498,6 +552,33 @@ def _sparse_warning(cavity, bins) -> bool:
         warnings.simplefilter("always")
         entropy_and_derivatives(cavity, bins)
     return any(issubclass(w.category, AccuracyWarning) for w in caught)
+
+
+# ln n! through ln Gamma(n + 1): shift the argument past 40, then Stirling's
+# series, whose first omitted term there is below 1e-25
+_BERNOULLI = [Decimal(1) / 6, Decimal(-1) / 30, Decimal(1) / 42, Decimal(-1) / 30,
+              Decimal(5) / 66, Decimal(-691) / 2730, Decimal(7) / 6]
+_PI = Decimal("3.14159265358979323846264338327950288419716939937511")
+
+
+def _decimal_ln_factorial(n: Decimal) -> Decimal:
+    z, shift = n + 1, Decimal(0)
+    while z < 40:
+        shift += z.ln()
+        z += 1
+    series = sum(b / (2 * k * (2 * k - 1) * z ** (2 * k - 1))
+                 for k, b in enumerate(_BERNOULLI, start=1))
+    return (z - Decimal("0.5")) * z.ln() - z + (2 * _PI).ln() / 2 + series - shift
+
+
+def _decimal_gas_count(g: float, y: float) -> tuple:
+    """(N, N ln g - (N ln N - N), ln(g^N / N!)) for N = g exp(-y), in 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        n = Decimal(g) * (-Decimal(y)).exp()
+        stirling = n * Decimal(g).ln() - (n * n.ln() - n)
+        exact = n * Decimal(g).ln() - _decimal_ln_factorial(n)
+        return float(n), float(stirling), float(exact)
 
 
 class TestAgainstPerBinCode:
@@ -548,10 +629,15 @@ class TestAgainstPerBinCode:
         s_old, e_old, n_old = old
         assert e_new == pytest.approx(e_old, rel=1e-9, abs=0.0)
         assert n_new == pytest.approx(n_old, rel=1e-9, abs=0.0)
-        # ln g! - sum_s ln (g q_s)! cancels terms of size g |ln g| in floats,
+        # ln g! - sum_s ln (g q_s)! cancels terms of size g |ln g| in floats
+        # (N ln g - ln N! terms of size N (|ln g| + |ln N|) for BOLTZMANN),
         # so the old sum holds no digits below this; compare above it
         g = bins.g
-        noise = 1e-15 * _K * float(np.sum(g * (np.abs(np.log(g)) + 1.0)))
+        size = g * (np.abs(np.log(g)) + 1.0)
+        if statistics is Statistics.BOLTZMANN:
+            n = counts[counts > 0]
+            size = n * (np.abs(np.log(g[counts > 0])) + np.abs(np.log(n)) + 1.0)
+        noise = 1e-15 * _K * float(np.sum(size))
         if noise < 1e-10 * abs(s_old):
             assert s_new == pytest.approx(s_old, rel=1e-9, abs=0.0)
 
@@ -582,23 +668,32 @@ class TestCellEntropy:
         h, _ = law(np.array([-np.inf, np.inf]))
         assert np.array_equal(h, [0.0, 0.0])
 
-    def test_boltzmann_class_entropy_at_large_mean(self):
-        # the bins of `cavity --statistics boltzmann --mu=1e-18 --bins 20`,
-        # whose largest Poisson mean is about 2.6e5
-        t = 5800.0
-        bins = photon_bins(1.0, t, 20)
-        y = (bins.epsilon - 1e-18) / (_K * t)
-        lam = np.exp(-y)
-        assert lam.max() > 1e5
-        h, _ = quantstat._cell_entropy(Statistics.BOLTZMANN, y, lam)
-        big = lam > 100.0
-        asymptotic = 0.5 * np.log(2.0 * math.pi * math.e * lam) - 1.0 / (12.0 * lam)
-        assert h[big] == pytest.approx(asymptotic[big], rel=1e-6)
+    def test_boltzmann_gas_entropy_against_exact_count(self):
+        # g H is ln(g^N / N!) with Stirling's N ln N - N for ln N!, so it
+        # exceeds the exact count by Stirling's remainder, which is under
+        # ln(2 pi N)/2 + 1/(12 N) nats once a bin holds 10 quanta. The bins
+        # are those of `cavity --statistics boltzmann --bins 20` at its
+        # defaults, at --mu=1e-18 and at --temperature 300.
+        for t, mu in ((5800.0, 0.0), (5800.0, 1e-18), (300.0, 0.0)):
+            bins = photon_bins(1.0, t, 20)
+            y = (bins.epsilon - mu) / (_K * t)
+            h, q_light = quantstat._cell_entropy(Statistics.BOLTZMANN, y, np.exp(-y))
+            assert np.array_equal(q_light, np.exp(-y))
+            for g, y_bin, gh in zip(bins.g, y, bins.g * h):
+                n, stirling, exact = _decimal_gas_count(g, y_bin)
+                tol = 1e-12 * n * (1.0 + abs(y_bin))
+                assert gh == pytest.approx(stirling, abs=tol, rel=0.0)
+                if n >= 10.0:
+                    remainder = math.log(2.0 * math.pi * n) / 2.0 + 1.0 / (12.0 * n)
+                    assert -tol < gh - exact <= remainder + tol
 
     def test_boltzmann_entropy_no_longer_trips_the_sum_check(self):
         cavity = CavitySpec(1.0, 5800.0, 1e-18, 0.0, Statistics.BOLTZMANN)
         s, ds_de, ds_dn = entropy_and_derivatives(cavity, photon_bins(1.0, 5800.0, 20))
-        assert s > 0.0 and math.isfinite(ds_de) and math.isfinite(ds_dn)
+        # most quanta sit in bins with N > e g, where ln(g^N / N!) < 0
+        assert math.isfinite(s) and s < 0.0
+        assert ds_de * 5800.0 == pytest.approx(1.0, abs=1e-6)
+        assert ds_dn * 5800.0 == pytest.approx(-1e-18, rel=1e-6)
 
     def test_near_pole_window_has_an_entropy(self):
         # x_lo = 1e-7 once needed a 3e8-point geometric support per cell; the
@@ -900,6 +995,30 @@ class TestSampling:
             sample_counts(Statistics.BOSE, 3, 0.5, 0.7, 0, RandomStream(0))
         with pytest.raises(DomainError):
             sample_counts(Statistics.BOSE, 3, 0.5, 1.5, 10, RandomStream(0))
+
+    @pytest.mark.parametrize("statistics, s_bar", [
+        (Statistics.BOSE, 2.0), (Statistics.FERMI, 0.4), (Statistics.BOLTZMANN, 1.5),
+    ])
+    def test_moment_blocks_are_keyed_by_block_index(self, statistics, s_bar):
+        # block b draws its counts from stream id b of the seed, the last
+        # block holding the rest, whatever the worker count
+        n = 2 * numkit.MC_BLOCK + 3
+        draws = np.concatenate([
+            sample_counts(statistics, 4, s_bar, 0.7, size, RandomStream(5, b))
+            for b, size in enumerate((numkit.MC_BLOCK, numkit.MC_BLOCK, 3))
+        ]).astype(np.int64)
+        want = (int(np.sum(draws)), int(np.sum(draws**2)))
+        for workers in (1, 2, 7):
+            moments = sample_count_moments(
+                statistics, 4, s_bar, 0.7, n, RandomStream(5, 9), workers
+            )
+            assert moments == want
+
+    def test_moment_guards(self):
+        with pytest.raises(DomainError):
+            sample_count_moments(Statistics.BOSE, 3, 0.5, 0.7, 0, RandomStream(0))
+        with pytest.raises(DomainError):
+            sample_count_moments(Statistics.BOSE, 3, 0.5, 1.5, 10, RandomStream(0))
 
 
 class TestCavitySpec:

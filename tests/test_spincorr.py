@@ -18,6 +18,7 @@ from packetlab.errors import (
     UnsupportedModelError,
 )
 from packetlab.numkit import (
+    MC_BLOCK,
     RandomStream,
     UnitVector3,
     sample_isotropic_direction,
@@ -25,10 +26,13 @@ from packetlab.numkit import (
 from packetlab.spincorr import (
     BipartiteCoefficients,
     LhvModel,
+    ModelKind,
     PairModel,
     basis_change,
     bipartite_joint,
+    block_pair_counts,
     chsh,
+    chsh_estimate,
     coincidence_expectation,
     coplanar_axis,
     expectation,
@@ -205,6 +209,84 @@ class TestSampling:
     def test_coincidence_guard(self):
         with pytest.raises(DomainError):
             coincidence_expectation(0, 0, 0, 0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        model=st.sampled_from([PairModel.qm_singlet(), PairModel.semiclassical()]),
+        axes=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=6, max_size=6)
+        .filter(lambda v: min(np.linalg.norm(v[:3]), np.linalg.norm(v[3:])) > 0.1),
+        n=st.integers(min_value=1, max_value=20000),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_counts_match_the_sigma_matrix_sampler(self, model, axes, n, seed):
+        a = UnitVector3.normalized(*axes[:3])
+        b = UnitVector3.normalized(*axes[3:])
+        want = _sigma_matrix_counts(model, a, b, n, RandomStream(seed))
+        assert sample_pair_counts(model, a, b, n, RandomStream(seed)) == want
+
+
+def _sigma_matrix_counts(model, a, b, n, rng):
+    """The sampler before outcome codes: an (n, 3) spin-direction matrix and
+    one outcome array per side, counted by four masks."""
+    u = rng.uniform(size=4 * n).reshape(n, 4)
+    z = 2.0 * u[:, 0] - 1.0
+    phi = 2.0 * math.pi * u[:, 1]
+    s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+    sigma = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+    a_vec, b_vec = a.as_array(), b.as_array()
+    r_a = np.where(u[:, 2] < 0.5 * (1.0 + sigma @ a_vec), 1.0, -1.0)
+    if model.kind is ModelKind.QM_SINGLET:
+        p_b_plus = 0.5 * (1.0 - r_a * float(a_vec @ b_vec))
+    else:
+        p_b_plus = 0.5 * (1.0 - sigma @ b_vec)
+    r_b = np.where(u[:, 3] < p_b_plus, 1.0, -1.0)
+    n_pp = int(np.sum((r_a > 0) & (r_b > 0)))
+    n_pm = int(np.sum((r_a > 0) & (r_b < 0)))
+    n_mp = int(np.sum((r_a < 0) & (r_b > 0)))
+    return n_pp, n_pm, n_mp, n - n_pp - n_pm - n_mp
+
+
+class TestBlockSampling:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        model=st.sampled_from([PairModel.qm_singlet(), PairModel.semiclassical()]),
+        angle=st.floats(min_value=-math.pi, max_value=math.pi),
+        n=st.one_of(
+            st.just(2 * MC_BLOCK + 3),
+            st.integers(min_value=1, max_value=3 * MC_BLOCK),
+        ),
+        start=st.integers(min_value=0, max_value=200_000),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        workers=st.sampled_from([1, 2, 3]),
+    )
+    def test_blocks_equal_one_call_at_the_offset(
+        self, model, angle, n, start, seed, workers
+    ):
+        a, b = coplanar_axis(0.3), coplanar_axis(angle)
+        rng = RandomStream(seed)
+        rng.uniform(size=4 * start)
+        want = sample_pair_counts(model, a, b, n, rng)
+        assert block_pair_counts(model, a, b, n, seed, start, workers) == want
+
+    @pytest.mark.parametrize("workers", [1, 2, 7])
+    def test_chsh_settings_take_consecutive_pair_ranges(self, workers):
+        # one stream runs through the four settings in turn, n pairs each
+        model = PairModel.qm_singlet()
+        settings_ = [coplanar_axis(math.radians(d)) for d in (0.0, 45.0, 90.0, -45.0)]
+        a, b, a2, b2 = settings_
+        n, rng = MC_BLOCK + 5, RandomStream(17)
+        want = [
+            coincidence_expectation(*sample_pair_counts(model, x, y, n, rng))
+            for x, y in ((a, b), (a, b2), (a2, b), (a2, b2))
+        ]
+        k, estimates = chsh_estimate(model, settings_, n, 17, workers)
+        assert estimates == want
+        assert k == abs(want[0] + want[1] + want[2] - want[3])
+
+    def test_triplet_blocks_rejected(self):
+        z = UnitVector3(0.0, 0.0, 1.0)
+        with pytest.raises(UnsupportedModelError):
+            block_pair_counts(PairModel.triplet(0, z), z, z, 10, 0)
 
 
 class TestLhvModels:

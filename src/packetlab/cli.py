@@ -7,8 +7,9 @@ the distribution-shaped commands) with the resolved parameters embedded,
 so a record is reproducible from itself.
 
 Exit codes: 0 on success, 1 for invalid input (a malformed flag or a
-value the library rejects), 2 for numerical failure. Library warnings
-are written to stderr as one `warning: <message>` line each.
+value the library rejects), 2 for numerical failure, including an
+allocation the machine refuses. Library warnings are written to stderr
+as one `warning: <message>` line each.
 """
 
 from __future__ import annotations
@@ -82,13 +83,9 @@ def _render_json(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _csv_cell(v) -> str:
-    return v if isinstance(v, str) else _render_json(v)
-
-
 def _render_csv(header, rows) -> str:
     lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(c) for c in row) for row in rows)
+    lines.extend(",".join(_render_json(c) for c in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -287,47 +284,6 @@ _CANONICAL_DEG = (0.0, 45.0, 90.0, -45.0)
 
 
 # ---------------------------------------------------------------------------
-# experiment cores shared by the subcommands and regress
-
-
-def _lhv_max_k(models, settings) -> float:
-    """Largest CHSH value any model reaches over the setting batches."""
-    peaks = [float(np.max(spincorr.lhv_chsh_audit(m, *settings)[0])) for m in models]
-    return max([0.0] + peaks)
-
-
-def _nosignal_max_deviation(
-    rng: numkit.RandomStream, trials: int, max_dim: int
-) -> float:
-    """Worst disagreement of the three no-signaling routes over random trials.
-
-    Each trial draws, in this order, the row and column counts, the
-    coefficient matrix, the apparatus unitary and the probed column.
-    """
-    worst = 0.0
-    for trial in range(trials):
-        rows = numkit.sample_integer(rng, 2, max_dim)
-        cols = numkit.sample_integer(rng, 2, max_dim)
-        matrix = (
-            numkit.sample_normals(rng, rows * cols)
-            + 1j * numkit.sample_normals(rng, rows * cols)
-        ).reshape(rows, cols)
-        coeffs = spincorr.BipartiteCoefficients.normalized(matrix)
-        u = numkit.sample_haar_unitary(rng, rows)
-        n_col = numkit.sample_integer(rng, 0, cols - 1)
-        sign = +1 if trial % 2 == 0 else -1
-        dev = spincorr.no_signaling_audit(coeffs, u, n_col, sign=sign)[3]
-        worst = max(worst, dev)
-    return worst
-
-
-def _balance_max_residual(rng: numkit.RandomStream, trials: int) -> float:
-    """Largest balance residual over random consistent parameter sets."""
-    draws = [quantstat.sample_balance_args(rng) for _ in range(trials)]
-    return max([0.0] + [quantstat.balance_residual(**args) for args in draws])
-
-
-# ---------------------------------------------------------------------------
 # handlers; each returns (fields, csv_payload)
 
 
@@ -427,7 +383,8 @@ def _cmd_lhv(run: _Run):
         models = [make(rng, p["n-lambda"]) for _ in range(p["models"])]
         bound = 2.0
 
-    max_k = _lhv_max_k(models, settings)
+    peaks = [float(np.max(spincorr.lhv_chsh_audit(m, *settings)[0])) for m in models]
+    max_k = max([0.0] + peaks)
     fields["models"] = len(models)
     fields["max_K"] = max_k
     fields["bound"] = bound
@@ -442,12 +399,28 @@ def _cmd_lhv(run: _Run):
 )
 def _cmd_nosignal(run: _Run):
     p = run.params
-    if p["max-dim"] < 2:
+    max_dim = p["max-dim"]
+    if max_dim < 2:
         raise CliError("parameter max-dim: need at least 2")
-    worst = _nosignal_max_deviation(run.stream(0), p["trials"], p["max-dim"])
+    # each trial draws, in this order, the row and column counts, the
+    # coefficient matrix, the apparatus unitary and the probed column
+    rng = run.stream(0)
+    worst = 0.0
+    for trial in range(p["trials"]):
+        rows = numkit.sample_integer(rng, 2, max_dim)
+        cols = numkit.sample_integer(rng, 2, max_dim)
+        matrix = (
+            numkit.sample_normals(rng, rows * cols)
+            + 1j * numkit.sample_normals(rng, rows * cols)
+        ).reshape(rows, cols)
+        coeffs = spincorr.BipartiteCoefficients.normalized(matrix)
+        u = numkit.sample_haar_unitary(rng, rows)
+        n_col = numkit.sample_integer(rng, 0, cols - 1)
+        sign = +1 if trial % 2 == 0 else -1
+        worst = max(worst, spincorr.no_signaling_audit(coeffs, u, n_col, sign=sign)[3])
     fields = {
         "trials": p["trials"],
-        "max_dim": p["max-dim"],
+        "max_dim": max_dim,
         "max_deviation": worst,
         "satisfied": bool(worst < 1e-10),
     }
@@ -621,6 +594,8 @@ def _cmd_packet_coherence(run: _Run):
     p = run.params
     sigma = p["sigma"]
     num = p["points"]
+    if num < 2:
+        raise CliError("parameter points: need at least 2")
     half = p["span-sigmas"] * sigma
     spacing = 2.0 * half / (num - 1)
     psi = numkit.sampled_gaussian(0.0, sigma, -half, spacing, num).normalized()
@@ -812,8 +787,9 @@ def _cmd_counts(run: _Run):
 def _cmd_balance(run: _Run):
     p = run.params
     rng = run.stream(0)
-    max_residual = _balance_max_residual(rng, p["trials"])
+    intact = [quantstat.sample_balance_args(rng) for _ in range(p["trials"])]
     broken = [quantstat.sample_balance_args(rng) for _ in range(p["broken-trials"])]
+    max_residual = max([0.0] + [quantstat.balance_residual(**a) for a in intact])
     broken_min = min(
         [math.inf] + [quantstat.balance_residual(**a, b2=1.05 * a["b"]) for a in broken]
     )
@@ -868,66 +844,109 @@ def _cmd_vonlaue(run: _Run):
     return fields, None
 
 
-# (name, expected, tol, mode) of every regress check, in record order; each
-# expected literal was computed away from the code path it checks
+# invocations that several checks read: (command key, config), the config
+# resolved as a --config file would be, at regress's own --seed and --shards
+_CHSH_QM = ("chsh", {"mc": 200000})
+_LHV_SEMICLASSICAL = ("lhv", {"family": "semiclassical", "settings": 50})
+_ACCUM = ("packet accum", {})
+_BALANCE = ("balance",
+            {"trials": 200, "temperatures": [300.0], "frequencies": [1e13]})
+_BOSE_G1 = ("counts", {"stat": "bose", "g": 1, "sbar": 1.0})
+_ENTROPY = ("cavity", {"temperature": 1000.0, "entropy": True})
+
+
+def _geometric_gap(fields) -> float:
+    # the g = 1 Bose law at mean 1 is geometric, W(m) = 2^-(m + 1)
+    w = fields["w"]
+    return np.max(np.abs(w - 0.5 ** (np.arange(w.size) + 1.0)))
+
+
+def _poisson2_distance(fields) -> float:
+    # total variation to Poisson(2), whose pmf is in the term order of
+    # scipy.stats.poisson's log-pmf
+    w = fields["w"]
+    k = np.arange(w.size)
+    poisson = np.exp(k * math.log(2.0) - numkit.gammaln(k + 1) - 2.0)
+    return 0.5 * float(np.sum(np.abs(w - poisson))) + 0.5 * float(1.0 - poisson.sum())
+
+
+# (name, expected, tol, mode, invocation, field) of every regress check, in
+# record order; field names a field of the invocation's record or is a
+# function of its fields. Rows without an invocation check what no
+# subcommand computes (_bespoke_values). Each expected literal was computed
+# away from the code path it checks.
 _REGRESSION_CHECKS = [
-    ("chsh_qm_closed", 2.8284271247461903, 1e-9, "abs"),
-    ("chsh_sc_closed", 0.9428090415820635, 1e-12, "abs"),
-    ("chsh_qm_mc", 2.8284271247461903, 0.02, "abs"),
-    ("marginal_half", 0.0, 1e-12, "le"),
+    ("chsh_qm_closed", 2.8284271247461903, 1e-9, "abs", _CHSH_QM, "K"),
+    ("chsh_sc_closed", 0.9428090415820635, 1e-12, "abs",
+     ("chsh", {"model": "sc"}), "K"),
+    ("chsh_qm_mc", 2.8284271247461903, 0.02, "abs", _CHSH_QM, "K_mc"),
+    ("marginal_half", 0.0, 1e-12, "le", None, None),
     # a at 45 degrees, b = z = the quantization axis n:
     # m = 0 gives a.b - 2 (a.n)(b.n) = -cos 45, m = 1 gives (a.n)(b.n)
-    ("triplet_m0_expectation", -0.7071067811865476, 1e-12, "abs"),
-    ("triplet_m1_expectation", 0.7071067811865476, 1e-12, "abs"),
-    ("lhv_random_max_K", 2.0, spincorr.CHSH_BOUND_TOL, "le"),
-    ("lhv_semiclassical_canonical_K", 0.9428090415820635, 1e-9, "abs"),
-    ("lhv_semiclassical_max_K", 4.0 / 3.0, spincorr.CHSH_BOUND_TOL, "le"),
-    ("lhv_sign_max_K", 2.0, spincorr.CHSH_BOUND_TOL, "le"),
-    ("nosignal_max_deviation", 0.0, 1e-10, "le"),
-    ("reduce_window_mass", 1.0, 1e-12, "abs"),
-    ("reduce_pick_certain", 0.0, 0.0, "abs"),
-    ("condspace_conditional_norm", 1.0, 1e-9, "abs"),
-    ("condspace_product_residual", 0.0, 1e-8, "le"),
-    ("accumulation_time_s", 997927160605.7142, 1e-12, "rel"),
-    ("accumulation_vs_paper_1e12", 1.0e12, 0.05, "rel"),
-    ("proton_spread_m", 0.023, 0.1, "rel"),
-    ("heisenberg_gaussian_product", 0.5, 0.01, "rel"),
-    ("coherence_length_gaussian", 2.0, 0.01, "rel"),
-    ("planck_peak_x", 2.8214393721220787, 0.01, "abs"),
-    ("photon_mode_count", 1.165971040577118e15, 1e-12, "rel"),
-    ("einstein_identity_residual", 0.0, 1e-10, "le"),
-    ("einstein_a_over_b_1e15", 3.0903223630929913e-13, 1e-12, "rel"),
-    ("balance_max_residual", 0.0, 1e-12, "le"),
-    ("balance_intact_fixed", 0.0, 1e-12, "le"),
-    ("balance_broken_fixed", 1e-3, 0.0, "ge"),
-    ("counts_bose_g1_w", 0.0, 1e-12, "le"),
-    ("counts_bose_g1_variance", 2.0, 1e-9, "abs"),
-    ("counts_fermi_g1_w0", 0.7, 1e-12, "abs"),
-    ("counts_binomial_fold", 0.0, 1e-12, "le"),
-    ("counts_bose_poisson_tv", 0.0, 1e-3, "le"),
-    ("vonlaue_ratio_r_2pi", 1.0, 1e-10, "abs"),
-    ("vonlaue_ratio_r_1", 2.0 * math.pi, 1e-10, "rel"),
-    ("bohr_magneton", 9.2740100783e-24, 1e-6, "rel"),
-    ("entropy_ds_de_times_t", 1.0, 0.01, "abs"),
-    ("entropy_ds_dn_over_k", 0.0, 0.01, "le"),
-    ("stefan_boltzmann_ratio", 1.0, 0.005, "abs"),
+    ("triplet_m0_expectation", -0.7071067811865476, 1e-12, "abs", None, None),
+    ("triplet_m1_expectation", 0.7071067811865476, 1e-12, "abs", None, None),
+    ("lhv_random_max_K", 2.0, spincorr.CHSH_BOUND_TOL, "le",
+     ("lhv", {"models": 50, "settings": 50}), "max_K"),
+    ("lhv_semiclassical_canonical_K", 0.9428090415820635, 1e-9, "abs",
+     _LHV_SEMICLASSICAL, "canonical_K"),
+    ("lhv_semiclassical_max_K", 4.0 / 3.0, spincorr.CHSH_BOUND_TOL, "le",
+     _LHV_SEMICLASSICAL, "max_K"),
+    ("lhv_sign_max_K", 2.0, spincorr.CHSH_BOUND_TOL, "le",
+     ("lhv", {"family": "sign", "models": 20, "settings": 50, "n-lambda": 64}), "max_K"),
+    ("nosignal_max_deviation", 0.0, 1e-10, "le",
+     ("nosignal", {"trials": 20, "max-dim": 8}), "max_deviation"),
+    ("reduce_window_mass", 1.0, 1e-12, "abs",
+     ("reduce", {"coeffs": [0.6, 0.8], "window": [1]}),
+     lambda f: f["output_probabilities"][1]),
+    ("reduce_pick_certain", 0.0, 0.0, "abs",
+     ("reduce", {"coeffs": [1.0, 0.0, 0.0], "mode": "pick"}), "picked"),
+    ("condspace_conditional_norm", 1.0, 1e-9, "abs",
+     ("condspace", {}), "conditional_integral"),
+    ("condspace_product_residual", 0.0, 1e-8, "le",
+     ("condspace", {"symmetry": "none"}), "schmidt_residual"),
+    ("accumulation_time_s", 997927160605.7142, 1e-12, "rel", _ACCUM, "t_accumulate_s"),
+    ("accumulation_vs_paper_1e12", 1.0e12, 0.05, "rel", _ACCUM, "t_accumulate_s"),
+    ("proton_spread_m", 0.023, 0.1, "rel", ("packet spread", {}), "final_width"),
+    ("heisenberg_gaussian_product", 0.5, 0.01, "rel", None, None),
+    ("coherence_length_gaussian", 2.0, 0.01, "rel",
+     ("packet coherence", {}), "coherence_length"),
+    ("planck_peak_x", 2.8214393721220787, 0.01, "abs",
+     ("cavity", {"bins": 2000, "x-lo": 0.5, "x-hi": 10.0}), "peak_x"),
+    ("photon_mode_count", 1.165971040577118e15, 1e-12, "rel", None, None),
+    ("einstein_identity_residual", 0.0, 1e-10, "le", _BALANCE, "einstein_max_residual"),
+    ("einstein_a_over_b_1e15", 3.0903223630929913e-13, 1e-12, "rel",
+     ("balance", {"trials": 1, "broken-trials": 1, "frequencies": [1e15]}),
+     lambda f: f["a_over_b"][0][1]),
+    ("balance_max_residual", 0.0, 1e-12, "le", _BALANCE, "max_residual"),
+    ("balance_intact_fixed", 0.0, 1e-12, "le", None, None),
+    ("balance_broken_fixed", 1e-3, 0.0, "ge", None, None),
+    ("counts_bose_g1_w", 0.0, 1e-12, "le", _BOSE_G1, _geometric_gap),
+    ("counts_bose_g1_variance", 2.0, 1e-9, "abs", _BOSE_G1, "distribution_variance"),
+    ("counts_fermi_g1_w0", 0.7, 1e-12, "abs",
+     ("counts", {"stat": "fermi", "g": 1, "sbar": 0.3}), lambda f: f["w"][0]),
+    ("counts_binomial_fold", 0.0, 1e-12, "le", None, None),
+    ("counts_bose_poisson_tv", 0.0, 1e-3, "le",
+     ("counts", {"stat": "bose", "g": 10000, "sbar": 2e-4}), _poisson2_distance),
+    ("vonlaue_ratio_r_2pi", 1.0, 1e-10, "abs",
+     ("vonlaue", {}), "packet_product_over_field_dof"),
+    ("vonlaue_ratio_r_1", 2.0 * math.pi, 1e-10, "rel",
+     ("vonlaue", {"r": 1.0}), "packet_product_over_field_dof"),
+    ("bohr_magneton", 9.2740100783e-24, 1e-6, "rel",
+     ("packet sterngerlach", {}), "bohr_magneton"),
+    ("entropy_ds_de_times_t", 1.0, 0.01, "abs", _ENTROPY, "ds_de_times_t"),
+    ("entropy_ds_dn_over_k", 0.0, 0.01, "le",
+     _ENTROPY, lambda f: abs(f["ds_dn"]) / K_BOLTZMANN),
+    ("stefan_boltzmann_ratio", 1.0, 0.005, "abs",
+     ("cavity", {"temperature": 1000.0, "bins": 500}), "stefan_boltzmann_ratio"),
 ]
 
 
-def _regress_values(run: _Run) -> dict:
-    """The computed value of every regress check, keyed by check name."""
+def _bespoke_values(run: _Run) -> dict:
+    """The value of every regress check that no subcommand computes."""
     v = {}
-    qm = spincorr.PairModel.qm_singlet()
-    sc = spincorr.PairModel.semiclassical()
-    axes4 = [spincorr.coplanar_axis(math.radians(d)) for d in _CANONICAL_DEG]
-
-    v["chsh_qm_closed"] = spincorr.chsh(qm, *axes4)
-    v["chsh_sc_closed"] = spincorr.chsh(sc, *axes4)
-    v["chsh_qm_mc"] = spincorr.chsh_estimate(qm, axes4, 200000, run.params["seed"])[0]
-
     rng = run.stream(1)
     worst = 0.0
-    for model in (qm, sc):
+    for model in (_pair_model("qm"), _pair_model("sc")):
         for _ in range(100):
             a = numkit.sample_isotropic_direction(rng)
             b = numkit.sample_isotropic_direction(rng)
@@ -936,77 +955,16 @@ def _regress_values(run: _Run) -> dict:
     v["marginal_half"] = worst
 
     z = numkit.UnitVector3(0.0, 0.0, 1.0)
-    m0, m1 = spincorr.PairModel.triplet(0, z), spincorr.PairModel.triplet(1, z)
-    v["triplet_m0_expectation"] = spincorr.expectation(m0, axes4[1], z)
-    v["triplet_m1_expectation"] = spincorr.expectation(m1, axes4[1], z)
-
-    # stream 2 yields the settings, then the random models, then the sign models
-    rng = run.stream(2)
-    settings = [numkit.sample_isotropic_directions(rng, 50) for _ in range(4)]
-    random_models = [spincorr.random_lhv_model(rng, 16) for _ in range(50)]
-    sign_models = [spincorr.sign_anticorrelated_model(rng, 64) for _ in range(20)]
-    semi = spincorr.semiclassical_lhv_model()
-    v["lhv_random_max_K"] = _lhv_max_k(random_models, settings)
-    v["lhv_semiclassical_canonical_K"] = spincorr.lhv_chsh_audit(semi, *axes4)[0]
-    v["lhv_semiclassical_max_K"] = _lhv_max_k([semi], settings)
-    v["lhv_sign_max_K"] = _lhv_max_k(sign_models, settings)
-
-    v["nosignal_max_deviation"] = _nosignal_max_deviation(run.stream(3), 20, 8)
-
-    window_out = configspace.reduce_expansion(
-        configspace.ExpansionCoefficients([0.6, 0.8]), window=[1]
-    )
-    v["reduce_window_mass"] = window_out.probabilities()[1]
-    pick_out = configspace.reduce_expansion(
-        configspace.ExpansionCoefficients([1.0, 0.0, 0.0]), rng=run.stream(4)
-    )
-    v["reduce_pick_certain"] = np.argmax(pick_out.probabilities())
-
-    spacing = 16.0 / 160
-    factors = [
-        numkit.sampled_gaussian(-1.0, 0.7, -8.0, spacing, 161).normalized(),
-        numkit.sampled_gaussian(1.0, 0.7, -8.0, spacing, 161).normalized(),
-    ]
-    product_wf = configspace.ManyBodyWavefunction.from_product(factors)
-    conditional = configspace.conditional_probability(
-        configspace.symmetrize(product_wf, +1), 1.0
-    )
-    v["condspace_conditional_norm"] = np.sum(conditional) * spacing
-    v["condspace_product_residual"] = configspace.product_form_test(product_wf)[1]
-
-    t_acc = wavepacket.accumulation_time(2.18 * E_CHARGE, 3.5e-13, 1e-18)
-    v["accumulation_time_s"] = t_acc
-    v["accumulation_vs_paper_1e12"] = t_acc
-
-    proton = wavepacket.Dispersion(M_PROTON)
-    k0 = wavepacket.carrier_wavenumber(proton, 6e6 * E_CHARGE)
-    flight = wavepacket.spread_after_flight(proton, k0, 2e-15, 0.05, "longitudinal")
-    v["proton_spread_m"] = flight["final_width"]
+    a45 = spincorr.coplanar_axis(math.radians(45.0))
+    for m in (0, 1):
+        triplet = spincorr.PairModel.triplet(m, z)
+        v[f"triplet_m{m}_expectation"] = spincorr.expectation(triplet, a45, z)
 
     min_gauss = numkit.sampled_gaussian(0.0, 1.3, -16.0, 32.0 / 1023, 1024).normalized()
     dx, dk = numkit.fourier_widths(min_gauss)
     v["heisenberg_gaussian_product"] = dx * dk
-
-    coh_psi = numkit.sampled_gaussian(0.0, 1.0, -8.0, 16.0 / 2047, 2048).normalized()
-    v["coherence_length_gaussian"] = wavepacket.coherence_profile(coh_psi, [1.0])[1]
-
-    peak_bins = quantstat.photon_bins(1.0, 5800.0, 2000, 0.5, 10.0)
-    peak_counts = quantstat.spectral_distribution(
-        quantstat.CavitySpec.photon_gas(1.0, 5800.0), peak_bins
-    )
-    # mean count times eps/d_eps is the spectral energy density up to
-    # constants, so its argmax sits at the Planck peak
-    u_density = peak_counts * (peak_bins.epsilon / peak_bins.d_epsilon)
-    peak_eps = peak_bins.epsilon[np.argmax(u_density)]
-    v["planck_peak_x"] = peak_eps / (K_BOLTZMANN * 5800.0)
-
     v["photon_mode_count"] = quantstat.photon_mode_count(1.0, 5e14, 1e10)
 
-    lhs, rhs, _ = quantstat.einstein_balance(300.0, 1e13, 1.0, 1e9)
-    v["einstein_identity_residual"] = abs(lhs - rhs) / lhs
-    v["einstein_a_over_b_1e15"] = quantstat.einstein_balance(300.0, 1e15, 1.0, 1e9)[2]
-
-    v["balance_max_residual"] = _balance_max_residual(run.stream(5), 200)
     # one fixed parameter set so the detection of a mismatched constant
     # does not ride on the seed
     fixed = dict(a=1.0, a_prime=1.2, b=0.8, c=0.3, c_prime=-0.2, n=2, n_prime=1,
@@ -1014,42 +972,16 @@ def _regress_values(run: _Run) -> dict:
                  s_prime=3.0, r_prime=1.5)
     v["balance_intact_fixed"] = quantstat.balance_residual(**fixed)
     v["balance_broken_fixed"] = quantstat.balance_residual(**fixed, b2=0.88)
-
-    bose1 = quantstat.count_distribution(quantstat.Statistics.BOSE, 1, 1.0, 1.0)
-    geometric = 0.5 ** (np.arange(bose1.w.size) + 1.0)
-    v["counts_bose_g1_w"] = np.max(np.abs(bose1.w - geometric))
-    v["counts_bose_g1_variance"] = bose1.variance()
-    fermi1 = quantstat.count_distribution(quantstat.Statistics.FERMI, 1, 0.3, 1.0)
-    v["counts_fermi_g1_w0"] = fermi1.w[0]
     v["counts_binomial_fold"] = quantstat.binomial_fold_check(5, 7, 0.3)
-
-    bose_big = quantstat.count_distribution(quantstat.Statistics.BOSE, 10000, 2e-4, 1.0)
-    # Poisson(2) pmf, in the term order of scipy.stats.poisson's log-pmf
-    k = np.arange(bose_big.w.size)
-    poisson = np.exp(k * math.log(2.0) - numkit.gammaln(k + 1) - 2.0)
-    v["counts_bose_poisson_tv"] = 0.5 * float(
-        np.sum(np.abs(bose_big.w - poisson))
-    ) + 0.5 * float(1.0 - poisson.sum())
-
-    v["vonlaue_ratio_r_2pi"] = quantstat.vonlaue_dof(1e-4, 1.0, 1e9, 1e-8, 1e-3)[4]
-    v["vonlaue_ratio_r_1"] = quantstat.vonlaue_dof(1e-4, 1.0, 1e9, 1e-8, 1e-3, r=1.0)[4]
-
-    v["bohr_magneton"] = wavepacket.BOHR_MAGNETON
-
-    entropy_bins = quantstat.photon_bins(1.0, 1000.0, 200)
-    s, ds_de, ds_dn = quantstat.entropy_and_derivatives(
-        quantstat.CavitySpec.photon_gas(1.0, 1000.0), entropy_bins
-    )
-    v["entropy_ds_de_times_t"] = ds_de * 1000.0
-    v["entropy_ds_dn_over_k"] = abs(ds_dn) / K_BOLTZMANN
-
-    sb_bins = quantstat.photon_bins(1.0, 1000.0, 500)
-    sb_counts = quantstat.spectral_distribution(
-        quantstat.CavitySpec.photon_gas(1.0, 1000.0), sb_bins
-    )
-    sb_energy = float(np.sum(sb_counts * sb_bins.epsilon))
-    v["stefan_boltzmann_ratio"] = sb_energy / (quantstat.RADIATION_CONSTANT * 1000.0**4)
     return v
+
+
+def _subcommand_fields(run: _Run, key: str, config: dict) -> dict:
+    """The fields of one subcommand's record at run's --seed and --shards."""
+    command = _COMMANDS[key]
+    config = dict(config, seed=run.params["seed"], shards=run.params["shards"])
+    params = _resolve(command.flags, argparse.Namespace(), config)
+    return command.handler(_Run(params, run.stderr))[0]
 
 
 _CHECK_MODES = {
@@ -1062,10 +994,19 @@ _CHECK_MODES = {
 
 @_command("regress", "fixed-seed regression record over all modules")
 def _cmd_regress(run: _Run):
-    values = _regress_values(run)
+    bespoke = _bespoke_values(run)
+    records = {}  # one run of each distinct invocation
     checks = []
-    for name, expected, tol, mode in _REGRESSION_CHECKS:
-        value = float(values[name])
+    for name, expected, tol, mode, invocation, field in _REGRESSION_CHECKS:
+        if invocation is None:
+            value = bespoke[name]
+        else:
+            key = repr(invocation)
+            if key not in records:
+                records[key] = _subcommand_fields(run, *invocation)
+            record = records[key]
+            value = record[field] if isinstance(field, str) else field(record)
+        value = float(value)
         ok = bool(_CHECK_MODES[mode](value, expected, tol))
         checks.append({"name": name, "value": value, "expected": expected,
                        "tol": tol, "mode": mode, "ok": ok})
@@ -1217,10 +1158,11 @@ def run(argv, stdout=None, stderr=None) -> int:
         if key == "regress" and not fields["all_ok"]:
             return 2
         return 0
-    except (CliError, PacketLabError) as exc:
-        # a library error other than a numerical failure is bad input
-        print(f"error: {exc}", file=stderr)
-        return 2 if isinstance(exc, NumericalError) else 1
+    except (CliError, PacketLabError, MemoryError) as exc:
+        # a library error other than a numerical failure is bad input; an
+        # allocation the machine refuses is a numerical failure
+        print(f"error: {str(exc) or 'out of memory'}", file=stderr)
+        return 2 if isinstance(exc, (NumericalError, MemoryError)) else 1
 
 
 def main():

@@ -109,6 +109,8 @@ class ManyBodyWavefunction:
         for f in factors[1:]:
             if not first.same_grid(f):
                 raise PreconditionError("all factors must share one grid")
+        if len(first.values) > _MAX_POINTS:  # before the N^2 or N^3 outer product
+            raise PreconditionError(f"grid capped at {_MAX_POINTS} points")
         tensor = factors[0].values
         for f in factors[1:]:
             tensor = np.multiply.outer(tensor, f.values)

@@ -448,7 +448,9 @@ def entropy_and_derivatives(cavity: CavitySpec, bins) -> tuple:
     q_1); Stirling needs every class with q_s > 1e-9 to hold 10 cells.
     BOLTZMANN counts the classical gas, ln(g^N / N!) for the N = g s_bar
     quanta of a bin, N (1 + y) under Stirling, which needs every bin to
-    hold 10 quanta. An AccuracyWarning says when the rule fails.
+    hold 10 quanta; the count is negative, outside its range, in a bin
+    with more than e quanta per cell (s_bar > e, so y < -1). An
+    AccuracyWarning says when either rule fails.
     The derivatives come from centered finite differences over T and mu
     with the bins held fixed, solved as a 2x2 system; at equilibrium
     they return 1/T and -mu/T.
@@ -465,6 +467,11 @@ def entropy_and_derivatives(cavity: CavitySpec, bins) -> tuple:
         warnings.warn(
             f"some {sparse}; the Stirling entropy is degraded", AccuracyWarning,
             stacklevel=2,
+        )
+    if stats is Statistics.BOLTZMANN and np.any(q_light > math.e):
+        warnings.warn(
+            "some bins hold more than e quanta per cell; the classical count "
+            "ln(g^N/N!) is negative there", AccuracyWarning, stacklevel=2,
         )
     dt = 1e-4 * temperature
     dmu = 1e-4 * max(abs(mu), K_BOLTZMANN * temperature)

@@ -329,11 +329,9 @@ class TestOutputContracts:
         assert len(lines) == 17
 
     def test_csv_cells_render_like_json_scalars(self):
-        assert cli._csv_cell("x") == "x"
-        assert cli._csv_cell(np.float64(0.1)) == "0.10000000000000001"
-        assert cli._csv_cell(0.0) == "0"
-        assert cli._csv_cell(np.int64(7)) == "7"
-        assert cli._csv_cell(np.bool_(True)) == "true"
+        row = (np.float64(0.1), 0.0, np.int64(7), np.bool_(True))
+        text = cli._render_csv(("a", "b", "c", "d"), [row])
+        assert text == "a,b,c,d\n0.10000000000000001,0,7,true\n"
 
     def test_condspace_csv(self):
         code, out, _ = run_cli("condspace", "--format", "csv")
@@ -350,6 +348,7 @@ class TestExitCodes:
             (("actionprob", "--width-ratio", "1"), 1),
             (("counts", "--stat", "fermi", "--sbar", "2"), 1),
             (("nosignal", "--max-dim", "70"), 1),
+            (("coherence", "--points", "1"), 1),
             # a NumericalError is a numerical failure
             (("counts", "--mbar", "1e12"), 2),
         ]
@@ -450,6 +449,29 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: count support exceeds the bookkeeping cap\n"
 
+    def test_condspace_grid_cap_precedes_the_product_tensor(self):
+        # the 10^12-entry tensor of this grid would need 14.6 TiB
+        code, out, err = run_cli("condspace", "--grid=-8,8,1000000")
+        assert (code, out, err) == (1, "", "error: grid capped at 256 points\n")
+
+    @pytest.mark.parametrize("message, want", [
+        ("Unable to allocate 745. GiB for an array with shape (100000000001,) "
+         "and data type float64",
+         "error: Unable to allocate 745. GiB for an array with shape "
+         "(100000000001,) and data type float64\n"),
+        ("", "error: out of memory\n"),
+    ])
+    def test_refused_allocation_exits_two(self, monkeypatch, tmp_path, message, want):
+        # as numpy refuses `cavity --bins 100000000000`; nothing is allocated here
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli.quantstat, "photon_bins", refuse)
+        path = tmp_path / "rec.json"
+        code, out, err = run_cli("cavity", "--out", str(path))
+        assert (code, out, err) == (2, "", want)
+        assert not path.exists()
+
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help")[0] == 0
         assert run_cli("counts", "--help")[0] == 0
@@ -495,6 +517,24 @@ class TestWarnings:
             code, _, err = run_cli("regress")
         assert code == 0
         assert err == STIRLING_WARNING
+
+    def test_boltzmann_count_past_e_quanta_per_cell_warns(self):
+        argv = ("cavity", "--statistics", "boltzmann", "--mu=1e-18", "--bins", "20",
+                "--entropy")
+        with warnings.catch_warnings():
+            warnings.simplefilter("default", AccuracyWarning)
+            code, out, err = run_cli(*argv)
+            assert run_cli("cavity", "--statistics", "boltzmann", "--entropy")[2] == ""
+        assert code == 0
+        assert err == (
+            "warning: some bins hold more than e quanta per cell; the classical "
+            "count ln(g^N/N!) is negative there\n"
+        )
+        assert json.loads(out)["entropy"] < 0.0
+        # the warning leaves stdout as it was
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AccuracyWarning)
+            assert run_cli(*argv) == (0, out, "")
 
     def test_no_warning_without_sparse_classes(self):
         with warnings.catch_warnings():
@@ -674,7 +714,30 @@ class TestRegress:
 
     def test_check_table_is_pinned(self):
         # a dropped, reordered or edited row changes what regress certifies
-        assert cli._REGRESSION_CHECKS == REGRESS_TABLE
+        assert [row[:4] for row in cli._REGRESSION_CHECKS] == REGRESS_TABLE
+
+    def test_thirty_checks_read_a_subcommand_record(self):
+        invoked = [row[4] for row in cli._REGRESSION_CHECKS if row[4] is not None]
+        assert len(invoked) == 30
+        assert all(key in cli._COMMANDS and key != "regress" for key, _ in invoked)
+        assert [row[0] for row in cli._REGRESSION_CHECKS if row[4] is None] == [
+            "marginal_half", "triplet_m0_expectation", "triplet_m1_expectation",
+            "heisenberg_gaussian_product", "photon_mode_count", "balance_intact_fixed",
+            "balance_broken_fixed", "counts_binomial_fold",
+        ]
+
+    @pytest.mark.parametrize("name, argv, value", [
+        ("chsh_qm_mc", ("chsh", "--mc", "200000"), lambda rec: rec["K_mc"]),
+        ("stefan_boltzmann_ratio", ("cavity", "--temperature", "1000", "--bins", "500"),
+         lambda rec: rec["stefan_boltzmann_ratio"]),
+        ("counts_fermi_g1_w0", ("counts", "--stat", "fermi", "--g", "1", "--sbar", "0.3"),
+         lambda rec: rec["w"][0]),
+    ])
+    def test_value_is_the_subcommand_field(self, name, argv, value):
+        checks = record("regress", "--seed", "3")["checks"]
+        assert {c["name"]: c["value"] for c in checks}[name] == value(
+            record(*argv, "--seed", "3")
+        )
 
     def test_seed_choice_stays_green(self):
         rec = record("regress", "--seed", "1")

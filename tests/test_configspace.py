@@ -7,6 +7,7 @@ both window and single-pick mode.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,18 @@ class TestConstruction:
         big = sampled_gaussian(0.0, 1.0, -10.0, 20.0 / 299, 300).normalized()
         with pytest.raises(PreconditionError):
             ManyBodyWavefunction.from_product([big, big])
+
+    def test_point_cap_precedes_the_outer_product(self):
+        # two 3000-point factors would build a 144 MB tensor before the check
+        big = sampled_gaussian(0.0, 1.0, -10.0, 20.0 / 2999, 3000).normalized()
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError, match="grid capped at 256 points"):
+                ManyBodyWavefunction.from_product([big, big])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_norm_guard(self):
         t = np.ones((16, 16), dtype=complex)

@@ -457,6 +457,21 @@ class TestEntropy:
             with pytest.warns(AccuracyWarning, match="some bins hold fewer than 10 quanta"):
                 entropy_and_derivatives(cavity, bins)
 
+    @pytest.mark.parametrize("fullest, warns", [(2.6, False), (2.8, True)])
+    def test_boltzmann_count_turns_negative_past_e_quanta_per_cell(self, fullest, warns):
+        # ln(g^N/N!) = N (1 + ln(g/N)) under Stirling is negative once a bin
+        # holds more than e quanta per cell; mu sets the fullest cell's mean
+        t = 5800.0
+        bins = photon_bins(1.0, t, 20)
+        y0 = float(np.min(bins.epsilon)) / (K_BOLTZMANN * t)
+        mu = K_BOLTZMANN * t * (y0 + math.log(fullest))
+        cavity = CavitySpec(1.0, t, mu, 0.0, Statistics.BOLTZMANN)
+        negative = [m for m in _accuracy_warnings(cavity, bins) if "more than e" in m]
+        assert negative == (
+            ["some bins hold more than e quanta per cell; the classical count "
+             "ln(g^N/N!) is negative there"] if warns else []
+        )
+
 
 # ---------------------------------------------------------------------------
 # the per-bin cavity code that the record array replaced, kept as oracles
@@ -547,11 +562,16 @@ def _old_guard(statistics, rows, temperature, mu, margin):
     return warns, near
 
 
-def _sparse_warning(cavity, bins) -> bool:
+def _accuracy_warnings(cavity, bins) -> list:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         entropy_and_derivatives(cavity, bins)
-    return any(issubclass(w.category, AccuracyWarning) for w in caught)
+    return [str(w.message) for w in caught if issubclass(w.category, AccuracyWarning)]
+
+
+def _sparse_warning(cavity, bins) -> bool:
+    # the Stirling guard only; BOLTZMANN bins past e quanta per cell warn apart
+    return any("Stirling" in message for message in _accuracy_warnings(cavity, bins))
 
 
 # ln n! through ln Gamma(n + 1): shift the argument past 40, then Stirling's

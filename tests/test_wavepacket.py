@@ -245,9 +245,9 @@ def _overlap_profile(psi, shifts):
             return 0.0
         shifted = np.zeros_like(vals)
         pos = (xs[inside] - psi.start) / dx
-        i0 = np.floor(pos).astype(int)
+        # clip first, so a shift onto the last cell reads it with frac = 1
+        i0 = np.clip(np.floor(pos).astype(int), 0, psi.n - 2)
         frac = pos - i0
-        i0 = np.clip(i0, 0, psi.n - 2)
         shifted[inside] = vals[i0] * (1.0 - frac) + vals[i0 + 1] * frac
         return abs(complex(np.sum(np.conj(vals) * shifted)) * dx)
 

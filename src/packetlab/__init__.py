@@ -49,7 +49,6 @@ from .spincorr import (
     LhvModel,
     PairModel,
     basis_change,
-    bipartite_joint,
     chsh,
     coincidence_expectation,
     coplanar_axis,
@@ -64,17 +63,14 @@ from .spincorr import (
     sample_pair_counts,
     semiclassical_lhv_model,
     sign_anticorrelated_model,
-    singlet_coefficients,
 )
 from .configspace import (
     ExpansionCoefficients,
     ManyBodyWavefunction,
     conditional_probability,
     one_particle_density,
-    overlap_measure,
     product_form_test,
     reduce_expansion,
-    region_action_probabilities,
     symmetrize,
 )
 from .actionprob import (
@@ -91,16 +87,13 @@ from .wavepacket import (
     BOHR_MAGNETON,
     Dispersion,
     PacketEvolution,
-    SpectralPacket,
     accumulation_time,
     carrier_wavenumber,
     coherence_profile,
     group_velocity,
-    instantaneous_spreading_velocity,
     intrinsic_moment,
     min_width_spreading_bound,
     spread_after_flight,
-    spreading_velocities,
     stern_gerlach_deflection,
     tau_doubling,
     width_at_time,
@@ -118,7 +111,6 @@ from .quantstat import (
     count_variance,
     einstein_balance,
     entropy_and_derivatives,
-    mode_count,
     occupancy,
     packet_quanta_dist,
     photon_bins,

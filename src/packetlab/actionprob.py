@@ -36,11 +36,9 @@ __all__ = [
 ]
 
 _MAX_FINAL_PACKETS = 16
-
-# width-ratio thresholds: below FLAG the mean-value extraction is not
-# trusted at all, above HIGH_ACCURACY the audit targets percent level
-WIDTH_RATIO_FLAG = 10.0
-WIDTH_RATIO_HIGH_ACCURACY = 100.0
+# grid points of the audit scenario, checked before its arrays exist: width
+# ratio 1e4 needs 339,412 and peaks near 180 MB with the most final packets
+_MAX_AUDIT_POINTS = 339_412
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,7 +225,8 @@ def audit_scenario(
     Unit-width scatterer (Hermite-Gaussian ground and first excited
     internal states) under a Gaussian packet width_ratio times wider,
     probed at n_centers grid-aligned positions across the packet's
-    central region. Contact strength and time window are 1.
+    central region. Contact strength and time window are 1. The grid
+    (about 34 points per unit of width_ratio) caps width_ratio at 1e4.
     """
     if width_ratio < 2.0:
         raise DomainError("audit needs the packet at least twice the scatterer width")
@@ -240,6 +239,11 @@ def audit_scenario(
     spacing = 0.25
     half = 6.0 * sigma
     num = int(round(2.0 * half / spacing)) + 1
+    if num > _MAX_AUDIT_POINTS:
+        raise DomainError(
+            f"width ratio {width_ratio:g} needs more than the audit's "
+            f"{_MAX_AUDIT_POINTS:,} grid points; the cap is width ratio 1e4"
+        )
     psi_i = sampled_gaussian(0.0, sigma, -half, spacing, num)
     internal = final_packet_family(0.0, w, -half, spacing, num, 2)
     scatterer = ScattererSpec(0.0, internal[0], internal[1], 1.0)

@@ -8,8 +8,9 @@ so a record is reproducible from itself.
 
 Exit codes: 0 on success, 1 for invalid input (a malformed flag or a
 value the library rejects), 2 for numerical failure, including an
-allocation the machine refuses. Library warnings are written to stderr
-as one `warning: <message>` line each.
+allocation the machine refuses and an arithmetic fault (say, an
+overflow). Library warnings go to stderr as one `warning: <message>`
+line each.
 """
 
 from __future__ import annotations
@@ -360,13 +361,18 @@ def _cmd_sample(run: _Run):
     "lhv", "audit hidden-variable model families against the CHSH bound",
     ("family", _choice("random", "semiclassical", "sign"), "random",
      "hidden-variable model family"),
-    ("models", _posint, 100, "models to draw (random and sign families)"),
+    ("models", _posint, None, "models to draw (random and sign families; default 100)"),
     ("settings", _posint, 100, "setting quadruples per model"),
-    ("n-lambda", _posint, 16, "hidden-variable grid size per model"),
+    ("n-lambda", _posint, None, "hidden-variable grid size per drawn model (default 16)"),
 )
 def _cmd_lhv(run: _Run):
     p = run.params
     family = p["family"]
+    for name, default in (("models", 100), ("n-lambda", 16)):  # drawn models only
+        if family == "semiclassical" and p[name] is not None:
+            raise CliError(f"parameter {name}: not used by the semiclassical family")
+        if family != "semiclassical" and p[name] is None:
+            p[name] = default
     rng = run.stream(0)
     n_settings = p["settings"]
     settings = [numkit.sample_isotropic_directions(rng, n_settings) for _ in range(4)]
@@ -498,13 +504,12 @@ def _cmd_condspace(run: _Run):
     is_product, residual = configspace.product_form_test(psi)
 
     i2 = min(max(int(round((p["x2"] - start) / spacing)), 0), num - 1)
-    grid = start + spacing * np.arange(num)
     fields = {
         "symmetry": p["symmetry"],
         "grid_start": start,
         "grid_spacing": spacing,
         "points": num,
-        "x2_snapped": float(grid[i2]),
+        "x2_snapped": float(psi.grid[i2]),
         "conditional_integral": float(np.sum(conditional) * spacing),
         "product_form": is_product,
         "schmidt_residual": residual,
@@ -512,13 +517,13 @@ def _cmd_condspace(run: _Run):
         "conditional": conditional,
         "density": density,
     }
-    rows = list(zip(grid, conditional, density))
+    rows = list(zip(psi.grid, conditional, density))
     return fields, (("x", "conditional", "density"), rows)
 
 
 @_command(
     "actionprob", "factorization audit of first-order transition probabilities",
-    ("width-ratio", _posflt, 100.0, "packet width over scatterer width"),
+    ("width-ratio", _posflt, 100.0, "packet width over scatterer width, at most 1e4"),
     ("probes", _posint, 9, "scatterer positions probed across the packet"),
     ("finals", _posint, 8, "final packets summed per probe"),
 )
@@ -753,7 +758,7 @@ def _cmd_counts(run: _Run):
         "eta": eta,
         "m_bar": dist.m_bar,
         "variance": quantstat.count_variance(statistics, g, dist.m_bar),
-        "distribution_variance": dist.variance(),
+        "distribution_variance": dist.central_moment(2),
         "w": w,
     }
     n = p["mc"]
@@ -769,7 +774,7 @@ def _cmd_counts(run: _Run):
         fields["mc_variance"] = (s2 - n * mean**2) / (n - 1)
         mu4 = dist.central_moment(4)
         fields["variance_three_sigma"] = 3.0 * math.sqrt(
-            max(mu4 - dist.variance() ** 2, 0.0) / n
+            max(mu4 - dist.central_moment(2) ** 2, 0.0) / n
         )
     rows = list(zip(range(len(w)), w))
     return fields, (("m", "W"), rows)
@@ -1158,11 +1163,14 @@ def run(argv, stdout=None, stderr=None) -> int:
         if key == "regress" and not fields["all_ok"]:
             return 2
         return 0
-    except (CliError, PacketLabError, MemoryError) as exc:
-        # a library error other than a numerical failure is bad input; an
-        # allocation the machine refuses is a numerical failure
-        print(f"error: {str(exc) or 'out of memory'}", file=stderr)
-        return 2 if isinstance(exc, (NumericalError, MemoryError)) else 1
+    except (CliError, PacketLabError, MemoryError, ArithmeticError) as exc:
+        # a library error other than a numerical failure is bad input; a
+        # refused allocation or an arithmetic fault is a numerical failure
+        message = str(exc) or "out of memory"
+        if isinstance(exc, ArithmeticError):  # math's OverflowError holds (errno, text)
+            message = f"arithmetic failure: {(exc.args or [type(exc).__name__])[-1]}"
+        print(f"error: {message}", file=stderr)
+        return 2 if isinstance(exc, (NumericalError, MemoryError, ArithmeticError)) else 1
 
 
 def main():

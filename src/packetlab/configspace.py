@@ -1,10 +1,9 @@
 """Discretized many-particle wavefunctions on a shared 1-D grid.
 
 Symmetrization, the one-particle density, conditional action
-probabilities, entanglement detection through the Schmidt spectrum,
-region action probabilities of a condensed packet, and the reduction
-(projection) of an expansion, either onto a window or down to a single
-eigenfunction.
+probabilities, entanglement detection through the Schmidt spectrum, and
+the reduction (projection) of an expansion, either onto a window or down
+to a single eigenfunction.
 
 Tensors are capped at 3 particles and 256 grid points; every claim in
 scope is demonstrable at that size.
@@ -19,7 +18,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, PreconditionError
-from .numkit import RandomStream, SampledFunction1D, log_binomial
+from .numkit import RandomStream
 
 __all__ = [
     "ManyBodyWavefunction",
@@ -28,9 +27,7 @@ __all__ = [
     "one_particle_density",
     "conditional_probability",
     "product_form_test",
-    "region_action_probabilities",
     "reduce_expansion",
-    "overlap_measure",
 ]
 
 _MAX_PARTICLES = 3
@@ -193,52 +190,6 @@ def product_form_test(psi: ManyBodyWavefunction) -> tuple:
     return is_product, residual
 
 
-def region_action_probabilities(
-    phi: SampledFunction1D, region: tuple, n_quanta: int, m: int, kappa: float = 1.0
-) -> tuple:
-    """(eta, P2) for a condensed packet acting in a spatial region.
-
-    eta is the detection-weighted region probability kappa * integral of
-    |phi|^2 over the region; P2 is the binomial probability that m of the
-    n quanta act there. Grid cells are weighted by their overlap with the
-    region, so a region boundary through a sample point counts half.
-    """
-    if not 0 <= m <= n_quanta:
-        raise DomainError("need 0 <= m <= n_quanta")
-    if int(m) != m or int(n_quanta) != n_quanta:
-        raise DomainError("quanta counts must be integers")
-    if not 0.0 < kappa <= 1.0:
-        raise DomainError("kappa must lie in (0, 1]")
-    if abs(phi.norm_sq() - 1.0) > 1e-8:
-        raise PreconditionError("phi must be normalized to 1 within 1e-8")
-    lo, hi = float(region[0]), float(region[1])
-    if not lo < hi:
-        raise DomainError("region must be a nonempty interval")
-    half = 0.5 * phi.spacing
-    if lo < phi.start - half or hi > phi.end + half:
-        raise DomainError("region extends outside the sampled grid")
-
-    x = phi.grid
-    cell_lo = x - half
-    cell_hi = x + half
-    overlap = np.clip(np.minimum(hi, cell_hi) - np.maximum(lo, cell_lo), 0.0, None)
-    eta = kappa * float(np.sum(np.abs(phi.values) ** 2 * overlap))
-    eta = min(max(eta, 0.0), 1.0)
-
-    if eta == 0.0:
-        p2 = 1.0 if m == 0 else 0.0
-    elif eta == 1.0:
-        p2 = 1.0 if m == n_quanta else 0.0
-    else:
-        log_p2 = (
-            log_binomial(n_quanta, m)
-            + m * math.log(eta)
-            + (n_quanta - m) * math.log1p(-eta)
-        )
-        p2 = math.exp(log_p2)
-    return eta, p2
-
-
 @dataclass(frozen=True, eq=False)
 class ExpansionCoefficients:
     """Eigenfunction expansion coefficients c(n), normalized to 1."""
@@ -301,15 +252,3 @@ def reduce_expansion(
     out[pick] = c.values[pick] / abs(c.values[pick])
     return ExpansionCoefficients(out)
 
-
-def overlap_measure(psi1: SampledFunction1D, psi2: SampledFunction1D) -> float:
-    """Magnitude overlap integral of two packets sharing a grid.
-
-    Reported as a diagnostic only; what degree of overlap triggers
-    coalescence is left to the caller.
-    """
-    if not psi1.same_grid(psi2):
-        raise PreconditionError("packets must share one grid")
-    return float(
-        np.sum(np.abs(psi1.values) * np.abs(psi2.values)) * psi1.spacing
-    )

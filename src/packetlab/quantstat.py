@@ -40,7 +40,6 @@ __all__ = [
     "CavitySpec",
     "OccupancyDistribution",
     "CountDistribution",
-    "mode_count",
     "photon_mode_count",
     "photon_bins",
     "occupancy",
@@ -83,16 +82,9 @@ class Statistics(Enum):
     BOLTZMANN = "boltzmann"
 
 
-def mode_count(volume: float, p: float, dp: float) -> float:
-    """Phase-space cells in a momentum shell: 4 pi V p^2 dp / h^3 (one polarization)."""
-    if volume <= 0 or p <= 0 or dp <= 0:
-        raise DomainError("volume, p and dp must be positive")
-    return 4.0 * math.pi * volume * p * p * dp / H_PLANCK**3
-
-
-def photon_mode_count(volume: float, nu: float, dnu: float) -> float:
-    """Photon form of the cell count: 4 pi V nu^2 dnu / c^3 (one polarization)."""
-    if volume <= 0 or nu <= 0 or dnu <= 0:
+def photon_mode_count(volume: float, nu, dnu):
+    """Cells 4 pi V nu^2 dnu / c^3 per polarization; nu, dnu may be bin arrays."""
+    if volume <= 0 or np.any(nu <= 0) or np.any(dnu <= 0):
         raise DomainError("volume, nu and dnu must be positive")
     return 4.0 * math.pi * volume * nu * nu * dnu / C_LIGHT**3
 
@@ -155,7 +147,7 @@ def photon_bins(
     # the comparisons let NaN through, as a cell count overflowing does
     if np.any(p <= 0) or np.any(dp <= 0):
         raise DomainError("p, dp and epsilon must be positive")
-    g = polarizations * (4.0 * math.pi * volume * nu * nu * dnu / C_LIGHT**3)
+    g = polarizations * photon_mode_count(volume, nu, dnu)
     return np.rec.fromarrays(
         (p, dp, H_PLANCK * nu, H_PLANCK * dnu, g), names="p,dp,epsilon,d_epsilon,g"
     )
@@ -618,10 +610,6 @@ class CountDistribution:
             raise PreconditionError("count mean must equal m_bar within 1e-9")
         if self.statistics is Statistics.FERMI and self.m_bar > self.g:
             raise PreconditionError("Fermi counts cannot exceed the cell count")
-
-    def variance(self) -> float:
-        m = np.arange(self.w.size, dtype=float)
-        return float(np.sum((m - self.m_bar) ** 2 * self.w))
 
     def central_moment(self, order: int) -> float:
         m = np.arange(self.w.size, dtype=float)

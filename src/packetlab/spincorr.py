@@ -45,10 +45,8 @@ __all__ = [
     "sign_anticorrelated_model",
     "semiclassical_lhv_model",
     "basis_change",
-    "bipartite_joint",
     "no_signaling_audit",
     "coplanar_axis",
-    "singlet_coefficients",
 ]
 
 CHSH_BOUND_TOL = 1e-9
@@ -480,12 +478,6 @@ class BipartiteCoefficients:
         return cls(m, 1.0 / math.sqrt(total))
 
 
-def singlet_coefficients() -> BipartiteCoefficients:
-    """The 2x2 singlet matrix [[0, 1], [-1, 0]]/sqrt(2) with C = 1."""
-    inv = 1.0 / math.sqrt(2.0)
-    return BipartiteCoefficients(np.array([[0.0, inv], [-inv, 0.0]]), 1.0)
-
-
 def _check_unitary(u: np.ndarray, dim: int) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (dim, dim):
@@ -500,14 +492,6 @@ def basis_change(coeffs: BipartiteCoefficients, u) -> BipartiteCoefficients:
     """New coefficients b_lk = sum_j a_jk U_jl under an apparatus basis change."""
     u = _check_unitary(u, coeffs.a.shape[0])
     return BipartiteCoefficients(u.T @ coeffs.a, coeffs.C)
-
-
-def bipartite_joint(coeffs: BipartiteCoefficients, m: int, n: int) -> float:
-    """Joint probability C^2 |a_mn|^2 of detecting packet pair (m, n)."""
-    rows, cols = coeffs.a.shape
-    if not (0 <= m < rows and 0 <= n < cols):
-        raise DomainError(f"index ({m}, {n}) outside the {rows}x{cols} matrix")
-    return float(coeffs.C**2 * abs(coeffs.a[m, n]) ** 2)
 
 
 def _pair_inner(s1: np.ndarray, s2: np.ndarray) -> complex:

@@ -1,12 +1,11 @@
 """Spreading and coherence of free relativistic wave packets.
 
 Gaussian packets spread at an asymptotically constant velocity set by
-their momentum-space width. For a massive particle the longitudinal and
-transverse spreading velocities pick up different powers of (1 - beta^2),
-so fast packets stay narrow sideways far longer than along the flight
-line. The zero-mass case degenerates: no longitudinal spreading at all
-in vacuum, and the transverse formula needs the frequency route rather
-than the 1/kappa route.
+their momentum-space width. For a minimum-uncertainty packet of a
+massive particle the transverse and longitudinal bounds on that velocity
+differ by a factor (1 - beta^2): a fast packet spreads along its flight
+line far more slowly than sideways. The bounds scale as 1/kappa, so they
+need a finite Compton wavenumber and reject a zero-mass packet.
 
 SI units throughout (meters, seconds, kilograms, joules).
 """
@@ -23,14 +22,11 @@ from .numkit import C_LIGHT, E_CHARGE, HBAR, M_ELECTRON, SampledFunction1D
 
 __all__ = [
     "Dispersion",
-    "SpectralPacket",
     "PacketEvolution",
     "carrier_wavenumber",
     "group_velocity",
     "width_at_time",
-    "instantaneous_spreading_velocity",
     "tau_doubling",
-    "spreading_velocities",
     "min_width_spreading_bound",
     "spread_after_flight",
     "coherence_profile",
@@ -61,33 +57,6 @@ class Dispersion:
     @property
     def zero_mass(self) -> bool:
         return self.mass == 0.0
-
-
-@dataclass(frozen=True)
-class SpectralPacket:
-    """Wavenumber-space description: carrier k0 along x and the three widths."""
-
-    k0: float
-    dkx: float
-    dky: float
-    dkz: float
-
-    def __post_init__(self):
-        if self.k0 < 0:
-            raise DomainError("carrier wavenumber must be nonnegative")
-        if min(self.dkx, self.dky, self.dkz) <= 0:
-            raise DomainError("all spectral widths must be positive")
-
-    @property
-    def narrowness(self) -> float:
-        if self.k0 == 0:
-            return math.inf
-        return max(self.dkx, self.dky, self.dkz) / self.k0
-
-    @property
-    def narrow_warning(self) -> bool:
-        """True when the narrow-band treatment is getting doubtful."""
-        return self.narrowness > 0.1
 
 
 @dataclass(frozen=True)
@@ -131,15 +100,6 @@ def width_at_time(evolution: PacketEvolution, t: float) -> float:
     return math.hypot(evolution.sigma0, evolution.dv_g * (t - evolution.t0))
 
 
-def instantaneous_spreading_velocity(evolution: PacketEvolution, t: float) -> float:
-    """d sigma / dt at time t; grows from 0 toward the asymptote dv_g."""
-    return (
-        evolution.dv_g**2
-        * abs(t - evolution.t0)
-        / width_at_time(evolution, t)
-    )
-
-
 def tau_doubling(evolution: PacketEvolution) -> float:
     """Time for the width to double: sqrt(3) sigma0 / dv_g.
 
@@ -151,23 +111,6 @@ def tau_doubling(evolution: PacketEvolution) -> float:
     if evolution.dv_g == 0:
         return math.inf
     return math.sqrt(3.0) * evolution.sigma0 / evolution.dv_g
-
-
-def spreading_velocities(dispersion: Dispersion, packet: SpectralPacket) -> tuple:
-    """(v_sx, v_sy, ratio) of asymptotic spreading velocities.
-
-    Longitudinal: v_sx = c^2 dkx / omega0. Transverse: v_sy = c^4
-    kappa^2 dky / omega0^3. Both survive the m -> 0 limit through the
-    frequency route; the ratio v_sx / v_sy = (k0^2 + kappa^2)/kappa^2
-    = 1/(1 - beta^2) diverges for photons (returned as inf).
-    """
-    v0, omega0 = group_velocity(dispersion, packet.k0)
-    v_sx = C_LIGHT**2 * packet.dkx / omega0
-    kappa = dispersion.kappa
-    v_sy = C_LIGHT**4 * kappa**2 * packet.dky / omega0**3
-    if v_sy == 0.0:
-        return v_sx, 0.0, math.inf
-    return v_sx, v_sy, v_sx / v_sy
 
 
 def min_width_spreading_bound(
@@ -214,12 +157,13 @@ def spread_after_flight(
     beta = v0 / C_LIGHT
     v_spread = min_width_spreading_bound(dispersion, k0, width0, direction)
     flight_time = distance / v0
-    tau2 = math.sqrt(3.0) * width0 / v_spread
+    evolution = PacketEvolution(width0, 0.0, v0, v_spread)
+    tau2 = tau_doubling(evolution)
     if flight_time >= 3.0 * tau2:
         final_width = v_spread * flight_time
         regime = "asymptotic"
     else:
-        final_width = math.hypot(width0, v_spread * flight_time)
+        final_width = width_at_time(evolution, flight_time)
         regime = "exact"
     return {
         "v0": v0,

@@ -188,6 +188,11 @@ class TestAudit:
             audit_scenario(1.5)
         with pytest.raises(DomainError):
             audit_scenario(20.0, 0)
+        # 1e4 needs 339,412 grid points, the cap; one more is refused before
+        # any grid is built
+        for ratio in (10000.01, 1e300):
+            with pytest.raises(DomainError, match="the cap is width ratio 1e4"):
+                audit_scenario(ratio)
 
     def test_empty_finals(self):
         setup, scatterer, centers, _ = audit_scenario(20.0, 3, 4)

@@ -351,6 +351,16 @@ class TestExitCodes:
             (("coherence", "--points", "1"), 1),
             # a NumericalError is a numerical failure
             (("counts", "--mbar", "1e12"), 2),
+            # so is an arithmetic fault: a division by zero or an overflow
+            (("accum", "--flux", "1e-320"), 2),
+            (("coherence", "--sigma", "1e-300"), 2),
+            (("condspace", "--sigmas", "1e-300,1"), 2),
+            (("balance", "--temperatures", "1e-300"), 2),
+            (("balance", "--frequencies", "1e-300"), 2),
+            (("balance", "--frequencies", "1e300"), 2),
+            # tau2 is infinite, so the record would not be strict JSON
+            (("spread", "--kinetic-mev", "1e20"), 2),
+            (("spread", "--mass-kg", "1e-300"), 2),
         ]
         for argv, want in cases:
             code, out, err = run_cli(*argv)
@@ -442,6 +452,33 @@ class TestExitCodes:
         assert code == want
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_arithmetic_fault_writes_no_file(self, tmp_path):
+        path = tmp_path / "rec.json"
+        code, out, err = run_cli("balance", "--frequencies", "1e300", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: arithmetic failure: Numerical result out of range\n"
+        assert not path.exists()
+
+    def test_width_ratio_cap_precedes_the_audit_grids(self):
+        # ratio 1e6 would need grids of 33,941,126 points, gigabytes in all;
+        # under a 1 GiB address-space limit a regression fails here instead
+        # of exhausting the machine's memory
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        env = dict(_child_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        done = subprocess.run(
+            [sys.executable, "-m", "packetlab.cli", "actionprob", "--width-ratio", "1e6"],
+            capture_output=True, text=True, timeout=120, env=env, preexec_fn=limit,
+        )
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == (
+            "error: width ratio 1e+06 needs more than the audit's 339,412 grid "
+            "points; the cap is width ratio 1e4\n"
+        )
 
     def test_support_over_the_cap_exits_two(self):
         code, out, err = run_cli("counts", "--mbar", "1e12")
@@ -636,6 +673,22 @@ class TestCommandValues:
         assert rec["canonical_K"] == pytest.approx(SC_K, rel=1e-9)
         assert rec["max_K"] <= rec["bound"] + 1e-9
         assert rec["satisfied"] is True
+
+    @pytest.mark.parametrize("flag", ["--models", "--n-lambda"])
+    def test_lhv_semiclassical_rejects_model_draw_flags(self, flag, tmp_path):
+        # the family is one fixed model; a flag it ignores must not be echoed
+        want = f"error: parameter {flag[2:]}: not used by the semiclassical family\n"
+        assert run_cli("lhv", "--family", "semiclassical", flag, "3") == (1, "", want)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"family": "semiclassical", flag[2:]: 3}))
+        assert run_cli("lhv", "--config", str(path)) == (1, "", want)
+
+    def test_lhv_draw_flag_defaults_are_echoed(self):
+        rec = record("lhv", "--family", "random", "--models", "2", "--settings", "2")
+        assert (rec["params"]["models"], rec["params"]["n-lambda"]) == (2, 16)
+        rec = record("lhv", "--family", "semiclassical", "--settings", "2")
+        assert (rec["params"]["models"], rec["params"]["n-lambda"]) == (None, None)
+        assert rec["models"] == 1
 
     def test_lhv_sign_family_hits_classical_bound(self):
         rec = record(

@@ -1,8 +1,7 @@
 """Unit tests for configuration-space wavefunctions.
 
 Symmetrization and its Pauli degeneracy, one-particle and conditional
-densities, the Schmidt product-form test, region action probabilities
-with the boundary half-weight convention, and expansion reduction in
+densities, the Schmidt product-form test, and expansion reduction in
 both window and single-pick mode.
 """
 
@@ -17,10 +16,8 @@ from packetlab.configspace import (
     ManyBodyWavefunction,
     conditional_probability,
     one_particle_density,
-    overlap_measure,
     product_form_test,
     reduce_expansion,
-    region_action_probabilities,
     symmetrize,
 )
 from packetlab.errors import DegenerateInputError, DomainError, PreconditionError
@@ -203,44 +200,6 @@ class TestProductForm:
         assert product_form_test(near)[1] < product_form_test(far)[1]
 
 
-class TestRegionAction:
-    def test_eta_is_region_mass(self):
-        phi = _packet(0.0)
-        eta, _ = region_action_probabilities(phi, (START, phi.end), 1, 1, kappa=1.0)
-        assert eta == pytest.approx(1.0, abs=1e-8)
-
-    def test_boundary_half_weight(self):
-        # a symmetric packet split at its center: exactly half, because the
-        # center sample sits on the boundary and counts half
-        phi = sampled_gaussian(0.0, 0.8, -8.0, 16.0 / 128, 129).normalized()
-        eta, _ = region_action_probabilities(phi, (0.0, phi.end), 1, 1, kappa=1.0)
-        assert eta == pytest.approx(0.5, abs=1e-9)
-
-    def test_kappa_scales_eta(self):
-        phi = _packet(0.0)
-        full, _ = region_action_probabilities(phi, (START, phi.end), 2, 1, kappa=1.0)
-        half, _ = region_action_probabilities(phi, (START, phi.end), 2, 1, kappa=0.5)
-        assert half == pytest.approx(0.5 * full, rel=1e-12)
-
-    def test_p2_is_binomial(self):
-        phi = sampled_gaussian(0.0, 0.8, -8.0, 16.0 / 128, 129).normalized()
-        n, m = 5, 2
-        eta, p2 = region_action_probabilities(phi, (0.0, phi.end), n, m, kappa=0.8)
-        want = math.comb(n, m) * eta**m * (1.0 - eta) ** (n - m)
-        assert p2 == pytest.approx(want, rel=1e-12)
-
-    def test_guards(self):
-        phi = _packet(0.0)
-        with pytest.raises(DomainError):
-            region_action_probabilities(phi, (0.0, 1.0), 2, 3)
-        with pytest.raises(DomainError):
-            region_action_probabilities(phi, (1.0, 0.5), 2, 1)
-        with pytest.raises(DomainError):
-            region_action_probabilities(phi, (0.0, 99.0), 2, 1)
-        with pytest.raises(DomainError):
-            region_action_probabilities(phi, (0.0, 1.0), 2, 1, kappa=1.5)
-
-
 class TestReduceExpansion:
     def test_window_zeroes_and_renormalizes(self):
         c = ExpansionCoefficients(np.array([0.6, 0.0, 0.8]))
@@ -299,22 +258,3 @@ class TestReduceExpansion:
         with pytest.raises(PreconditionError):
             ExpansionCoefficients(np.array([0.6, 0.9]))
 
-
-class TestOverlapMeasure:
-    def test_identical_packets(self):
-        g = _packet(0.0)
-        assert overlap_measure(g, g) == pytest.approx(1.0, abs=1e-10)
-
-    def test_gaussian_overlap_closed_form(self):
-        # equal-width Gaussians at distance d: |<g1|g2>| = exp(-d^2 / 8 sigma^2)
-        d, sigma = 6.0, 0.8
-        want = math.exp(-d * d / (8.0 * sigma * sigma))
-        assert overlap_measure(_packet(-3.0), _packet(3.0)) == pytest.approx(
-            want, rel=1e-6
-        )
-
-    def test_grid_guard(self):
-        g = _packet(0.0)
-        other = sampled_gaussian(0.0, 0.8, START, SPACING, NUM - 1).normalized()
-        with pytest.raises(PreconditionError):
-            overlap_measure(g, other)

@@ -35,7 +35,6 @@ from packetlab.quantstat import (
     count_variance,
     einstein_balance,
     entropy_and_derivatives,
-    mode_count,
     occupancy,
     packet_quanta_dist,
     photon_bins,
@@ -56,11 +55,6 @@ pytestmark = pytest.mark.filterwarnings(
 
 
 class TestModeCounting:
-    def test_momentum_shell_formula(self):
-        v, p, dp = 2.0, 3.0e-27, 1.0e-29
-        expected = 4.0 * math.pi * v * p * p * dp / H_PLANCK**3
-        assert mode_count(v, p, dp) == pytest.approx(expected, rel=1e-15)
-
     def test_photon_shell_formula(self):
         v, nu, dnu = 1.0, 5.0e14, 1.0e10
         expected = 4.0 * math.pi * v * nu * nu * dnu / C_LIGHT**3
@@ -70,19 +64,21 @@ class TestModeCounting:
         )
 
     def test_photon_equals_momentum_count(self):
-        # substituting p = h nu / c must reproduce the frequency form
-        v, nu, dnu = 0.5, 2.0e14, 3.0e11
-        p = H_PLANCK * nu / C_LIGHT
-        dp = H_PLANCK * dnu / C_LIGHT
-        assert mode_count(v, p, dp) == pytest.approx(
-            photon_mode_count(v, nu, dnu), rel=1e-12
-        )
+        # the bins count cells in the frequency form; substituting p = h nu / c
+        # must give the momentum-shell count 4 pi V p^2 dp / h^3 per polarization
+        v = 0.5
+        for pol in (1, 2):
+            bins = photon_bins(v, 300.0, 40, polarizations=pol)
+            shell = 4.0 * math.pi * v * bins.p**2 * bins.dp / H_PLANCK**3
+            np.testing.assert_allclose(bins.g, pol * shell, rtol=1e-12)
 
     def test_mode_count_guards(self):
         with pytest.raises(DomainError):
-            mode_count(0.0, 1.0, 1.0)
+            photon_mode_count(0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             photon_mode_count(1.0, -1.0, 1.0)
+        with pytest.raises(DomainError):
+            photon_mode_count(1.0, np.array([1.0, 0.0]), np.array([1.0, 1.0]))
 
     def test_bin_from_photon_frequency(self):
         # each record is the photon frequency form at the bin's geometric center
@@ -866,16 +862,16 @@ class TestCountLaws:
         for g, m_bar in ((1, 0.5), (3, 1.0), (10, 2.0)):
             sb = m_bar / g
             bose = count_distribution(Statistics.BOSE, g, sb, 1.0)
-            assert bose.variance() == pytest.approx(
+            assert bose.central_moment(2) == pytest.approx(
                 count_variance(Statistics.BOSE, g, m_bar), rel=1e-9
             )
             assert count_variance(Statistics.BOSE, g, m_bar) == pytest.approx(
                 m_bar * (1.0 + m_bar / g), rel=1e-15
             )
             boltz = count_distribution(Statistics.BOLTZMANN, g, sb, 1.0)
-            assert boltz.variance() == pytest.approx(m_bar, rel=1e-9)
+            assert boltz.central_moment(2) == pytest.approx(m_bar, rel=1e-9)
         fermi = count_distribution(Statistics.FERMI, 10, 0.2, 1.0)
-        assert fermi.variance() == pytest.approx(
+        assert fermi.central_moment(2) == pytest.approx(
             count_variance(Statistics.FERMI, 10, 2.0), rel=1e-12
         )
         assert count_variance(Statistics.FERMI, 10, 2.0) == pytest.approx(
@@ -891,7 +887,9 @@ class TestCountLaws:
     def test_central_moments(self):
         d = count_distribution(Statistics.BOSE, 2, 0.7, 0.9)
         assert d.central_moment(1) == pytest.approx(0.0, abs=1e-12)
-        assert d.central_moment(2) == pytest.approx(d.variance(), rel=1e-12)
+        assert d.central_moment(2) == pytest.approx(
+            count_variance(Statistics.BOSE, 2, d.m_bar), rel=1e-9
+        )
         # negative binomial skew is positive
         assert d.central_moment(3) > 0.0
 

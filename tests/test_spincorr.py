@@ -29,7 +29,6 @@ from packetlab.spincorr import (
     ModelKind,
     PairModel,
     basis_change,
-    bipartite_joint,
     block_pair_counts,
     chsh,
     chsh_estimate,
@@ -46,10 +45,15 @@ from packetlab.spincorr import (
     sample_pair_counts,
     semiclassical_lhv_model,
     sign_anticorrelated_model,
-    singlet_coefficients,
 )
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
+
+
+def _singlet():
+    # the 2x2 singlet matrix [[0, 1], [-1, 0]]/sqrt(2) with C = 1
+    inv = 1.0 / math.sqrt(2.0)
+    return BipartiteCoefficients(np.array([[0.0, inv], [-inv, 0.0]]), 1.0)
 
 
 def _random_axes(seed, n):
@@ -351,19 +355,12 @@ class TestLhvModels:
 
 
 class TestBipartite:
-    def test_singlet_coefficients(self):
-        s = singlet_coefficients()
-        assert s.a.shape == (2, 2)
-        assert bipartite_joint(s, 0, 1) == pytest.approx(0.5)
-        assert bipartite_joint(s, 0, 0) == pytest.approx(0.0, abs=1e-15)
-
     def test_joint_sums_to_one(self):
         rng = np.random.default_rng(5)
         m = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
         coeffs = BipartiteCoefficients.normalized(m)
-        total = sum(
-            bipartite_joint(coeffs, i, j) for i in range(4) for j in range(6)
-        )
+        # the joint law of packet pair (m, n) is C^2 |a_mn|^2
+        total = float(np.sum(coeffs.C**2 * np.abs(coeffs.a) ** 2))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_norm_guard(self):
@@ -384,7 +381,7 @@ class TestBipartite:
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_basis_change_rejects_nonunitary(self):
-        coeffs = singlet_coefficients()
+        coeffs = _singlet()
         with pytest.raises(PreconditionError):
             basis_change(coeffs, np.array([[1.0, 0.0], [0.0, 2.0]]))
 
@@ -410,6 +407,6 @@ class TestBipartite:
                 [math.sin(theta), math.cos(theta)],
             ]
         )
-        out = no_signaling_audit(singlet_coefficients(), u, 0, sign=-1)
+        out = no_signaling_audit(_singlet(), u, 0, sign=-1)
         assert out[3] < 1e-12
         assert out[0] == pytest.approx(0.5, abs=1e-12)

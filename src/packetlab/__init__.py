@@ -35,6 +35,7 @@ from .numkit import (
     fourier_widths,
     integrate_1d,
     log_binomial,
+    normalize,
     position_width,
     sample_haar_unitary,
     sample_integer,

@@ -96,17 +96,11 @@ def _shift_function(f: SampledFunction1D, offset: float) -> SampledFunction1D:
 
 @dataclass(frozen=True, eq=False)
 class TransitionSetup:
-    """Incident packet and the time window of the interaction.
-
-    omega_mismatch is the net free-phase frequency difference of the
-    final against the initial product state; zero means the resonant
-    stationary-phase window.
-    """
+    """Incident packet and the resonant time window [t0, t] of the interaction."""
 
     psi_i: SampledFunction1D
     t0: float
     t: float
-    omega_mismatch: float = 0.0
 
     def __post_init__(self):
         if not self.t > self.t0:
@@ -118,21 +112,14 @@ def width_ratio(setup: TransitionSetup, scatterer: ScattererSpec) -> float:
     return position_width(setup.psi_i)[1] / scatterer.width
 
 
-def _time_factor(setup: TransitionSetup) -> complex:
-    dw = setup.omega_mismatch
-    if dw == 0.0:
-        return complex(setup.t - setup.t0)
-    return (np.exp(1j * dw * setup.t) - np.exp(1j * dw * setup.t0)) / (1j * dw)
-
-
 def first_order_transition(
     setup: TransitionSetup, scatterer: ScattererSpec, psi_f: SampledFunction1D
 ) -> float:
     """Transition probability to one final packet, first order, contact coupling.
 
     The contact potential collapses the double space integral, leaving
-    W = |T(dt)|^2 |V integral psi_f* phin* psi_i phi0 dx|^2 with T the
-    time-window factor.
+    W = |T|^2 |V integral psi_f* phin* psi_i phi0 dx|^2 with T = t - t0 the
+    resonant time-window factor.
     """
     if not (
         setup.psi_i.same_grid(scatterer.phi0) and setup.psi_i.same_grid(psi_f)
@@ -150,7 +137,7 @@ def first_order_transition(
         )
         * setup.psi_i.spacing
     )
-    return abs(_time_factor(setup) * amplitude) ** 2
+    return abs(complex(setup.t - setup.t0) * amplitude) ** 2
 
 
 def final_packet_family(

@@ -9,8 +9,8 @@ so a record is reproducible from itself.
 Exit codes: 0 on success, 1 for invalid input (a malformed flag or a
 value the library rejects), 2 for numerical failure, including an
 allocation the machine refuses and an arithmetic fault (say, an
-overflow). Library warnings go to stderr as one `warning: <message>`
-line each.
+overflow). Warnings go to stderr as one `warning: <message>` line each,
+the library's and the front end's own notices alike.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import warnings
 import numpy as np
 
 from . import actionprob, configspace, numkit, quantstat, spincorr, wavepacket
-from .errors import NumericalError, PacketLabError
+from .errors import AccuracyWarning, NumericalError, PacketLabError
 from .numkit import E_CHARGE, H_PLANCK, K_BOLTZMANN, M_PROTON
 
 __all__ = ["main", "run", "CliError"]
@@ -233,66 +233,44 @@ _PAIR_FLAGS = (
 _CSV_COMMANDS = frozenset({"condspace", "cavity", "counts"})
 
 # ---------------------------------------------------------------------------
-# run context
+# handlers and their helpers; each handler takes the resolved params and
+# returns (fields, csv_payload)
 
 
-class _Run:
-    """Resolved parameters plus the RNG and warning plumbing for one call."""
-
-    def __init__(self, params: dict, stderr):
-        self.params = params
-        self.stderr = stderr
-
-    def warn(self, message: str):
-        print(f"warning: {message}", file=self.stderr)
-
-    def stream(self, stream_id: int = 0) -> numkit.RandomStream:
-        return numkit.RandomStream(self.params["seed"], stream_id=stream_id)
-
-
-def _axis_from(values, name: str, run: _Run) -> numkit.UnitVector3:
-    arr = np.array(values, dtype=float)
-    norm = float(np.linalg.norm(arr))
+def _axis_from(values, name: str) -> numkit.UnitVector3:
+    unit, norm = numkit.normalize(values)
     if norm == 0.0:
         raise CliError(f"parameter {name}: zero vector cannot define a direction")
     if abs(norm - 1.0) > 1e-6:
-        run.warn(f"direction {name} renormalized from |v| = {norm:.8g}")
-    return numkit.UnitVector3(*(arr / norm))
+        warnings.warn(f"direction {name} renormalized from |v| = {norm:.8g}",
+                      AccuracyWarning)
+    return numkit.UnitVector3(*unit)
 
 
-def _settings_from(run: _Run, vec_keys: tuple, default_angles: tuple) -> list:
+def _settings_from(p: dict, vec_keys: tuple, default_angles: tuple) -> list:
     """Analyser directions from vector flags or coplanar angles."""
-    p = run.params
     if any(p[k] is not None for k in vec_keys):
         if p["angles-deg"] is not None:
             raise CliError("give either --angles-deg or direction vectors, not both")
         missing = [k for k in vec_keys if p[k] is None]
         if missing:
             raise CliError(f"missing direction vectors: {', '.join(missing)}")
-        return [_axis_from(p[k], k, run) for k in vec_keys]
+        return [_axis_from(p[k], k) for k in vec_keys]
     angles = p["angles-deg"] if p["angles-deg"] is not None else list(default_angles)
     return [spincorr.coplanar_axis(math.radians(a)) for a in angles]
 
 
-def _pair_model(name: str) -> spincorr.PairModel:
-    if name == "qm":
-        return spincorr.PairModel.qm_singlet()
-    return spincorr.PairModel.semiclassical()
-
+# the pair model of each --model choice
+_PAIR_MODELS = {"qm": spincorr.PairModel.qm_singlet, "sc": spincorr.PairModel.semiclassical}
 
 # coplanar CHSH settings a, b, a', b' in degrees
 _CANONICAL_DEG = (0.0, 45.0, 90.0, -45.0)
 
 
-# ---------------------------------------------------------------------------
-# handlers; each returns (fields, csv_payload)
-
-
 @_command("bell", "joint outcome table for one pair of analyser settings", *_PAIR_FLAGS)
-def _cmd_bell(run: _Run):
-    p = run.params
-    model = _pair_model(p["model"])
-    a, b = _settings_from(run, ("a", "b"), (0.0, 45.0))
+def _cmd_bell(p: dict):
+    model = _PAIR_MODELS[p["model"]]()
+    a, b = _settings_from(p, ("a", "b"), (0.0, 45.0))
     table = spincorr.joint_table(model, a, b)
     fields = {
         "a": list(a.as_array()),
@@ -315,10 +293,9 @@ def _cmd_bell(run: _Run):
     ("b2", _float_list(3), None, "direction b' as x,y,z"),
     ("mc", _posint, None, "also estimate K from this many pairs per setting"),
 )
-def _cmd_chsh(run: _Run):
-    p = run.params
-    model = _pair_model(p["model"])
-    settings = _settings_from(run, ("a", "b", "a2", "b2"), _CANONICAL_DEG)
+def _cmd_chsh(p: dict):
+    model = _PAIR_MODELS[p["model"]]()
+    settings = _settings_from(p, ("a", "b", "a2", "b2"), _CANONICAL_DEG)
     fields = {
         "settings": [list(v.as_array()) for v in settings],
         "K": spincorr.chsh(model, *settings),
@@ -340,10 +317,9 @@ def _cmd_chsh(run: _Run):
     *_PAIR_FLAGS,
     ("n", _posint, 100000, "number of simulated pairs"),
 )
-def _cmd_sample(run: _Run):
-    p = run.params
-    model = _pair_model(p["model"])
-    a, b = _settings_from(run, ("a", "b"), (0.0, 45.0))
+def _cmd_sample(p: dict):
+    model = _PAIR_MODELS[p["model"]]()
+    a, b = _settings_from(p, ("a", "b"), (0.0, 45.0))
     n = p["n"]
     totals = spincorr.block_pair_counts(model, a, b, n, p["seed"], workers=p["shards"])
     estimate = spincorr.coincidence_expectation(*totals)
@@ -365,15 +341,14 @@ def _cmd_sample(run: _Run):
     ("settings", _posint, 100, "setting quadruples per model"),
     ("n-lambda", _posint, None, "hidden-variable grid size per drawn model (default 16)"),
 )
-def _cmd_lhv(run: _Run):
-    p = run.params
+def _cmd_lhv(p: dict):
     family = p["family"]
     for name, default in (("models", 100), ("n-lambda", 16)):  # drawn models only
         if family == "semiclassical" and p[name] is not None:
             raise CliError(f"parameter {name}: not used by the semiclassical family")
         if family != "semiclassical" and p[name] is None:
             p[name] = default
-    rng = run.stream(0)
+    rng = numkit.RandomStream(p["seed"], 0)
     n_settings = p["settings"]
     settings = [numkit.sample_isotropic_directions(rng, n_settings) for _ in range(4)]
 
@@ -403,14 +378,13 @@ def _cmd_lhv(run: _Run):
     ("trials", _posint, 200, "random state/apparatus trials"),
     ("max-dim", _posint, 8, "largest expansion dimension per side"),
 )
-def _cmd_nosignal(run: _Run):
-    p = run.params
+def _cmd_nosignal(p: dict):
     max_dim = p["max-dim"]
     if max_dim < 2:
         raise CliError("parameter max-dim: need at least 2")
     # each trial draws, in this order, the row and column counts, the
     # coefficient matrix, the apparatus unitary and the probed column
-    rng = run.stream(0)
+    rng = numkit.RandomStream(p["seed"], 0)
     worst = 0.0
     for trial in range(p["trials"]):
         rows = numkit.sample_integer(rng, 2, max_dim)
@@ -439,22 +413,21 @@ def _cmd_nosignal(run: _Run):
     ("mode", _choice("window", "pick"), "window", "reduction mode"),
     ("window", _int_list, None, "indices kept by the reduction"),
 )
-def _cmd_reduce(run: _Run):
-    p = run.params
+def _cmd_reduce(p: dict):
     if p["coeffs"] is None:
         raise CliError("parameter coeffs is required")
-    arr = np.array(p["coeffs"], dtype=float)
-    norm = float(np.linalg.norm(arr))
+    unit, norm = numkit.normalize(p["coeffs"])
     if norm == 0.0:
         raise CliError("parameter coeffs: all coefficients are zero")
     if abs(norm - 1.0) > 1e-6:
-        run.warn(f"coefficients renormalized from |c| = {norm:.8g}")
-    coeffs = configspace.ExpansionCoefficients(arr / norm)
+        warnings.warn(f"coefficients renormalized from |c| = {norm:.8g}", AccuracyWarning)
+    coeffs = configspace.ExpansionCoefficients(unit)
 
     window, pick = p["window"], p["mode"] == "pick"
     if window is None and not pick:
         raise CliError("window mode needs --window")
-    out = configspace.reduce_expansion(coeffs, window, run.stream(0) if pick else None)
+    rng = numkit.RandomStream(p["seed"], 0) if pick else None
+    out = configspace.reduce_expansion(coeffs, window, rng)
 
     fields = {
         "mode": p["mode"],
@@ -479,8 +452,7 @@ def _cmd_reduce(run: _Run):
     ("x2", _flt, 1.0, "conditioning position of the second particle"),
     ("symmetry", _choice("none", "bose", "fermi"), "bose", "exchange symmetry"),
 )
-def _cmd_condspace(run: _Run):
-    p = run.params
+def _cmd_condspace(p: dict):
     start, stop, num_raw = p["grid"]
     num = _as_int(num_raw, "grid")
     if num < 2:
@@ -527,8 +499,7 @@ def _cmd_condspace(run: _Run):
     ("probes", _posint, 9, "scatterer positions probed across the packet"),
     ("finals", _posint, 8, "final packets summed per probe"),
 )
-def _cmd_actionprob(run: _Run):
-    p = run.params
+def _cmd_actionprob(p: dict):
     setup, scatterer, centers, finals = actionprob.audit_scenario(
         p["width-ratio"], p["probes"], p["finals"]
     )
@@ -562,8 +533,7 @@ def _cmd_actionprob(run: _Run):
     ("direction", _choice("longitudinal", "transverse"), "longitudinal",
      "spreading direction relative to the motion"),
 )
-def _cmd_packet_spread(run: _Run):
-    p = run.params
+def _cmd_packet_spread(p: dict):
     if p["width0"] is not None and p["full-length"] is not None:
         raise CliError("give either --width0 or --full-length, not both")
     width0 = p["width0"] if p["full-length"] is None else 0.5 * p["full-length"]
@@ -595,8 +565,7 @@ def _cmd_packet_spread(run: _Run):
     ("span-sigmas", _posflt, 8.0, "half grid span in units of sigma"),
     ("shifts", _float_list(), None, "probe shifts (default 0.5, 1, 2 sigma)"),
 )
-def _cmd_packet_coherence(run: _Run):
-    p = run.params
+def _cmd_packet_coherence(p: dict):
     sigma = p["sigma"]
     num = p["points"]
     if num < 2:
@@ -624,8 +593,7 @@ def _cmd_packet_coherence(run: _Run):
     ("flux", _posflt, 3.5e-13, "incident energy flux (W/m^2)"),
     ("area", _posflt, 1e-18, "absorbing cross-section (m^2)"),
 )
-def _cmd_packet_accum(run: _Run):
-    p = run.params
+def _cmd_packet_accum(p: dict):
     t = wavepacket.accumulation_time(
         p["threshold-ev"] * E_CHARGE, p["flux"], p["area"]
     )
@@ -646,8 +614,7 @@ def _cmd_packet_accum(run: _Run):
     ("dt", _posflt, 7e-5, "transit time through the gradient (s)"),
     ("p-y", _posflt, 8.96e-23, "forward momentum (kg m/s)"),
 )
-def _cmd_packet_sterngerlach(run: _Run):
-    p = run.params
+def _cmd_packet_sterngerlach(p: dict):
     alpha = wavepacket.stern_gerlach_deflection(
         p["mu-z"], p["grad-b"], p["dt"], p["p-y"]
     )
@@ -676,16 +643,13 @@ def _cmd_packet_sterngerlach(run: _Run):
     ("polarizations", _posint, 2, "polarizations per mode (1 or 2)"),
     ("entropy", _boolean, False, "also report entropy and its derivatives"),
 )
-def _cmd_cavity(run: _Run):
-    p = run.params
+def _cmd_cavity(p: dict):
     if p["polarizations"] not in (1, 2):
         raise CliError("parameter polarizations: must be 1 or 2")
     statistics = quantstat.Statistics(p["statistics"])
     temperature, volume = p["temperature"], p["volume"]
     photon = statistics is quantstat.Statistics.BOSE and p["mu"] == 0.0
-    cavity = quantstat.CavitySpec(
-        volume, temperature, p["mu"], 0.0, statistics, photon=photon
-    )
+    cavity = quantstat.CavitySpec(volume, temperature, p["mu"], statistics)
     bins = quantstat.photon_bins(
         volume, temperature, p["bins"], p["x-lo"], p["x-hi"], p["polarizations"]
     )
@@ -734,8 +698,7 @@ def _cmd_cavity(run: _Run):
     ("mmax", _posint, None, "truncate the reported distribution at this count"),
     ("mc", _posint, None, "also sample this many Monte Carlo counts"),
 )
-def _cmd_counts(run: _Run):
-    p = run.params
+def _cmd_counts(p: dict):
     statistics = quantstat.Statistics(p["stat"])
     g = p["g"]
     if (p["mbar"] is None) == (p["sbar"] is None):
@@ -765,9 +728,9 @@ def _cmd_counts(run: _Run):
     if n is not None:
         if n < 2:
             raise CliError("parameter mc: need at least 2 samples")
-        s1, s2 = quantstat.sample_count_moments(
-            statistics, g, s_bar, eta, n, run.stream(0), workers=p["shards"]
-        )
+        rng = numkit.RandomStream(p["seed"], 0)
+        s1, s2 = quantstat.sample_count_moments(statistics, g, s_bar, eta, n, rng,
+                                                workers=p["shards"])
         mean = s1 / n
         fields["mc_samples"] = n
         fields["mc_mean"] = mean
@@ -789,9 +752,8 @@ def _cmd_counts(run: _Run):
     ("frequencies", _float_list(), [1e12, 1e13, 1e14, 1e15],
      "Einstein-balance frequencies (Hz)"),
 )
-def _cmd_balance(run: _Run):
-    p = run.params
-    rng = run.stream(0)
+def _cmd_balance(p: dict):
+    rng = numkit.RandomStream(p["seed"], 0)
     intact = [quantstat.sample_balance_args(rng) for _ in range(p["trials"])]
     broken = [quantstat.sample_balance_args(rng) for _ in range(p["broken-trials"])]
     max_residual = max([0.0] + [quantstat.balance_residual(**a) for a in intact])
@@ -827,8 +789,7 @@ def _cmd_balance(run: _Run):
     ("packet-dnu", _posflt, None, "packet spectral width (Hz)"),
     ("r", _posflt, 2.0 * math.pi, "extension convention Dy Dnu = r c / 4 pi"),
 )
-def _cmd_vonlaue(run: _Run):
-    p = run.params
+def _cmd_vonlaue(p: dict):
     f_count, n1, n2, n3, ratio = quantstat.vonlaue_dof(
         p["area"],
         p["length"],
@@ -946,12 +907,12 @@ _REGRESSION_CHECKS = [
 ]
 
 
-def _bespoke_values(run: _Run) -> dict:
+def _bespoke_values(p: dict) -> dict:
     """The value of every regress check that no subcommand computes."""
     v = {}
-    rng = run.stream(1)
+    rng = numkit.RandomStream(p["seed"], 1)
     worst = 0.0
-    for model in (_pair_model("qm"), _pair_model("sc")):
+    for model in (_PAIR_MODELS["qm"](), _PAIR_MODELS["sc"]()):
         for _ in range(100):
             a = numkit.sample_isotropic_direction(rng)
             b = numkit.sample_isotropic_direction(rng)
@@ -981,12 +942,11 @@ def _bespoke_values(run: _Run) -> dict:
     return v
 
 
-def _subcommand_fields(run: _Run, key: str, config: dict) -> dict:
-    """The fields of one subcommand's record at run's --seed and --shards."""
+def _subcommand_fields(p: dict, key: str, config: dict) -> dict:
+    """The fields of one subcommand's record at p's --seed and --shards."""
     command = _COMMANDS[key]
-    config = dict(config, seed=run.params["seed"], shards=run.params["shards"])
-    params = _resolve(command.flags, argparse.Namespace(), config)
-    return command.handler(_Run(params, run.stderr))[0]
+    config = dict(config, seed=p["seed"], shards=p["shards"])
+    return command.handler(_resolve(command.flags, argparse.Namespace(), config))[0]
 
 
 _CHECK_MODES = {
@@ -998,8 +958,8 @@ _CHECK_MODES = {
 
 
 @_command("regress", "fixed-seed regression record over all modules")
-def _cmd_regress(run: _Run):
-    bespoke = _bespoke_values(run)
+def _cmd_regress(p: dict):
+    bespoke = _bespoke_values(p)
     records = {}  # one run of each distinct invocation
     checks = []
     for name, expected, tol, mode, invocation, field in _REGRESSION_CHECKS:
@@ -1008,7 +968,7 @@ def _cmd_regress(run: _Run):
         else:
             key = repr(invocation)
             if key not in records:
-                records[key] = _subcommand_fields(run, *invocation)
+                records[key] = _subcommand_fields(p, *invocation)
             record = records[key]
             value = record[field] if isinstance(field, str) else field(record)
         value = float(value)
@@ -1122,8 +1082,8 @@ def _attach_negative_values(argv) -> list:
 def run(argv, stdout=None, stderr=None) -> int:
     """Parse argv, execute, write one record. Returns the exit code.
 
-    Warnings the library raises during the run go to stderr as one
-    `warning: <message>` line each.
+    Warnings raised during the run go to stderr as one `warning: <message>`
+    line each, after the warnings filters in force have had their say.
     """
     stdout = sys.stdout if stdout is None else stdout
     stderr = sys.stderr if stderr is None else stderr
@@ -1138,13 +1098,12 @@ def run(argv, stdout=None, stderr=None) -> int:
         if params["format"] == "csv" and key not in _CSV_COMMANDS:
             names = ", ".join(sorted(_CSV_COMMANDS))
             raise CliError(f"csv output is only available for {names}")
-        context = _Run(params, stderr)
         with warnings.catch_warnings(record=True) as caught:
             try:
-                fields, csv_payload = command.handler(context)
+                fields, csv_payload = command.handler(params)
             finally:
                 for w in caught:
-                    context.warn(str(w.message))
+                    print(f"warning: {w.message}", file=stderr)
 
         if params["format"] == "csv":
             text = _render_csv(*csv_payload)

@@ -98,7 +98,7 @@ class ManyBodyWavefunction:
         return self.start + self.spacing * np.arange(self.n_points)
 
     @classmethod
-    def from_product(cls, factors, symmetry: str = "none") -> "ManyBodyWavefunction":
+    def from_product(cls, factors) -> "ManyBodyWavefunction":
         """Product state from normalized single-particle SampledFunction1D factors."""
         if not 1 <= len(factors) <= _MAX_PARTICLES:
             raise PreconditionError(f"need 1..{_MAX_PARTICLES} factors")
@@ -111,7 +111,7 @@ class ManyBodyWavefunction:
         tensor = factors[0].values
         for f in factors[1:]:
             tensor = np.multiply.outer(tensor, f.values)
-        return cls(first.start, first.spacing, tensor, symmetry)
+        return cls(first.start, first.spacing, tensor)
 
 
 def symmetrize(psi: ManyBodyWavefunction, sign: int = +1) -> ManyBodyWavefunction:

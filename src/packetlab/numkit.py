@@ -24,6 +24,7 @@ from .errors import DomainError, NumericalError, PreconditionError
 
 __all__ = [
     "UnitVector3",
+    "normalize",
     "RandomStream",
     "SampledFunction1D",
     "sample_isotropic_direction",
@@ -49,6 +50,8 @@ M_ELECTRON = 9.1093837139e-31  # kg
 M_PROTON = 1.67262192595e-27  # kg
 
 _UNIT_TOL = 1e-12
+# below this 2-norm the sum of squares is subnormal and has lost digits
+_TINY_NORM = math.sqrt(np.finfo(float).tiny)
 _SIMPSON_MAX_DEPTH = 30
 
 
@@ -69,10 +72,10 @@ class UnitVector3:
 
     @classmethod
     def normalized(cls, x: float, y: float, z: float) -> "UnitVector3":
-        n = math.sqrt(x * x + y * y + z * z)
+        unit, n = normalize([x, y, z])
         if n == 0.0:
             raise DomainError("cannot normalize the zero vector")
-        return cls(x / n, y / n, z / n)
+        return cls.from_array(unit)
 
     @classmethod
     def from_array(cls, arr) -> "UnitVector3":
@@ -86,6 +89,23 @@ class UnitVector3:
 
     def dot(self, other: "UnitVector3") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
+
+
+def normalize(values) -> tuple:
+    """(values / |values|, |values|): a unit float array and its 2-norm.
+
+    A sum of squares that overflows or is subnormal is retaken after dividing
+    by the largest magnitude; a zero vector comes back as itself with norm 0.
+    """
+    arr = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(arr))
+        scale = float(np.max(np.abs(arr), initial=0.0))
+        if scale > 0.0 and not _TINY_NORM <= norm < math.inf:
+            arr = arr / scale
+            norm = float(np.linalg.norm(arr))
+            return arr / norm, scale * norm
+    return (arr / norm if norm else arr), norm
 
 
 class RandomStream:

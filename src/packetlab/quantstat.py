@@ -91,26 +91,21 @@ def photon_mode_count(volume: float, nu, dnu):
 
 @dataclass(frozen=True)
 class CavitySpec:
-    """Cavity volume, temperature, chemical potential, species."""
+    """Volume, temperature, chemical potential and occupancy law; the bins carry
+    the mode energies, so no particle mass enters."""
 
     volume: float
     temperature: float
     mu: float
-    mass: float
     statistics: Statistics
-    photon: bool = False
 
     def __post_init__(self):
         if self.volume <= 0 or self.temperature <= 0:
             raise DomainError("volume and temperature must be positive")
-        if self.mass < 0:
-            raise DomainError("mass must be nonnegative")
-        if self.photon and (self.mass != 0.0 or self.mu != 0.0):
-            raise DomainError("photon gas forces mass = 0 and mu = 0")
 
     @classmethod
     def photon_gas(cls, volume: float, temperature: float) -> "CavitySpec":
-        return cls(volume, temperature, 0.0, 0.0, Statistics.BOSE, photon=True)
+        return cls(volume, temperature, 0.0, Statistics.BOSE)
 
 
 def photon_bins(
@@ -252,6 +247,12 @@ def occupancy(
     return OccupancyDistribution(statistics, lam, _poisson_weights(lam))
 
 
+def _reduced_energy(bins, temperature: float, mu: float) -> np.ndarray:
+    # y = (eps - mu)/kT per bin; beyond the float range +-inf, which each law handles
+    with np.errstate(over="ignore"):
+        return (bins.epsilon - mu) / (K_BOLTZMANN * temperature)
+
+
 def _mean_occupancy(statistics: Statistics, y: np.ndarray) -> np.ndarray:
     """Mean quanta per cell at y = (eps - mu)/kT; past y = 700 every law
     is the bare exponential, which keeps exp and expm1 from overflowing."""
@@ -277,7 +278,7 @@ def spectral_distribution(cavity: CavitySpec, bins) -> np.ndarray:
     BOSE uses the minus sign, FERMI the plus sign, BOLTZMANN the bare
     exponential. bins is the record array of photon_bins.
     """
-    y = (bins.epsilon - cavity.mu) / (K_BOLTZMANN * cavity.temperature)
+    y = _reduced_energy(bins, cavity.temperature, cavity.mu)
     return bins.g * _mean_occupancy(cavity.statistics, y)
 
 
@@ -412,14 +413,15 @@ def _cell_entropy(statistics: Statistics, y: np.ndarray, s_bar: np.ndarray) -> t
         q_rare = e / (1.0 + e)  # min(q_0, q_1)
         q_light = np.where(q_rare > _GUARD_MASS, q_rare, 1.0 - q_rare)
         return np.log1p(e) + a * q_rare, q_light
-    return s_bar * (1.0 + y), s_bar
+    # past y = 800 s_bar is 0, and the clamp keeps 0 * inf out
+    return s_bar * (1.0 + np.minimum(y, 800.0)), s_bar
 
 
 def _entropy_energy_number(
     statistics: Statistics, bins, temperature: float, mu: float
 ) -> tuple:
     # (S, E, N, q_light) of the bins at (T, mu)
-    y = (bins.epsilon - mu) / (K_BOLTZMANN * temperature)
+    y = _reduced_energy(bins, temperature, mu)
     s_bar = _mean_occupancy(statistics, y)
     h, q_light = _cell_entropy(statistics, y, s_bar)
     return (
@@ -631,14 +633,11 @@ def count_distribution(
     if s_bar <= 0:
         raise DomainError("s_bar must be positive")
     thinned = eta * s_bar
-    if statistics is Statistics.FERMI:
-        if thinned >= 1.0:
-            raise DomainError("Fermi counts need eta * s_bar < 1")
-        w = binomial_pmf(g, thinned)
-    elif statistics is Statistics.BOSE:
-        w = _negative_binomial_weights(g, thinned)
-    else:
-        w = _poisson_weights(g * thinned)
+    if thinned == 0.0:
+        raise DomainError("eta * s_bar underflows to 0")
+    if statistics is Statistics.FERMI and thinned >= 1.0:
+        raise DomainError("Fermi counts need eta * s_bar < 1")
+    w = packet_quanta_dist(statistics, g, thinned)  # the same law at eta * s_bar
     return CountDistribution(statistics, g, g * thinned, w)
 
 
@@ -677,19 +676,13 @@ def count_variance(statistics: Statistics, g, m_bar: float) -> float:
     return m_bar
 
 
-def binomial_fold_check(n1: int, n2: int, eta: float, eta2: float = None) -> float:
-    """Max deviation between folded binomials and the pooled binomial.
+def binomial_fold_check(n1: int, n2: int, eta: float) -> float:
+    """Max deviation between b(n1, eta) * b(n2, eta) and b(n1 + n2, eta).
 
-    Equal eta folds exactly (machine precision); unequal efficiencies
-    leave a residual of order (eta1 - eta2)^2.
+    Two groups thinned at one efficiency fold exactly, to machine precision.
     """
-    second = eta if eta2 is None else eta2
-    b1 = binomial_pmf(n1, eta)
-    b2 = binomial_pmf(n2, second)
-    folded = np.convolve(b1, b2)
-    pooled_eta = (n1 * eta + n2 * second) / (n1 + n2)
-    pooled = binomial_pmf(n1 + n2, pooled_eta)
-    return float(np.max(np.abs(folded - pooled)))
+    folded = np.convolve(binomial_pmf(n1, eta), binomial_pmf(n2, eta))
+    return float(np.max(np.abs(folded - binomial_pmf(n1 + n2, eta))))
 
 
 def sample_counts(

@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 CHSH_BOUND_TOL = 1e-9
+_SEMICLASSICAL_NODES = (32, 32)  # polar and azimuth nodes of semiclassical_lhv_model
 
 
 def _outcome(r) -> int:
@@ -409,7 +410,7 @@ def sign_anticorrelated_model(rng: RandomStream, n_lambda: int = 64) -> LhvModel
     return LhvModel(lams, w, p_a, p_b)
 
 
-def semiclassical_lhv_model(n_polar: int = 32, n_azimuth: int = 32) -> LhvModel:
+def semiclassical_lhv_model() -> LhvModel:
     """The independent-evolution model as an explicit hidden-variable grid.
 
     lambda is the initial spin direction, integrated with Gauss-Legendre
@@ -417,6 +418,7 @@ def semiclassical_lhv_model(n_polar: int = 32, n_azimuth: int = 32) -> LhvModel:
     responses (1 + r sigma.a)/2 and (1 - r sigma.b)/2 then average to the
     reduced correlation -cos(theta)/3 exactly at quadrature order 2.
     """
+    n_polar, n_azimuth = _SEMICLASSICAL_NODES
     nodes, wts = np.polynomial.legendre.leggauss(n_polar)
     phis = 2.0 * math.pi * (np.arange(n_azimuth) + 0.5) / n_azimuth
     ct, ph = np.meshgrid(nodes, phis, indexing="ij")

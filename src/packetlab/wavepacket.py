@@ -5,7 +5,7 @@ their momentum-space width. For a minimum-uncertainty packet of a
 massive particle the transverse and longitudinal bounds on that velocity
 differ by a factor (1 - beta^2): a fast packet spreads along its flight
 line far more slowly than sideways. The bounds scale as 1/kappa, so they
-need a finite Compton wavenumber and reject a zero-mass packet.
+need a finite Compton wavenumber: Dispersion takes a positive mass.
 
 SI units throughout (meters, seconds, kilograms, joules).
 """
@@ -47,16 +47,12 @@ class Dispersion:
     mass: float
 
     def __post_init__(self):
-        if self.mass < 0:
-            raise DomainError("mass must be nonnegative")
+        if not self.mass > 0:
+            raise DomainError("mass must be positive")
 
     @property
     def kappa(self) -> float:
         return self.mass * C_LIGHT / HBAR
-
-    @property
-    def zero_mass(self) -> bool:
-        return self.mass == 0.0
 
 
 @dataclass(frozen=True)
@@ -65,7 +61,6 @@ class PacketEvolution:
 
     sigma0: float
     t0: float
-    v_g: float
     dv_g: float
 
     def __post_init__(self):
@@ -87,12 +82,7 @@ def group_velocity(dispersion: Dispersion, k0: float) -> tuple:
     """(v0, omega0) at carrier k0: omega0 = c sqrt(k0^2 + kappa^2), v0 = k0 c^2 / omega0."""
     if k0 < 0:
         raise DomainError("carrier wavenumber must be nonnegative")
-    if dispersion.zero_mass:
-        if k0 == 0:
-            raise DomainError("zero-mass packet needs a positive carrier wavenumber")
-        return C_LIGHT, k0 * C_LIGHT
-    kappa = dispersion.kappa
-    omega0 = C_LIGHT * math.hypot(k0, kappa)
+    omega0 = C_LIGHT * math.hypot(k0, dispersion.kappa)
     return k0 * C_LIGHT**2 / omega0, omega0
 
 
@@ -122,8 +112,6 @@ def min_width_spreading_bound(
     bound: c (1-beta^2)^(1/2) / (2 kappa dx0); longitudinal picks up one
     more power of (1-beta^2).
     """
-    if dispersion.zero_mass:
-        raise DomainError("bound needs a finite Compton wavenumber (massive packet)")
     if delta_x0 <= 0:
         raise DomainError("initial width must be positive")
     v0, omega0 = group_velocity(dispersion, k0)
@@ -157,7 +145,7 @@ def spread_after_flight(
     beta = v0 / C_LIGHT
     v_spread = min_width_spreading_bound(dispersion, k0, width0, direction)
     flight_time = distance / v0
-    evolution = PacketEvolution(width0, 0.0, v0, v_spread)
+    evolution = PacketEvolution(width0, 0.0, v_spread)
     tau2 = tau_doubling(evolution)
     if flight_time >= 3.0 * tau2:
         final_width = v_spread * flight_time

@@ -124,19 +124,6 @@ class TestFirstOrderTransition:
         w3 = first_order_transition(setup, ScattererSpec(0.0, h0, h1, 3.0), h1)
         assert w3 == pytest.approx(9.0 * w1, rel=1e-12)
 
-    def test_time_window_factor(self):
-        start, spacing, num = _grid(-20.0, 0.1)
-        psi_i = sampled_gaussian(0.0, 4.0, start, spacing, num)
-        h0, h1 = final_packet_family(0.0, 1.0, start, spacing, num, 2)
-        scat = ScattererSpec(0.0, h0, h1, 1.0)
-        dt, dw = 1.0, 2.5
-        w0 = first_order_transition(TransitionSetup(psi_i, 0.0, dt), scat, h1)
-        wm = first_order_transition(
-            TransitionSetup(psi_i, 0.0, dt, omega_mismatch=dw), scat, h1
-        )
-        want = 4.0 * math.sin(dw * dt / 2.0) ** 2 / (dw * dt) ** 2
-        assert wm / w0 == pytest.approx(want, rel=1e-12)
-
     def test_parity_selection(self):
         # even finals decouple at center: the integrand is odd through phi_1
         start, spacing, num = _grid(-20.0, 0.1)

@@ -216,7 +216,10 @@ class TestBell:
         assert rec["marginal_b_minus"] == pytest.approx(0.5, abs=1e-12)
 
     def test_vector_flags_renormalize_with_warning(self):
-        code, out, err = run_cli("bell", "--a", "0,0,2", "--b", "0,0,1")
+        # the notice is an AccuracyWarning, which this module ignores elsewhere
+        with warnings.catch_warnings():
+            warnings.simplefilter("default", AccuracyWarning)
+            code, out, err = run_cli("bell", "--a", "0,0,2", "--b", "0,0,1")
         assert code == 0
         assert "direction a renormalized from |v| = 2" in err
         rec = json.loads(out)
@@ -751,6 +754,140 @@ class TestCavityFuzz:
             assert [line.startswith("error: ") for line in lines].count(True) == 1
             assert lines[-1].startswith("error: ")
             assert all(line.startswith("warning: ") for line in lines[:-1])
+
+
+# vector components: zero, the smallest subnormal, every 20th decade of the
+# float range, and ordinary values
+_COMPONENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]
+                    + [sign * 10.0**e for e in range(-300, 301, 20) for sign in (1, -1)]),
+    st.floats(min_value=-10.0, max_value=10.0),
+)
+_VECTOR_KEYS = {"bell": ("a", "b"), "sample": ("a", "b"), "chsh": ("a", "b", "a2", "b2")}
+
+
+def _run_strict(*argv):
+    # a numpy floating-point warning fails the run; the CLI's own notices show
+    with warnings.catch_warnings():
+        warnings.simplefilter("default", AccuracyWarning)
+        warnings.simplefilter("error", RuntimeWarning)
+        return run_cli(*argv)
+
+
+def _assert_stderr_shape(err):
+    lines = err.splitlines()
+    assert all(line.startswith("warning: ") for line in lines[:-1])
+    assert not lines or lines[-1].startswith(("warning: ", "error: "))
+
+
+class TestVectorFlagsFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        command=st.sampled_from(sorted(_VECTOR_KEYS)),
+        vectors=st.lists(st.lists(_COMPONENTS, min_size=3, max_size=3),
+                         min_size=4, max_size=4),
+        n=st.integers(min_value=1, max_value=1000),
+    )
+    def test_any_nonzero_vector_has_a_direction(self, command, vectors, n):
+        keys = _VECTOR_KEYS[command]
+        argv = [command] + [f"--{k}={','.join(map(repr, v))}" for k, v in zip(keys, vectors)]
+        argv += ["--n", str(n)] * (command == "sample")
+        code, out, err = _run_strict(*argv)
+        _assert_stderr_shape(err)
+        zero = next((k for k, v in zip(keys, vectors) if not any(v)), None)
+        if zero is not None:
+            assert (code, out) == (1, "")
+            assert err.splitlines()[-1] == (
+                f"error: parameter {zero}: zero vector cannot define a direction"
+            )
+            return
+        assert code == 0, err
+        rec = json.loads(out)
+        if command == "sample":
+            assert rec["n_pp"] + rec["n_pm"] + rec["n_mp"] + rec["n_mm"] == n
+            bell = json.loads(_run_strict("bell", *argv[1:3])[1])
+            assert rec["expectation_closed_form"] == pytest.approx(
+                bell["expectation"], abs=1e-12
+            )
+            return
+        directions = rec["settings"] if command == "chsh" else [rec["a"], rec["b"]]
+        for d in directions:
+            assert abs(math.fsum(x * x for x in d) - 1.0) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(coeffs=st.lists(_COMPONENTS, min_size=1, max_size=6), pick=st.booleans())
+    def test_any_nonzero_expansion_is_renormalized(self, coeffs, pick):
+        window = ",".join(map(str, range(len(coeffs))))  # keeps all the mass
+        mode = ["--mode", "pick"] if pick else ["--window", window]
+        code, out, err = _run_strict(
+            "reduce", f"--coeffs={','.join(map(repr, coeffs))}", *mode
+        )
+        _assert_stderr_shape(err)
+        if not any(coeffs):
+            assert (code, out) == (1, "")
+            assert err == "error: parameter coeffs: all coefficients are zero\n"
+            return
+        assert code == 0, err
+        rec = json.loads(out)
+        assert abs(math.fsum(rec["input_probabilities"]) - 1.0) <= 1e-12
+        assert abs(math.fsum(rec["output_probabilities"]) - 1.0) <= 1e-12
+
+
+class TestFloatRangeEdges:
+    # inputs at the edges of the float range that used to be refused, or to
+    # print numpy's internal overflow warning
+
+    @pytest.mark.parametrize("argv, notice, direction", [
+        (("reduce", "--coeffs", "1e300,1e300", "--mode", "pick"),
+         "coefficients renormalized from |c| = 1.4142136e+300", None),
+        (("chsh", "--a", "1e300,1e300,0", "--b", "0,0,1", "--a2", "1,0,0",
+          "--b2", "0,1,0"),
+         "direction a renormalized from |v| = 1.4142136e+300", [0.5**0.5, 0.5**0.5, 0.0]),
+        (("bell", "--a", "1e-200,0,1e-200", "--b", "0,0,1"),
+         "direction a renormalized from |v| = 1.4142136e-200", [0.5**0.5, 0.0, 0.5**0.5]),
+    ])
+    def test_huge_and_tiny_vectors_keep_their_direction(self, argv, notice, direction):
+        code, out, err = _run_strict(*argv)
+        assert (code, err) == (0, f"warning: {notice}\n")
+        rec = json.loads(out)
+        if direction is not None:
+            got = rec["settings"][0] if argv[0] == "chsh" else rec["a"]
+            assert got == pytest.approx(direction, abs=1e-15)
+        else:
+            assert rec["input_probabilities"] == pytest.approx([0.5, 0.5], abs=1e-15)
+
+    @pytest.mark.parametrize("statistics", ["bose", "fermi", "boltzmann"])
+    def test_counts_at_an_underflowing_thinned_mean_is_bad_input(self, statistics):
+        code, out, err = _run_strict("counts", "--stat", statistics, "--g", "3",
+                                     "--sbar", "1e-200", "--eta", "1e-200")
+        assert (code, out, err) == (1, "", "error: eta * s_bar underflows to 0\n")
+
+    @pytest.mark.parametrize("entropy", [False, True])
+    @pytest.mark.parametrize("statistics, mu, code, error", [
+        ("bose", "1e300", 1,
+         "error: Bose pole in bin 0: epsilon <= mu makes the occupancy diverge"),
+        ("bose", "-1e300", 0, None),
+        ("fermi", "1e300", 0, None),
+        ("fermi", "-1e300", 0, None),
+        ("boltzmann", "1e300", 2, "error: Boltzmann weight overflows double precision"),
+        ("boltzmann", "-1e300", 0, None),
+    ])
+    def test_cavity_at_extreme_mu_warns_only_as_packetlab(
+        self, statistics, mu, code, error, entropy
+    ):
+        argv = ["cavity", "--statistics", statistics, f"--mu={mu}"] + ["--entropy"] * entropy
+        if entropy and code == 0:
+            # every bin is empty or full, so (T, mu) cannot be told apart
+            code, error = 2, ("error: degenerate (T, mu) response; "
+                              "cannot separate dS/dE from dS/dN")
+        got, out, err = _run_strict(*argv)
+        assert got == code
+        assert "encountered" not in err
+        _assert_stderr_shape(err)
+        if error is None:
+            assert err == "" and _strict_json(out)["statistics"] == statistics
+        else:
+            assert out == "" and err.splitlines()[-1] == error
 
 
 class TestRegress:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numkit
 from .errors import DomainError, PreconditionError
 from .numkit import SampledFunction1D, position_width, sampled_gaussian
 
@@ -156,13 +155,15 @@ def final_packet_family(
     x = start + spacing * np.arange(num)
     u = (x - center) / width
     env = np.exp(-0.5 * u * u)
+    # H_(k+1) = 2u H_k - 2k H_(k-1) (DLMF 18.9.1), one step per order
+    hermite, previous = np.ones_like(u), np.zeros_like(u)
     out = []
     for k in range(count):
         norm = 1.0 / math.sqrt(
-            2.0**k * math.exp(numkit.gammaln(k + 1)) * math.sqrt(math.pi) * width
+            2.0**k * math.factorial(k) * math.sqrt(math.pi) * width
         )
-        hermite = numkit.eval_hermite(k, u)
         out.append(SampledFunction1D(start, spacing, norm * hermite * env))
+        hermite, previous = 2.0 * u * hermite - 2.0 * k * previous, hermite
     return out
 
 

@@ -416,16 +416,15 @@ def _cmd_nosignal(p: dict):
 def _cmd_reduce(p: dict):
     if p["coeffs"] is None:
         raise CliError("parameter coeffs is required")
+    window, pick = p["window"], p["mode"] == "pick"
+    if window is None and not pick:
+        raise CliError("window mode needs --window")
     unit, norm = numkit.normalize(p["coeffs"])
     if norm == 0.0:
         raise CliError("parameter coeffs: all coefficients are zero")
     if abs(norm - 1.0) > 1e-6:
         warnings.warn(f"coefficients renormalized from |c| = {norm:.8g}", AccuracyWarning)
     coeffs = configspace.ExpansionCoefficients(unit)
-
-    window, pick = p["window"], p["mode"] == "pick"
-    if window is None and not pick:
-        raise CliError("window mode needs --window")
     rng = numkit.RandomStream(p["seed"], 0) if pick else None
     out = configspace.reduce_expansion(coeffs, window, rng)
 
@@ -753,12 +752,15 @@ def _cmd_counts(p: dict):
      "Einstein-balance frequencies (Hz)"),
 )
 def _cmd_balance(p: dict):
+    # each draw is reduced as it is made, so memory stays flat at any count;
+    # the intact draws are all made before the first broken one
     rng = numkit.RandomStream(p["seed"], 0)
-    intact = [quantstat.sample_balance_args(rng) for _ in range(p["trials"])]
-    broken = [quantstat.sample_balance_args(rng) for _ in range(p["broken-trials"])]
-    max_residual = max([0.0] + [quantstat.balance_residual(**a) for a in intact])
+    intact = (quantstat.sample_balance_args(rng) for _ in range(p["trials"]))
+    max_residual = max((quantstat.balance_residual(**a) for a in intact), default=0.0)
+    broken = (quantstat.sample_balance_args(rng) for _ in range(p["broken-trials"]))
     broken_min = min(
-        [math.inf] + [quantstat.balance_residual(**a, b2=1.05 * a["b"]) for a in broken]
+        (quantstat.balance_residual(**a, b2=1.05 * a["b"]) for a in broken),
+        default=math.inf,
     )
 
     einstein = [quantstat.einstein_balance(t, nu, 1.0, 1e9)

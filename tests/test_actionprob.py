@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import eval_hermite
 
 from packetlab.actionprob import (
     ScattererSpec,
@@ -31,6 +32,19 @@ class TestFinalPacketFamily:
         v = np.stack([f.values for f in family])
         gram = (v @ v.T.conj()).real * spacing
         assert np.max(np.abs(gram - np.eye(8))) < 1e-8
+
+    def test_hermite_orders_against_scipy(self):
+        # every order the cap admits, on [-8, 8]; the recurrence's rounding
+        # grows with |H_k|, so the gate is relative to max|H_k| on the grid
+        start, spacing, num = _grid(-8.0, 1.0 / 64.0)
+        family = final_packet_family(0.0, 1.0, start, spacing, num, 16)
+        u = start + spacing * np.arange(num)
+        for k, packet in enumerate(family):
+            norm = 1.0 / math.sqrt(2.0**k * math.factorial(k) * math.sqrt(math.pi))
+            hermite = eval_hermite(k, u)
+            want = norm * hermite * np.exp(-0.5 * u * u)
+            gap = np.max(np.abs(packet.values - want))
+            assert gap <= 4e-15 * norm * np.max(np.abs(hermite)), k
 
     def test_count_cap(self):
         start, spacing, num = _grid(-8.0, 0.125)

@@ -232,43 +232,16 @@ def run_blocks(work, n: int, workers: int = 1) -> np.ndarray:
         return sum(pool.map(part, range(threads)))
 
 
-# Stirling series of ln Gamma (DLMF 5.11.1): B_2j / (2j (2j - 1)) for the
-# powers x^-1, x^-3, ..., x^-13; from x = 16 up the next term is below 3e-20
-_STIRLING_COEFFS = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
-                    -691 / 360360, 1 / 156)
-_STIRLING_MIN = 16.0
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
 def gammaln(x):
     """ln Gamma(x) for x > 0, elementwise; a scalar input gives a float.
 
-    Finite x >= 16 take the Stirling series, the rest math.lgamma, which
-    keeps ln Gamma(1) = ln Gamma(2) = 0 exact. The series runs in place
-    over the whole array, the small entries parked at 16, because masked
-    copies of a million-point support cost more than the arithmetic.
+    Each entry goes through math.lgamma, which keeps ln Gamma(1) =
+    ln Gamma(2) = 0 exact.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all(arr > 0.0):
         raise DomainError("gammaln needs x > 0")
-    flat = arr.reshape(-1)
-    small = ~((flat >= _STIRLING_MIN) & (flat < math.inf))
-    z = np.where(small, _STIRLING_MIN, flat)
-    r = 1.0 / z
-    r2 = r * r
-    series = np.zeros_like(z)
-    for c in reversed(_STIRLING_COEFFS):
-        series *= r2
-        series += c
-    series *= r
-    # ln Gamma(x) leaves the float range near x = 2.6e305
-    with np.errstate(over="ignore"):
-        out = z - 0.5
-        out *= np.log(z)
-    out -= z
-    out += _HALF_LOG_2PI
-    out += series
-    out[small] = [math.lgamma(v) for v in flat[small].tolist()]
+    out = np.fromiter(map(math.lgamma, arr.reshape(-1).tolist()), float, arr.size)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 

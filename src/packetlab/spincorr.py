@@ -214,28 +214,52 @@ def sample_pair_counts(
     Consumes exactly four uniforms per pair, in the order (cos polar,
     azimuth, A outcome, B outcome), so one batch of n pairs reproduces n
     one-pair calls on the same stream exactly.
+
+    sigma.axis is summed over the axis components that are nonzero only,
+    for the axes the model reads (a alone for the singlet, a and b for the
+    semiclassical model). A zero component adds a +-0 term, which cannot
+    move a threshold 0.5 (1 +- sigma.axis), so the counts are bit-identical
+    to the full sum; sigma's x (cos) and y (sin) parts are computed only
+    when some read axis needs them, so an axis along z takes no trig. The
+    four uniforms per pair are consumed all the same.
     """
     if model.kind is ModelKind.TRIPLET:
         raise UnsupportedModelError("no sampling law for triplet states")
     if n <= 0:
         raise DomainError("n must be positive")
     u = rng.uniform(size=4 * n).reshape(n, 4)
+    singlet = model.kind is ModelKind.QM_SINGLET
+    axes = (a,) if singlet else (a, b)
+    need_x = any(v.x != 0.0 for v in axes)
+    need_y = any(v.y != 0.0 for v in axes)
     z = 2.0 * u[:, 0] - 1.0
-    phi = 2.0 * math.pi * u[:, 1]
-    s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    sx, sy = s * np.cos(phi), s * np.sin(phi)
+    if need_x or need_y:
+        s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+        phi = 2.0 * math.pi * u[:, 1]
+    sx = s * np.cos(phi) if need_x else None
+    sy = s * np.sin(phi) if need_y else None
 
-    a_minus = u[:, 2] >= 0.5 * (1.0 + (sx * a.x + sy * a.y + z * a.z))
-    if model.kind is ModelKind.QM_SINGLET:
+    def sigma_dot(v):
+        # sx v.x + sy v.y + z v.z without its zero terms, summed left to right
+        # as numpy sums the full expression, with one product alive at a time
+        (c0, w0), *rest = [(c, w) for c, w in ((sx, v.x), (sy, v.y), (z, v.z))
+                           if w != 0.0]
+        total = c0 * w0
+        for c, w in rest:
+            total += c * w
+        return total
+
+    a_minus = u[:, 2] >= 0.5 * (1.0 + sigma_dot(a))
+    if singlet:
         # second packet reduced to point along -r_A a
         cos_ab = float(a.as_array() @ b.as_array())
         p_b_plus = np.where(a_minus, 0.5 * (1.0 + cos_ab), 0.5 * (1.0 - cos_ab))
     else:
-        p_b_plus = 0.5 * (1.0 - (sx * b.x + sy * b.y + z * b.z))
+        p_b_plus = 0.5 * (1.0 - sigma_dot(b))
     b_minus = u[:, 3] >= p_b_plus
-    # outcome code 2 [r_A < 0] + [r_B < 0] indexes (pp, pm, mp, mm)
-    counts = np.bincount(2 * a_minus + b_minus, minlength=4)
-    return tuple(int(c) for c in counts)
+    n_am, n_bm, n_mm = (int(np.count_nonzero(m))
+                        for m in (a_minus, b_minus, a_minus & b_minus))
+    return n - n_am - n_bm + n_mm, n_bm - n_mm, n_am - n_mm, n_mm
 
 
 def block_pair_counts(
@@ -323,6 +347,13 @@ def _settings_matrix(settings) -> np.ndarray:
     return arr
 
 
+def _aligned_settings(*settings) -> list:
+    mats = [_settings_matrix(s) for s in settings]
+    if len({m.shape[0] for m in mats}) > 1:
+        raise PreconditionError("setting batches must align")
+    return mats
+
+
 def _mean_response(model: LhvModel, p, settings: np.ndarray) -> np.ndarray:
     """Abar or Bbar: P(+1) - P(-1), checked against the [0, 1] bounds."""
     plus = np.asarray(p(+1, settings, model.lambdas), dtype=float)
@@ -341,10 +372,7 @@ def lhv_expectation(model: LhvModel, a, b):
 
     a and b may be single axes or aligned (n, 3) arrays of settings.
     """
-    sa = _settings_matrix(a)
-    sb = _settings_matrix(b)
-    if sa.shape[0] != sb.shape[0]:
-        raise PreconditionError("a and b setting batches must align")
+    sa, sb = _aligned_settings(a, b)
     abar = _mean_response(model, model.p_a, sa)
     bbar = _mean_response(model, model.p_b, sb)
     e = (abar * bbar) @ model.weights
@@ -355,16 +383,19 @@ def lhv_chsh_audit(model: LhvModel, a, b, a2, b2) -> tuple:
     """CHSH value(s) of a hidden-variable model and the K <= 2 verdict.
 
     Each setting may be an axis or an (n, 3) batch of axes; batches give
-    a K array and a verdict covering every quadruple.
+    a K array and a verdict covering every quadruple. Abar(a), Abar(a'),
+    Bbar(b) and Bbar(b') are built once each, and the four correlations
+    equal those of lhv_expectation exactly.
     """
-    e_ab = lhv_expectation(model, a, b)
-    e_ab2 = lhv_expectation(model, a, b2)
-    e_a2b = lhv_expectation(model, a2, b)
-    e_a2b2 = lhv_expectation(model, a2, b2)
-    k = np.abs(e_ab + e_ab2 + e_a2b - e_a2b2)
+    sa, sb, sa2, sb2 = _aligned_settings(a, b, a2, b2)
+    abars = [_mean_response(model, model.p_a, s) for s in (sa, sa2)]
+    bbars = [_mean_response(model, model.p_b, s) for s in (sb, sb2)]
+    # E(a,b), E(a,b'), E(a',b), E(a',b')
+    e = [(abar * bbar) @ model.weights for abar in abars for bbar in bbars]
+    k = np.abs(e[0] + e[1] + e[2] - e[3])
     satisfied = bool(np.all(k <= 2.0 + CHSH_BOUND_TOL))
-    if np.ndim(k) == 0 or (np.size(k) == 1 and isinstance(a, UnitVector3)):
-        return float(np.asarray(k).reshape(-1)[0]), satisfied
+    if k.size == 1 and isinstance(a, UnitVector3):
+        return float(k[0]), satisfied
     return k, satisfied
 
 

@@ -20,6 +20,8 @@ ORACLES = {
     "occupancy": "per-cell occupancy law, the reference for the vectorized "
     "cavity columns",
     "sample_counts": "count sampler the acceptance tests call",
+    "lhv_expectation": "hidden-variable correlation E(a, b) that the tests check "
+    "lhv_chsh_audit's shared response tables against",
 }
 
 

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from packetlab.errors import (
@@ -48,6 +48,8 @@ from packetlab.spincorr import (
 )
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
+# components of coplanar_axis(pi/2): y is exactly 0, z = cos(pi/2) is 6e-17
+_XZ_RIGHT = coplanar_axis(math.pi / 2).as_array().tolist()
 
 
 def _singlet():
@@ -222,11 +224,44 @@ class TestSampling:
         n=st.integers(min_value=1, max_value=20000),
         seed=st.integers(min_value=0, max_value=2**64 - 1),
     )
+    # axes with exact zero components, which the sampler leaves out of sigma.axis
+    @example(PairModel.qm_singlet(), [0.0, 0.0, 1.0, 0.0, 0.0, -1.0], 20000, 1)
+    @example(PairModel.qm_singlet(), [*_XZ_RIGHT, 0.0, 1.0, 0.0], 20000, 2)
+    @example(PairModel.qm_singlet(), [0.0, 1.0, 0.0, -0.0, 0.0, 1.0], 20000, 3)
+    @example(PairModel.qm_singlet(), [-0.0, 0.0, -1.0, 0.6, 0.0, 0.8], 20000, 4)
+    @example(PairModel.semiclassical(), [0.0, 0.0, 1.0, 0.0, 0.0, -1.0], 20000, 5)
+    @example(PairModel.semiclassical(), [*_XZ_RIGHT, 0.0, 1.0, 0.0], 20000, 6)
+    @example(PairModel.semiclassical(), [0.0, 1.0, 0.0, *_XZ_RIGHT], 20000, 7)
+    @example(PairModel.semiclassical(), [0.0, -0.0, 1.0, -0.0, 0.0, -1.0], 20000, 8)
     def test_counts_match_the_sigma_matrix_sampler(self, model, axes, n, seed):
         a = UnitVector3.normalized(*axes[:3])
         b = UnitVector3.normalized(*axes[3:])
         want = _sigma_matrix_counts(model, a, b, n, RandomStream(seed))
         assert sample_pair_counts(model, a, b, n, RandomStream(seed)) == want
+
+    @pytest.mark.parametrize("model, a, b, cos_calls, sin_calls", [
+        (PairModel.qm_singlet(), coplanar_axis(0.0), coplanar_axis(0.7), 0, 0),
+        (PairModel.qm_singlet(), coplanar_axis(math.pi / 2), coplanar_axis(0.7), 1, 0),
+        (PairModel.qm_singlet(), UnitVector3(1 / 3, 2 / 3, 2 / 3), coplanar_axis(0.7), 1, 1),
+        (PairModel.semiclassical(), coplanar_axis(0.0), coplanar_axis(math.pi / 4), 1, 0),
+    ], ids=["singlet-a-along-z", "singlet-a-along-x", "singlet-oblique-a", "sc-0-45"])
+    def test_trig_only_for_the_axis_components_read(
+        self, monkeypatch, model, a, b, cos_calls, sin_calls
+    ):
+        calls = {"cos": 0, "sin": 0}
+
+        def counting(name, f):
+            def shim(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return shim
+
+        monkeypatch.setattr(np, "cos", counting("cos", np.cos))
+        monkeypatch.setattr(np, "sin", counting("sin", np.sin))
+        rng = RandomStream(36)
+        sample_pair_counts(model, a, b, 1000, rng)
+        assert calls == {"cos": cos_calls, "sin": sin_calls}
+        assert rng.position == 4 * 1000
 
 
 def _sigma_matrix_counts(model, a, b, n, rng):
@@ -262,11 +297,12 @@ class TestBlockSampling:
         start=st.integers(min_value=0, max_value=200_000),
         seed=st.integers(min_value=0, max_value=2**64 - 1),
         workers=st.sampled_from([1, 2, 3]),
+        a_angle=st.sampled_from([0.0, 0.3]),
     )
     def test_blocks_equal_one_call_at_the_offset(
-        self, model, angle, n, start, seed, workers
+        self, model, angle, n, start, seed, workers, a_angle
     ):
-        a, b = coplanar_axis(0.3), coplanar_axis(angle)
+        a, b = coplanar_axis(a_angle), coplanar_axis(angle)
         rng = RandomStream(seed)
         rng.uniform(size=4 * start)
         want = sample_pair_counts(model, a, b, n, rng)
@@ -298,6 +334,8 @@ class TestLhvModels:
         model = random_lhv_model(RandomStream(41), 16)
         assert abs(model.weights.sum() - 1.0) < 1e-10
         assert np.all(model.weights >= 0.0)
+        assert model.lambdas.shape == (16, 3)
+        assert np.all(np.abs(np.linalg.norm(model.lambdas, axis=1) - 1.0) <= 1e-12)
 
     def test_random_model_bound(self):
         rng = RandomStream(42)
@@ -336,6 +374,49 @@ class TestLhvModels:
         k, ok = lhv_chsh_audit(model, *axes)
         assert ok
         assert k == pytest.approx(TWO_SQRT_TWO / 3.0, abs=1e-9)
+
+    @pytest.mark.parametrize("family", ["random", "sign", "semiclassical"])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_audit_builds_each_response_table_once(self, family, batched):
+        made = {
+            "random": lambda: random_lhv_model(RandomStream(49), 16),
+            "sign": lambda: sign_anticorrelated_model(RandomStream(50)),
+            "semiclassical": semiclassical_lhv_model,
+        }[family]()
+        calls = {"a": 0, "b": 0}
+
+        def counting(side, p):
+            def shim(r, settings_, lambdas):
+                calls[side] += 1
+                return p(r, settings_, lambdas)
+            return shim
+
+        model = LhvModel(made.lambdas, made.weights,
+                         counting("a", made.p_a), counting("b", made.p_b))
+        if batched:
+            rng = RandomStream(51)
+            axes = [np.stack([sample_isotropic_direction(rng).as_array()
+                              for _ in range(7)]) for _ in range(4)]
+        else:
+            axes = _random_axes(52, 4)
+        k, ok = lhv_chsh_audit(model, *axes)
+        assert calls == {"a": 4, "b": 4}  # 2 settings x 2 outcomes per side
+
+        a, b, a2, b2 = axes
+        want = abs(lhv_expectation(model, a, b) + lhv_expectation(model, a, b2)
+                   + lhv_expectation(model, a2, b) - lhv_expectation(model, a2, b2))
+        if batched:
+            assert k.shape == (7,) and np.array_equal(k, want)
+        else:
+            assert type(k) is float and k == want
+        assert ok == bool(np.all(want <= 2.0 + 1e-9))
+
+    def test_audit_rejects_misaligned_batches(self):
+        model = semiclassical_lhv_model()
+        a, b, a2 = _random_axes(53, 3)
+        b2 = np.stack([x.as_array() for x in _random_axes(54, 2)])
+        with pytest.raises(PreconditionError):
+            lhv_chsh_audit(model, a, b, a2, b2)
 
     def test_weight_guard(self):
         lam = np.zeros((2, 3))

@@ -21,12 +21,10 @@ on first use so that importing packetlab loads numpy only.
 
 from .errors import (
     AccuracyWarning,
-    DegenerateInputError,
     DomainError,
     NumericalError,
     PacketLabError,
     PreconditionError,
-    UnsupportedModelError,
 )
 from .numkit import (
     RandomStream,

@@ -46,9 +46,6 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # canonical rendering
 
-_JSON_SEP_ITEM = ", "
-_JSON_SEP_KEY = ": "
-
 
 def _fmt_float(v: float) -> str:
     if not math.isfinite(v):
@@ -57,6 +54,18 @@ def _fmt_float(v: float) -> str:
     if v == 0.0:
         return "0"
     return format(v, ".17g")
+
+
+def _render_array(arr: np.ndarray) -> list:
+    """Each entry of a 1-D numeric array as _render_json writes that scalar."""
+    if arr.dtype.kind == "b":
+        return ["true" if v else "false" for v in arr.tolist()]
+    if arr.dtype.kind in "iu":
+        return [str(v) for v in arr.tolist()]
+    finite = np.isfinite(arr)  # one check for the whole array
+    if not finite.all():
+        _fmt_float(float(arr[np.argmin(finite)]))  # raises for the first one
+    return ["0" if v == 0.0 else f"{v:.17g}" for v in arr.tolist()]
 
 
 def _render_json(value) -> str:
@@ -71,22 +80,23 @@ def _render_json(value) -> str:
         return _fmt_float(float(value))
     if isinstance(value, str):
         return json.dumps(value)
-    if isinstance(value, np.ndarray):
-        return _render_json(value.tolist())
-    if isinstance(value, (list, tuple)):
-        return "[" + _JSON_SEP_ITEM.join(_render_json(x) for x in value) + "]"
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "biuf":
+        return "[" + ", ".join(_render_array(value)) + "]"
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return "[" + ", ".join(_render_json(x) for x in value) + "]"
     if isinstance(value, dict):
         items = (
-            json.dumps(str(k)) + _JSON_SEP_KEY + _render_json(v)
+            json.dumps(str(k)) + ": " + _render_json(v)
             for k, v in value.items()
         )
-        return "{" + _JSON_SEP_ITEM.join(items) + "}"
+        return "{" + ", ".join(items) + "}"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _render_csv(header, rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_render_json(c) for c in row) for row in rows)
+def _render_csv(columns: dict) -> str:
+    cells = [_render_array(column) for column in columns.values()]
+    lines = [",".join(columns)]
+    lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -198,16 +208,18 @@ def _choice(*options: str):
 
 
 # ---------------------------------------------------------------------------
-# the command registry: each handler registers its key, help line and
-# parameter table of (flag, converter, default, help) with @_command
+# the command registry: each handler registers its key, help line, parameter
+# table of (flag, converter, default, help) and whether it has a table with
+# @_command, which stores every handler as one that returns (fields, columns)
 
-_Command = collections.namedtuple("_Command", "help flags handler")
+_Command = collections.namedtuple("_Command", "help flags handler table")
 _COMMANDS = {}  # key -> _Command, in --help order
 
 
-def _command(key: str, help_text: str, *flags):
+def _command(key: str, help_text: str, *flags, table: bool = False):
     def register(handler):
-        _COMMANDS[key] = _Command(help_text, flags, handler)
+        uniform = handler if table else lambda p: (handler(p), None)
+        _COMMANDS[key] = _Command(help_text, flags, uniform, table)
         return handler
 
     return register
@@ -229,12 +241,10 @@ _PAIR_FLAGS = (
     ("b", _float_list(3), None, "analyser direction b as x,y,z"),
 )
 
-# distribution-shaped commands may emit CSV
-_CSV_COMMANDS = frozenset({"condspace", "cavity", "counts"})
-
 # ---------------------------------------------------------------------------
-# handlers and their helpers; each handler takes the resolved params and
-# returns (fields, csv_payload)
+# handlers and their helpers; each takes the resolved params and returns its
+# record's fields, and one registered with a table returns (fields, columns):
+# columns maps each CSV column name to a 1-D array, one entry per row
 
 
 def _axis_from(values, name: str) -> numkit.UnitVector3:
@@ -272,7 +282,7 @@ def _cmd_bell(p: dict):
     model = _PAIR_MODELS[p["model"]]()
     a, b = _settings_from(p, ("a", "b"), (0.0, 45.0))
     table = spincorr.joint_table(model, a, b)
-    fields = {
+    return {
         "a": list(a.as_array()),
         "b": list(b.as_array()),
         "joint": {"pp": table.pp, "pm": table.pm, "mp": table.mp, "mm": table.mm},
@@ -280,7 +290,6 @@ def _cmd_bell(p: dict):
         "marginal_b_plus": spincorr.marginal(model, a, b, +1),
         "marginal_b_minus": spincorr.marginal(model, a, b, -1),
     }
-    return fields, None
 
 
 @_command(
@@ -309,7 +318,7 @@ def _cmd_chsh(p: dict):
         fields["three_sigma"] = 3.0 * math.sqrt(
             sum((1.0 - e * e) / n for e in estimates)
         )
-    return fields, None
+    return fields
 
 
 @_command(
@@ -323,14 +332,13 @@ def _cmd_sample(p: dict):
     n = p["n"]
     totals = spincorr.block_pair_counts(model, a, b, n, p["seed"], workers=p["shards"])
     estimate = spincorr.coincidence_expectation(*totals)
-    fields = dict(zip(("n_pp", "n_pm", "n_mp", "n_mm"), totals))
-    fields.update({
+    return {
+        **dict(zip(("n_pp", "n_pm", "n_mp", "n_mm"), totals)),
         "samples": n,
         "expectation_estimate": estimate,
         "three_sigma": 3.0 * math.sqrt((1.0 - estimate**2) / n),
         "expectation_closed_form": spincorr.expectation(model, a, b),
-    })
-    return fields, None
+    }
 
 
 @_command(
@@ -370,7 +378,7 @@ def _cmd_lhv(p: dict):
     fields["max_K"] = max_k
     fields["bound"] = bound
     fields["satisfied"] = bool(max_k <= bound + spincorr.CHSH_BOUND_TOL)
-    return fields, None
+    return fields
 
 
 @_command(
@@ -398,13 +406,12 @@ def _cmd_nosignal(p: dict):
         n_col = numkit.sample_integer(rng, 0, cols - 1)
         sign = +1 if trial % 2 == 0 else -1
         worst = max(worst, spincorr.no_signaling_audit(coeffs, u, n_col, sign=sign)[3])
-    fields = {
+    return {
         "trials": p["trials"],
         "max_dim": max_dim,
         "max_deviation": worst,
         "satisfied": bool(worst < 1e-10),
     }
-    return fields, None
 
 
 @_command(
@@ -439,7 +446,7 @@ def _cmd_reduce(p: dict):
         fields["window_mass"] = float(np.sum(coeffs.probabilities()[sorted(set(window))]))
     if pick:
         fields["picked"] = int(np.argmax(out.probabilities()))
-    return fields, None
+    return fields
 
 
 @_command(
@@ -450,6 +457,7 @@ def _cmd_reduce(p: dict):
     ("grid", _float_list(3), [-8.0, 8.0, 161], "grid as start,stop,points"),
     ("x2", _flt, 1.0, "conditioning position of the second particle"),
     ("symmetry", _choice("none", "bose", "fermi"), "bose", "exchange symmetry"),
+    table=True,
 )
 def _cmd_condspace(p: dict):
     start, stop, num_raw = p["grid"]
@@ -488,8 +496,7 @@ def _cmd_condspace(p: dict):
         "conditional": conditional,
         "density": density,
     }
-    rows = list(zip(psi.grid, conditional, density))
-    return fields, (("x", "conditional", "density"), rows)
+    return fields, {"x": psi.grid, "conditional": conditional, "density": density}
 
 
 @_command(
@@ -509,7 +516,7 @@ def _cmd_actionprob(p: dict):
     interactions, efficiency = actionprob.efficiency_decomposition(
         w_center, setup.psi_i.norm_sq(), kappa * (setup.t - setup.t0)
     )
-    fields = {
+    return {
         "width_ratio": actionprob.width_ratio(setup, scatterer),
         "probes": p["probes"],
         "finals": p["finals"],
@@ -519,7 +526,6 @@ def _cmd_actionprob(p: dict):
         "interaction_number": interactions,
         "efficiency": efficiency,
     }
-    return fields, None
 
 
 @_command(
@@ -543,7 +549,7 @@ def _cmd_packet_spread(p: dict):
     result = wavepacket.spread_after_flight(
         disp, k0, width0, p["distance"], p["direction"]
     )
-    fields = {
+    return {
         "mass_kg": p["mass-kg"],
         "kinetic_mev": p["kinetic-mev"],
         "k0": k0,
@@ -551,10 +557,9 @@ def _cmd_packet_spread(p: dict):
         "initial_full_length": 2.0 * width0,
         "distance": p["distance"],
         "direction": p["direction"],
+        **result,
+        "final_full_length": 2.0 * result["final_width"],
     }
-    fields.update(result)
-    fields["final_full_length"] = 2.0 * result["final_width"]
-    return fields, None
 
 
 @_command(
@@ -583,7 +588,7 @@ def _cmd_packet_coherence(p: dict):
     }
     if length is not None:
         fields["ratio_to_gaussian"] = length / (2.0 * sigma)
-    return fields, None
+    return fields
 
 
 @_command(
@@ -596,14 +601,13 @@ def _cmd_packet_accum(p: dict):
     t = wavepacket.accumulation_time(
         p["threshold-ev"] * E_CHARGE, p["flux"], p["area"]
     )
-    fields = {
+    return {
         "threshold_ev": p["threshold-ev"],
         "flux": p["flux"],
         "area": p["area"],
         "t_accumulate_s": t,
         "t_accumulate_years": t / (365.25 * 86400.0),
     }
-    return fields, None
 
 
 @_command(
@@ -617,7 +621,7 @@ def _cmd_packet_sterngerlach(p: dict):
     alpha = wavepacket.stern_gerlach_deflection(
         p["mu-z"], p["grad-b"], p["dt"], p["p-y"]
     )
-    fields = {
+    return {
         "mu_z": p["mu-z"],
         "grad_b": p["grad-b"],
         "dt": p["dt"],
@@ -626,7 +630,6 @@ def _cmd_packet_sterngerlach(p: dict):
         "split_angle_rad": 2.0 * abs(alpha),
         "bohr_magneton": wavepacket.BOHR_MAGNETON,
     }
-    return fields, None
 
 
 @_command(
@@ -641,6 +644,7 @@ def _cmd_packet_sterngerlach(p: dict):
     ("x-hi", _posflt, 40.0, "highest h nu / k T"),
     ("polarizations", _posint, 2, "polarizations per mode (1 or 2)"),
     ("entropy", _boolean, False, "also report entropy and its derivatives"),
+    table=True,
 )
 def _cmd_cavity(p: dict):
     if p["polarizations"] not in (1, 2):
@@ -678,12 +682,8 @@ def _cmd_cavity(p: dict):
         s, ds_de, ds_dn = quantstat.entropy_and_derivatives(cavity, bins)
         fields.update(entropy=s, ds_de=ds_de, ds_dn=ds_dn,
                       ds_de_times_t=ds_de * temperature)
-    fields["nu"] = nu
-    fields["g"] = g
-    fields["mean_counts"] = counts
-
-    rows = list(zip(nu, x, g, counts, u_density))
-    return fields, (("nu", "x", "g", "count", "energy_density"), rows)
+    fields.update(nu=nu, g=g, mean_counts=counts)
+    return fields, {"nu": nu, "x": x, "g": g, "count": counts, "energy_density": u_density}
 
 
 @_command(
@@ -696,6 +696,7 @@ def _cmd_cavity(p: dict):
     ("eta", _posflt, 1.0, "detection efficiency in (0, 1]"),
     ("mmax", _posint, None, "truncate the reported distribution at this count"),
     ("mc", _posint, None, "also sample this many Monte Carlo counts"),
+    table=True,
 )
 def _cmd_counts(p: dict):
     statistics = quantstat.Statistics(p["stat"])
@@ -738,8 +739,7 @@ def _cmd_counts(p: dict):
         fields["variance_three_sigma"] = 3.0 * math.sqrt(
             max(mu4 - dist.central_moment(2) ** 2, 0.0) / n
         )
-    rows = list(zip(range(len(w)), w))
-    return fields, (("m", "W"), rows)
+    return fields, {"m": np.arange(w.size), "W": w}
 
 
 @_command(
@@ -770,7 +770,7 @@ def _cmd_balance(p: dict):
         [nu, quantstat.einstein_balance(300.0, nu, 1.0, 1e9)[2]]
         for nu in p["frequencies"]
     ]
-    fields = {
+    return {
         "trials": p["trials"],
         "max_residual": max_residual,
         "broken_trials": p["broken-trials"],
@@ -778,7 +778,6 @@ def _cmd_balance(p: dict):
         "einstein_max_residual": einstein_max,
         "a_over_b": a_over_b,
     }
-    return fields, None
 
 
 @_command(
@@ -801,7 +800,7 @@ def _cmd_vonlaue(p: dict):
         p["packet-dnu"],
         p["r"],
     )
-    fields = {
+    return {
         "field_dof": f_count,
         "n_spectral": n1,
         "n_transverse": n2,
@@ -809,7 +808,6 @@ def _cmd_vonlaue(p: dict):
         "packet_product_over_field_dof": ratio,
         "r": p["r"],
     }
-    return fields, None
 
 
 # invocations that several checks read: (command key, config), the config
@@ -948,7 +946,8 @@ def _subcommand_fields(p: dict, key: str, config: dict) -> dict:
     """The fields of one subcommand's record at p's --seed and --shards."""
     command = _COMMANDS[key]
     config = dict(config, seed=p["seed"], shards=p["shards"])
-    return command.handler(_resolve(command.flags, argparse.Namespace(), config))[0]
+    fields, _columns = command.handler(_resolve(command.flags, argparse.Namespace(), config))
+    return fields
 
 
 _CHECK_MODES = {
@@ -978,13 +977,12 @@ def _cmd_regress(p: dict):
         checks.append({"name": name, "value": value, "expected": expected,
                        "tol": tol, "mode": mode, "ok": ok})
     failures = sum(1 for ch in checks if not ch["ok"])
-    fields = {
+    return {
         "checks": checks,
         "total": len(checks),
         "failures": failures,
         "all_ok": failures == 0,
     }
-    return fields, None
 
 
 # the packet subcommands are also reachable without the prefix
@@ -1097,21 +1095,20 @@ def run(argv, stdout=None, stderr=None) -> int:
         key = _command_key(ns)
         command = _COMMANDS[key]
         params = _resolve(command.flags, ns, _load_config(getattr(ns, "config", None)))
-        if params["format"] == "csv" and key not in _CSV_COMMANDS:
-            names = ", ".join(sorted(_CSV_COMMANDS))
+        if params["format"] == "csv" and not command.table:
+            names = ", ".join(sorted(k for k, c in _COMMANDS.items() if c.table))
             raise CliError(f"csv output is only available for {names}")
         with warnings.catch_warnings(record=True) as caught:
             try:
-                fields, csv_payload = command.handler(params)
+                fields, columns = command.handler(params)
             finally:
                 for w in caught:
                     print(f"warning: {w.message}", file=stderr)
 
         if params["format"] == "csv":
-            text = _render_csv(*csv_payload)
+            text = _render_csv(columns)
         else:
-            record = {"command": key, "seed": params["seed"], "params": params}
-            record.update(fields)
+            record = {"command": key, "seed": params["seed"], "params": params, **fields}
             text = _render_json(record) + "\n"
         if params["out"] is not None:
             try:

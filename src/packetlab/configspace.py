@@ -17,7 +17,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, PreconditionError
+from .errors import DomainError, PreconditionError
 from .numkit import RandomStream
 
 __all__ = [
@@ -133,7 +133,7 @@ def symmetrize(psi: ManyBodyWavefunction, sign: int = +1) -> ManyBodyWavefunctio
         total = total + factor * np.transpose(psi.tensor, perm)
     norm = math.sqrt(float(np.sum(np.abs(total) ** 2)) * psi.spacing**ndim)
     if norm < 1e-12:
-        raise DegenerateInputError(
+        raise PreconditionError(
             "antisymmetrization annihilated the state (Pauli-excluded input)"
         )
     tag = "symmetric" if sign == 1 else "antisymmetric"

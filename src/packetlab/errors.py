@@ -15,15 +15,8 @@ class DomainError(PacketLabError, ValueError):
 
 
 class PreconditionError(PacketLabError, ValueError):
-    """A documented input contract was violated (normalization, grids, tags)."""
-
-
-class DegenerateInputError(PacketLabError, ValueError):
-    """The operation annihilated its input (e.g. Pauli-excluded antisymmetrization)."""
-
-
-class UnsupportedModelError(PacketLabError, ValueError):
-    """The requested model has no defined law for this operation."""
+    """A documented input contract was violated: normalization, grids, tags,
+    a state the operation annihilates, or a model with no law for it."""
 
 
 class NumericalError(PacketLabError, RuntimeError):

@@ -65,7 +65,7 @@ class UnitVector3:
 
     def __post_init__(self):
         n = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-        if abs(n - 1.0) > _UNIT_TOL:
+        if not abs(n - 1.0) <= _UNIT_TOL:  # also true for a NaN norm
             raise PreconditionError(
                 f"unit vector norm {n!r} deviates from 1 by more than {_UNIT_TOL}"
             )

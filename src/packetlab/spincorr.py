@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, UnsupportedModelError
+from .errors import DomainError, PreconditionError
 from .numkit import MC_BLOCK, RandomStream, UnitVector3, run_blocks
 from .numkit import sample_isotropic_directions
 
@@ -142,7 +142,7 @@ def joint_probability(
     here and are rejected.
     """
     if model.kind is ModelKind.TRIPLET:
-        raise UnsupportedModelError("no joint probability law for triplet states")
+        raise PreconditionError("no joint probability law for triplet states")
     r = _outcome(r_a) * _outcome(r_b)
     cos_t = math.cos(_angle_between(a, b))
     if model.kind is ModelKind.QM_SINGLET:
@@ -224,7 +224,7 @@ def sample_pair_counts(
     four uniforms per pair are consumed all the same.
     """
     if model.kind is ModelKind.TRIPLET:
-        raise UnsupportedModelError("no sampling law for triplet states")
+        raise PreconditionError("no sampling law for triplet states")
     if n <= 0:
         raise DomainError("n must be positive")
     u = rng.uniform(size=4 * n).reshape(n, 4)

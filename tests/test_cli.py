@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import packetlab
 from packetlab import cli
 from packetlab.cli import run
-from packetlab.errors import AccuracyWarning
+from packetlab.errors import AccuracyWarning, NumericalError
 from packetlab.numkit import K_BOLTZMANN
 
 # the wide default photon window includes sparse near-pole bins; their
@@ -333,8 +333,9 @@ class TestOutputContracts:
         assert len(lines) == 17
 
     def test_csv_cells_render_like_json_scalars(self):
-        row = (np.float64(0.1), 0.0, np.int64(7), np.bool_(True))
-        text = cli._render_csv(("a", "b", "c", "d"), [row])
+        columns = {"a": np.array([np.float64(0.1)]), "b": np.array([0.0]),
+                   "c": np.array([np.int64(7)]), "d": np.array([np.bool_(True)])}
+        text = cli._render_csv(columns)
         assert text == "a,b,c,d\n0.10000000000000001,0,7,true\n"
 
     def test_condspace_csv(self):
@@ -343,6 +344,84 @@ class TestOutputContracts:
         lines = out.strip().split("\n")
         assert lines[0] == "x,conditional,density"
         assert len(lines) == 162
+
+
+# the commands that have a table, and the README flags of each
+TABLE_COMMANDS = {
+    "cavity": ("--temperature", "5800", "--entropy"),
+    "condspace": ("--symmetry", "fermi", "--x2", "0.5"),
+    "counts": ("--stat", "bose", "--g", "1", "--mbar", "1", "--mmax", "5"),
+}
+
+
+class TestCsvTables:
+    def test_registry_marks_the_table_commands(self):
+        assert sorted(k for k, c in cli._COMMANDS.items() if c.table) == sorted(TABLE_COMMANDS)
+
+    @pytest.mark.parametrize("key", list(cli._COMMANDS))
+    def test_csv_only_for_commands_with_a_table(self, key):
+        code, out, err = run_cli(*key.split(), *TABLE_COMMANDS.get(key, ()), "--format", "csv")
+        if key in TABLE_COMMANDS:
+            assert code == 0, err
+            assert out.count("\n") > 1
+        else:
+            assert (code, out) == (1, "")
+            assert err == "error: csv output is only available for cavity, condspace, counts\n"
+
+    @pytest.mark.parametrize("key, pairs", [
+        ("counts", {"W": "w"}),
+        ("condspace", {"conditional": "conditional", "density": "density"}),
+        ("cavity", {"nu": "nu", "g": "g", "count": "mean_counts"}),
+    ])
+    def test_csv_columns_read_as_the_json_arrays(self, key, pairs):
+        argv = (key, *TABLE_COMMANDS[key])
+        header, *lines = run_cli(*argv, "--format", "csv")[1].splitlines()
+        table = dict(zip(header.split(","), zip(*(line.split(",") for line in lines))))
+        # each JSON number as its text
+        rec = json.loads(run_cli(*argv)[1], parse_float=str, parse_int=str)
+        for column, field in pairs.items():
+            assert list(table[column]) == rec[field]
+
+
+# finite floats, with the edges of the format drawn on purpose: signed
+# zeros, subnormals, the largest float and integer-valued floats
+_RENDER_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.integers(-(2**60), 2**60).map(float),
+)
+
+
+class TestArrayRenderer:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(_RENDER_FLOATS, max_size=30))
+    def test_floats_render_as_the_scalar_path(self, values):
+        arr = np.array(values, dtype=float)
+        cells = cli._render_array(arr)
+        assert cells == [cli._fmt_float(v) for v in values]
+        assert cli._render_json(arr) == "[" + ", ".join(cells) + "]"
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=30))
+    def test_ints_render_as_the_scalar_path(self, values):
+        arr = np.array(values, dtype=np.int64)
+        assert cli._render_array(arr) == [cli._render_json(v) for v in arr]
+
+    @settings(max_examples=50, deadline=None)
+    @given(values=st.lists(st.booleans(), max_size=30))
+    def test_bools_render_as_the_scalar_path(self, values):
+        arr = np.array(values, dtype=bool)
+        assert cli._render_array(arr) == [cli._render_json(v) for v in arr]
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(_RENDER_FLOATS, max_size=20), data=st.data())
+    def test_non_finite_entry_raises_anywhere(self, values, data):
+        bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        values.insert(data.draw(st.integers(0, len(values))), bad)
+        with pytest.raises(NumericalError, match="not finite") as info:
+            cli._render_array(np.array(values))
+        assert str(info.value) == f"a result is not finite ({bad!r})"
 
 
 class TestExitCodes:

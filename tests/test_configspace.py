@@ -20,7 +20,7 @@ from packetlab.configspace import (
     reduce_expansion,
     symmetrize,
 )
-from packetlab.errors import DegenerateInputError, DomainError, PreconditionError
+from packetlab.errors import DomainError, PreconditionError
 from packetlab.numkit import RandomStream, sampled_gaussian
 
 START, SPACING, NUM = -8.0, 16.0 / 127, 128
@@ -92,7 +92,7 @@ class TestSymmetrize:
     def test_pauli_annihilation(self):
         # antisymmetrizing two quanta in the same packet has nowhere to go
         psi = ManyBodyWavefunction.from_product([_packet(0.0), _packet(0.0)])
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(PreconditionError):
             symmetrize(psi, -1)
 
     def test_double_tag_rejected(self):

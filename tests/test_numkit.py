@@ -50,6 +50,20 @@ class TestUnitVector3:
         with pytest.raises(PreconditionError):
             UnitVector3(1.0 + eps, 0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(3))
+    def test_non_finite_component_refused(self, bad, slot):
+        # a NaN norm compares False against any bound, so the guard must
+        # fail on it; UnitVector3(nan, 0, 0) once constructed
+        parts = [0.0, 0.0, 0.0]
+        parts[(slot + 1) % 3] = 1.0
+        parts[slot] = bad
+        with pytest.raises(PreconditionError):
+            UnitVector3(*parts)
+        parts[(slot + 1) % 3] = 0.0
+        with pytest.raises(PreconditionError):
+            UnitVector3(*parts)
+
     def test_normalized(self):
         v = UnitVector3.normalized(3.0, 4.0, 0.0)
         assert abs(v.x - 0.6) < 1e-15 and abs(v.y - 0.8) < 1e-15

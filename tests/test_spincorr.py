@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from packetlab.errors import (
     DomainError,
     PreconditionError,
-    UnsupportedModelError,
 )
 from packetlab.numkit import (
     MC_BLOCK,
@@ -170,7 +169,7 @@ class TestMarginals:
     def test_triplet_has_no_joint_law(self):
         z = UnitVector3(0.0, 0.0, 1.0)
         a = coplanar_axis(0.7)
-        with pytest.raises(UnsupportedModelError):
+        with pytest.raises(PreconditionError):
             marginal(PairModel.triplet(1, z), a, z, 1)
 
 
@@ -325,7 +324,7 @@ class TestBlockSampling:
 
     def test_triplet_blocks_rejected(self):
         z = UnitVector3(0.0, 0.0, 1.0)
-        with pytest.raises(UnsupportedModelError):
+        with pytest.raises(PreconditionError):
             block_pair_counts(PairModel.triplet(0, z), z, z, 10, 0)
 
 

@@ -2,9 +2,12 @@
 
 One executable, one subcommand per experiment family. Everything a run
 needs is on the command line or in a JSON config whose keys mirror the
-flags; flags win over config. Output is a single JSON record (or CSV for
-the distribution-shaped commands) with the resolved parameters embedded,
-so a record is reproducible from itself.
+flags; flags win over config. argv is read against the command registry:
+a flag's value is the next token, whatever it looks like, or the text
+after '='; a boolean flag takes none; the last of a repeated flag wins,
+and a flag name is never abbreviated. Output is a single JSON record (or
+CSV for the distribution-shaped commands) with the resolved parameters
+embedded, so a record is reproducible from itself.
 
 Exit codes: 0 on success, 1 for invalid input (a malformed flag or a
 value the library rejects), 2 for numerical failure, including an
@@ -15,11 +18,9 @@ the library's and the front end's own notices alike.
 
 from __future__ import annotations
 
-import argparse
 import collections
 import json
 import math
-import re
 import sys
 import warnings
 
@@ -34,13 +35,6 @@ __all__ = ["main", "run", "CliError"]
 
 class CliError(Exception):
     """Bad invocation: unknown flag, malformed value, conflicting options."""
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse wants to sys.exit on usage errors; route them through the
-    # single exit-code policy instead
-    def error(self, message):
-        raise CliError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -945,9 +939,8 @@ def _bespoke_values(p: dict) -> dict:
 def _subcommand_fields(p: dict, key: str, config: dict) -> dict:
     """The fields of one subcommand's record at p's --seed and --shards."""
     command = _COMMANDS[key]
-    config = dict(config, seed=p["seed"], shards=p["shards"])
-    fields, _columns = command.handler(_resolve(command.flags, argparse.Namespace(), config))
-    return fields
+    given = {"seed": p["seed"], "shards": p["shards"]}
+    return command.handler(_resolve(command.flags, config, given))[0]
 
 
 _CHECK_MODES = {
@@ -985,49 +978,57 @@ def _cmd_regress(p: dict):
     }
 
 
-# the packet subcommands are also reachable without the prefix
-_PACKET_SUBCOMMANDS = tuple(
-    key.split()[1] for key in _COMMANDS if key.startswith("packet ")
-)
-
-
 # ---------------------------------------------------------------------------
 # wiring
 
 
-def _add_flags(parser: argparse.ArgumentParser, flags):
-    for name, conv, _default, help_text in list(flags) + _GLOBAL_FLAGS:
-        if conv is _boolean:
-            kind = dict(action="store_const", const="true")
-        else:
-            kind = dict(metavar="V")
-        parser.add_argument(f"--{name}", dest=name.replace("-", "_"), default=None,
-                            help=help_text, **kind)
+def _parse_argv(argv) -> tuple:
+    """The command key and the raw text of each flag given, or None for --help."""
+    words = list(argv)
+    packet = words[:1] == ["packet"]  # an optional prefix of the packet commands
+    if len(words) == packet:
+        raise CliError("missing command; packetlab --help lists them")
+    head, *rest = words[packet:]
+    if head in ("-h", "--help"):
+        return None, None
+    key = head if head in _COMMANDS and not packet else f"packet {head}"
+    if key not in _COMMANDS:
+        got = " ".join(words[: packet + 1])
+        raise CliError(f"unknown command: {got}; packetlab --help lists them")
+    convs = {name: conv for name, conv, *_ in [*_COMMANDS[key].flags, *_GLOBAL_FLAGS]}
+    given = {}
+    tokens = iter(rest)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return key, None
+        name, eq, raw = token[2:].partition("=")
+        if not token.startswith("--") or name not in convs:
+            raise CliError(f"{key} has no flag {token}")
+        boolean = convs[name] is _boolean
+        if boolean and eq:
+            raise CliError(f"flag --{name} takes no value")
+        given[name] = True if boolean else raw if eq else next(tokens, None)
+        if given[name] is None:
+            raise CliError(f"flag --{name} needs a value")
+    return key, given
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="packetlab", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for key, command in _COMMANDS.items():
-        if not key.startswith("packet "):
-            _add_flags(sub.add_parser(key, help=command.help), command.flags)
-
-    packet = sub.add_parser("packet", help="wavepacket kinematics")
-    inner = packet.add_subparsers(dest="packet_command", required=True,
-                                  metavar="SUBCOMMAND")
-    for name in _PACKET_SUBCOMMANDS:
-        command = _COMMANDS[f"packet {name}"]
-        _add_flags(inner.add_parser(name, help=command.help), command.flags)
-        _add_flags(sub.add_parser(name, help=command.help), command.flags)
-    return parser
-
-
-def _command_key(ns: argparse.Namespace) -> str:
-    if ns.command == "packet":
-        return f"packet {ns.packet_command}"
-    if ns.command in _PACKET_SUBCOMMANDS:
-        return f"packet {ns.command}"
-    return ns.command
+def _usage(key) -> str:
+    """The --help text: every command, or one command's flags and defaults."""
+    if key is None:
+        head = ("COMMAND [--FLAG V ...]\n\nCOMMAND --help lists its flags; "
+                "the packet commands may drop the word packet")
+        rows = [(k, c.help) for k, c in _COMMANDS.items()]
+    else:
+        head = f"{key} [--FLAG V ...]\n\n{_COMMANDS[key].help}"
+        rows = []
+        for name, conv, default, text in [*_COMMANDS[key].flags, *_GLOBAL_FLAGS]:
+            if isinstance(default, list):
+                default = ",".join(map(str, default))
+            flag = f"--{name}" if conv is _boolean else f"--{name} V"
+            shown = "" if default is None or conv is _boolean else f" (default: {default})"
+            rows.append((flag, text + shown))
+    return f"usage: packetlab {head}\n\n" + "".join(f"  {a:<20} {b}\n" for a, b in rows)
 
 
 def _load_config(path):
@@ -1045,38 +1046,18 @@ def _load_config(path):
     return data
 
 
-def _resolve(flags, ns: argparse.Namespace, config: dict) -> dict:
-    spec = list(flags) + _GLOBAL_FLAGS
+def _resolve(flags, config: dict, given: dict) -> dict:
+    """Each flag's typed value from argv, else from config, else its default."""
+    spec = [*flags, *_GLOBAL_FLAGS]
     allowed = {name for name, *_ in spec if name != "config"}
     unknown = sorted(key for key in config if key not in allowed)
     if unknown:
         raise CliError(f"unknown config keys: {', '.join(unknown)}")
     params = {}
     for name, conv, default, _help in spec:
-        raw = getattr(ns, name.replace("-", "_"), None)
-        if raw is None and name != "config":
-            raw = config.get(name)
+        raw = given.get(name, config.get(name))
         params[name] = default if raw is None else conv(raw, name)
     return params
-
-
-_NEGATIVE_VALUE = re.compile(r"-\.?\d")
-_BARE_FLAG = re.compile(r"--[^=]+")
-
-
-def _attach_negative_values(argv) -> list:
-    """Rewrite `--flag -1,2` as `--flag=-1,2`.
-
-    argparse reads any later token that starts with '-' as a flag, unless
-    it looks like a plain negative number; lists and exponents do not.
-    """
-    out = []
-    for token in argv:
-        if out and _NEGATIVE_VALUE.match(token) and _BARE_FLAG.fullmatch(out[-1]):
-            out[-1] += "=" + token
-        else:
-            out.append(token)
-    return out
 
 
 def run(argv, stdout=None, stderr=None) -> int:
@@ -1088,13 +1069,12 @@ def run(argv, stdout=None, stderr=None) -> int:
     stdout = sys.stdout if stdout is None else stdout
     stderr = sys.stderr if stderr is None else stderr
     try:
-        try:
-            ns = _build_parser().parse_args(_attach_negative_values(argv))
-        except SystemExit as exc:  # --help
-            return int(exc.code or 0)
-        key = _command_key(ns)
+        key, given = _parse_argv(argv)
+        if given is None:
+            stdout.write(_usage(key))
+            return 0
         command = _COMMANDS[key]
-        params = _resolve(command.flags, ns, _load_config(getattr(ns, "config", None)))
+        params = _resolve(command.flags, _load_config(given.get("config")), given)
         if params["format"] == "csv" and not command.table:
             names = ", ".join(sorted(k for k, c in _COMMANDS.items() if c.table))
             raise CliError(f"csv output is only available for {names}")

@@ -31,7 +31,6 @@ from .numkit import (
     SampledFunction1D,
     UnitVector3,
     fourier_widths,
-    integrate_1d,
     log_binomial,
     normalize,
     position_width,
@@ -101,7 +100,6 @@ from .quantstat import (
     RADIATION_CONSTANT,
     CavitySpec,
     CountDistribution,
-    OccupancyDistribution,
     Statistics,
     balance_residual,
     binomial_fold_check,
@@ -110,7 +108,6 @@ from .quantstat import (
     count_variance,
     einstein_balance,
     entropy_and_derivatives,
-    occupancy,
     packet_quanta_dist,
     photon_bins,
     photon_mode_count,

@@ -125,6 +125,8 @@ def _posint(raw, name: str) -> int:
     value = _as_int(raw, name)
     if value < 1:
         raise CliError(f"parameter {name}: must be a positive integer")
+    if value > 2**53:  # floats hold every integer up to here; quantstat caps g alike
+        raise CliError(f"parameter {name}: must be at most 2**53")
     return value
 
 
@@ -204,7 +206,9 @@ def _choice(*options: str):
 # ---------------------------------------------------------------------------
 # the command registry: each handler registers its key, help line, parameter
 # table of (flag, converter, default, help) and whether it has a table with
-# @_command, which stores every handler as one that returns (fields, columns)
+# @_command, which stores every handler as one that returns (fields, columns).
+# It is the one description of each flag: argv is parsed and --help written
+# from it
 
 _Command = collections.namedtuple("_Command", "help flags handler table")
 _COMMANDS = {}  # key -> _Command, in --help order
@@ -236,8 +240,9 @@ _PAIR_FLAGS = (
 )
 
 # ---------------------------------------------------------------------------
-# handlers and their helpers; each takes the resolved params and returns its
-# record's fields, and one registered with a table returns (fields, columns):
+# handlers and their helpers; each takes the params that _resolve typed from
+# argv, a --config file or a regress invocation, and returns its record's
+# fields; one registered with a table returns (fields, columns), where
 # columns maps each CSV column name to a 1-D array, one entry per row
 
 
@@ -384,6 +389,8 @@ def _cmd_nosignal(p: dict):
     max_dim = p["max-dim"]
     if max_dim < 2:
         raise CliError("parameter max-dim: need at least 2")
+    if max_dim > spincorr.MAX_BIPARTITE_DIM:  # before any matrix is drawn
+        raise CliError(f"dimensions capped at {spincorr.MAX_BIPARTITE_DIM}")
     # each trial draws, in this order, the row and column counts, the
     # coefficient matrix, the apparatus unitary and the probed column
     rng = numkit.RandomStream(p["seed"], 0)
@@ -458,6 +465,8 @@ def _cmd_condspace(p: dict):
     num = _as_int(num_raw, "grid")
     if num < 2:
         raise CliError("parameter grid: need at least 2 points")
+    if num > configspace.MAX_POINTS:  # before the grid is sampled
+        raise CliError(f"grid capped at {configspace.MAX_POINTS} points")
     if not stop > start:
         raise CliError("parameter grid: stop must exceed start")
     spacing = (stop - start) / (num - 1)
@@ -698,13 +707,7 @@ def _cmd_counts(p: dict):
     if (p["mbar"] is None) == (p["sbar"] is None):
         raise CliError("give exactly one of --mbar or --sbar")
     eta = p["eta"]
-    if p["sbar"] is not None:
-        s_bar = p["sbar"]
-    else:
-        try:
-            s_bar = p["mbar"] / (g * eta)
-        except OverflowError:  # g beyond float range
-            raise CliError("parameter g: too large to convert to a float") from None
+    s_bar = p["sbar"] if p["sbar"] is not None else p["mbar"] / (g * eta)
     dist = quantstat.count_distribution(statistics, g, s_bar, eta)
     w = dist.w if p["mmax"] is None else dist.w[: p["mmax"] + 1]
 

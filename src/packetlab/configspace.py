@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 _MAX_PARTICLES = 3
-_MAX_POINTS = 256
+MAX_POINTS = 256
 _SYMMETRIES = ("none", "symmetric", "antisymmetric")
 
 
@@ -56,8 +56,8 @@ class ManyBodyWavefunction:
             raise PreconditionError(f"particle count must be 1..{_MAX_PARTICLES}")
         if len(set(t.shape)) != 1:
             raise PreconditionError("all tensor axes must share the same grid")
-        if t.shape[0] > _MAX_POINTS:
-            raise PreconditionError(f"grid capped at {_MAX_POINTS} points")
+        if t.shape[0] > MAX_POINTS:
+            raise PreconditionError(f"grid capped at {MAX_POINTS} points")
         if not spacing > 0:
             raise PreconditionError("spacing must be positive")
         if symmetry not in _SYMMETRIES:
@@ -106,8 +106,8 @@ class ManyBodyWavefunction:
         for f in factors[1:]:
             if not first.same_grid(f):
                 raise PreconditionError("all factors must share one grid")
-        if len(first.values) > _MAX_POINTS:  # before the N^2 or N^3 outer product
-            raise PreconditionError(f"grid capped at {_MAX_POINTS} points")
+        if len(first.values) > MAX_POINTS:  # before the N^2 or N^3 outer product
+            raise PreconditionError(f"grid capped at {MAX_POINTS} points")
         tensor = factors[0].values
         for f in factors[1:]:
             tensor = np.multiply.outer(tensor, f.values)

@@ -2,13 +2,13 @@
 
 Unit vectors, reproducible counter-based random streams and the samplers
 that draw from them (isotropic directions, Box-Muller normals, Haar
-unitaries, bounded integers), fixed Monte Carlo blocks, adaptive
-quadrature, log-space binomial coefficients, sampled 1-D functions and
-their position/wavenumber widths, plus the physical constants and the
-special functions the other modules share.
+unitaries, bounded integers), fixed Monte Carlo blocks, log-space
+binomial coefficients, sampled 1-D functions and their position/wavenumber
+widths, plus the physical constants and the special functions the other
+modules share.
 
-Everything is desk scale on purpose: the quadrature is a plain adaptive
-Simpson rule, and the wavenumber moments come from numpy's FFT.
+Everything is desk scale on purpose: the wavenumber moments come from
+numpy's FFT.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import DomainError, NumericalError, PreconditionError
+from .errors import DomainError, PreconditionError
 
 __all__ = [
     "UnitVector3",
@@ -34,7 +34,6 @@ __all__ = [
     "sample_integer",
     "run_blocks",
     "log_binomial",
-    "integrate_1d",
     "fourier_widths",
     "position_width",
     "sampled_gaussian",
@@ -52,7 +51,6 @@ M_PROTON = 1.67262192595e-27  # kg
 _UNIT_TOL = 1e-12
 # below this 2-norm the sum of squares is subnormal and has lost digits
 _TINY_NORM = math.sqrt(np.finfo(float).tiny)
-_SIMPSON_MAX_DEPTH = 30
 
 
 @dataclass(frozen=True)
@@ -264,43 +262,6 @@ def log_binomial(n, k):
     if np.isscalar(n) and np.isscalar(k):
         return float(out)
     return out
-
-
-def integrate_1d(f, a: float, b: float, tol: float = 1e-10):
-    """Adaptive Simpson integral of a real or complex function on [a, b].
-
-    The recursion depth is capped at 30; exhausting it raises
-    NumericalError rather than returning a silently degraded value.
-    """
-    if not a < b:
-        raise DomainError("integration requires a < b")
-    if not tol > 0:
-        raise DomainError("tol must be positive")
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, _SIMPSON_MAX_DEPTH)
-
-
-def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    err = left + right - whole
-    if abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    if depth <= 0:
-        raise NumericalError(
-            f"adaptive Simpson did not converge on [{a}, {b}] within depth "
-            f"{_SIMPSON_MAX_DEPTH}"
-        )
-    return _adaptive_simpson(
-        f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1
-    ) + _adaptive_simpson(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1)
 
 
 class SampledFunction1D:

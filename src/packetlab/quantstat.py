@@ -1,7 +1,7 @@
 """Equilibrium statistics of quantized wave fields in a cavity.
 
-Mode counting over phase-space cells, the Bose/Fermi/Boltzmann occupancy
-laws per cell, spectral distributions, the radiation constant of the
+Mode counting over phase-space cells, the Bose/Fermi/Boltzmann mean
+occupancies per cell, spectral distributions, the radiation constant of the
 Stefan-Boltzmann law, the collision balance identity that fixes the
 equilibrium form (with a sampler of consistent parameter sets for it),
 Einstein's A/B recovery from the Planck case, combinatorial entropy with
@@ -38,11 +38,9 @@ __all__ = [
     "RADIATION_CONSTANT",
     "Statistics",
     "CavitySpec",
-    "OccupancyDistribution",
     "CountDistribution",
     "photon_mode_count",
     "photon_bins",
-    "occupancy",
     "spectral_distribution",
     "balance_residual",
     "sample_balance_args",
@@ -148,45 +146,6 @@ def photon_bins(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class OccupancyDistribution:
-    """Probabilities q(s) that one cell holds s quanta, plus the mean."""
-
-    statistics: Statistics
-    s_bar: float
-    q: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        object.__setattr__(self, "q", q)
-        if q.ndim != 1 or q.size == 0 or np.any(q < 0):
-            raise PreconditionError("q must be a nonempty nonnegative 1-D array")
-        if abs(float(np.sum(q)) - 1.0) > 1e-10:
-            raise PreconditionError("occupancy probabilities must sum to 1 within 1e-10")
-        mean = float(np.sum(np.arange(q.size) * q))
-        if abs(mean - self.s_bar) > 1e-10 * max(1.0, abs(self.s_bar)):
-            raise PreconditionError("occupancy mean must equal s_bar within 1e-10")
-        if self.statistics is Statistics.FERMI and q.size > 2 and np.any(q[2:] != 0.0):
-            raise PreconditionError("Fermi occupancy is supported on s in {0, 1}")
-
-
-def _geometric_weights(x: float, s_bar: float) -> np.ndarray:
-    # support chosen so both the tail mass x^(M+1) and the tail mean
-    # x^(M+1) (M+1+s_bar) stay under the truncation budget
-    log_x = math.log(x)
-    m = max(1, math.ceil(math.log(_TAIL_MASS) / log_x))
-    for _ in range(8):
-        if x ** (m + 1) * (m + 1 + s_bar) <= _TAIL_MEAN:
-            break
-        m = math.ceil((math.log(_TAIL_MEAN) - math.log(m + 1 + s_bar)) / log_x)
-    if m + 1 > _MAX_SUPPORT:
-        raise NumericalError(
-            "occupancy support exceeds the bookkeeping cap; mode too close to the pole"
-        )
-    s = np.arange(m + 1, dtype=float)
-    return -math.expm1(log_x) * np.exp(log_x * s)
-
-
 def _tail_within_budget(w_last: float, ratio: float, m: int, mean: float) -> bool:
     # successive-weight ratios are monotone nonincreasing for these laws,
     # so past the cutoff the tail is dominated by a geometric series; the
@@ -211,40 +170,6 @@ def _poisson_weights(lam: float) -> np.ndarray:
             return w
         m *= 2
     raise NumericalError("Poisson support exceeds the bookkeeping cap")
-
-
-def occupancy(
-    statistics: Statistics, epsilon: float, mu: float, temperature: float
-) -> OccupancyDistribution:
-    """Equilibrium distribution of the quanta count in one cell.
-
-    BOSE: geometric q(s) = (1-x) x^s with x = exp(-(eps-mu)/kT), needs
-    eps > mu. FERMI: two-point law on {0, 1}. BOLTZMANN: Poisson with
-    mean x, the no-condensation reduction.
-    """
-    if temperature <= 0:
-        raise DomainError("temperature must be positive")
-    y = (epsilon - mu) / (K_BOLTZMANN * temperature)
-    if statistics is Statistics.BOSE:
-        if y <= 0:
-            raise DomainError("Bose occupancy diverges for epsilon <= mu")
-        x = math.exp(-y)
-        if x == 0.0:
-            return OccupancyDistribution(statistics, 0.0, np.array([1.0]))
-        s_bar = x / -math.expm1(-y)
-        return OccupancyDistribution(statistics, s_bar, _geometric_weights(x, s_bar))
-    if statistics is Statistics.FERMI:
-        # logistic filling, evaluated on the stable side
-        if y >= 0:
-            e = math.exp(-y)
-            q1 = e / (1.0 + e)
-        else:
-            q1 = 1.0 / (1.0 + math.exp(y))
-        return OccupancyDistribution(statistics, q1, np.array([1.0 - q1, q1]))
-    if y < -700.0:
-        raise NumericalError("Boltzmann weight overflows double precision")
-    lam = math.exp(-y)
-    return OccupancyDistribution(statistics, lam, _poisson_weights(lam))
 
 
 def _reduced_energy(bins, temperature: float, mu: float) -> np.ndarray:

@@ -471,7 +471,7 @@ def semiclassical_lhv_model() -> LhvModel:
 # ---------------------------------------------------------------------------
 # bipartite coefficients and no-signaling audits
 
-_MAX_BIPARTITE_DIM = 64
+MAX_BIPARTITE_DIM = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -490,8 +490,8 @@ class BipartiteCoefficients:
         a = np.array(self.a, dtype=complex)
         if a.ndim != 2:
             raise PreconditionError("coefficients must form a matrix")
-        if a.shape[0] > _MAX_BIPARTITE_DIM or a.shape[1] > _MAX_BIPARTITE_DIM:
-            raise PreconditionError(f"dimensions capped at {_MAX_BIPARTITE_DIM}")
+        if a.shape[0] > MAX_BIPARTITE_DIM or a.shape[1] > MAX_BIPARTITE_DIM:
+            raise PreconditionError(f"dimensions capped at {MAX_BIPARTITE_DIM}")
         if not self.C > 0:
             raise PreconditionError("normalization constant must be positive")
         total = float(self.C**2 * np.sum(np.abs(a) ** 2))

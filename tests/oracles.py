@@ -1,0 +1,128 @@
+"""Reference implementations that the tests check packetlab's kernels against.
+
+No code in packetlab calls these: an adaptive Simpson quadrature, which
+checks the transition amplitudes, and the per-cell occupancy law, which the
+vectorized cavity columns must reproduce.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from packetlab import quantstat
+from packetlab.errors import DomainError, NumericalError, PreconditionError
+from packetlab.numkit import K_BOLTZMANN
+from packetlab.quantstat import Statistics
+
+_SIMPSON_MAX_DEPTH = 30
+
+
+def integrate_1d(f, a: float, b: float, tol: float = 1e-10):
+    """Adaptive Simpson integral of a real or complex function on [a, b].
+
+    The recursion depth is capped at 30; exhausting it raises
+    NumericalError rather than returning a silently degraded value.
+    """
+    if not a < b:
+        raise DomainError("integration requires a < b")
+    if not tol > 0:
+        raise DomainError("tol must be positive")
+    fa, fb = f(a), f(b)
+    m = 0.5 * (a + b)
+    fm = f(m)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    return _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, _SIMPSON_MAX_DEPTH)
+
+
+def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
+    m = 0.5 * (a + b)
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm, frm = f(lm), f(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    err = left + right - whole
+    if abs(err) <= 15.0 * tol:
+        return left + right + err / 15.0
+    if depth <= 0:
+        raise NumericalError(
+            f"adaptive Simpson did not converge on [{a}, {b}] within depth "
+            f"{_SIMPSON_MAX_DEPTH}"
+        )
+    return _adaptive_simpson(
+        f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1
+    ) + _adaptive_simpson(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1)
+
+
+@dataclass(frozen=True, eq=False)
+class OccupancyDistribution:
+    """Probabilities q(s) that one cell holds s quanta, plus the mean."""
+
+    statistics: Statistics
+    s_bar: float
+    q: np.ndarray
+
+    def __post_init__(self):
+        q = np.asarray(self.q, dtype=float)
+        object.__setattr__(self, "q", q)
+        if q.ndim != 1 or q.size == 0 or np.any(q < 0):
+            raise PreconditionError("q must be a nonempty nonnegative 1-D array")
+        if abs(float(np.sum(q)) - 1.0) > 1e-10:
+            raise PreconditionError("occupancy probabilities must sum to 1 within 1e-10")
+        mean = float(np.sum(np.arange(q.size) * q))
+        if abs(mean - self.s_bar) > 1e-10 * max(1.0, abs(self.s_bar)):
+            raise PreconditionError("occupancy mean must equal s_bar within 1e-10")
+        if self.statistics is Statistics.FERMI and q.size > 2 and np.any(q[2:] != 0.0):
+            raise PreconditionError("Fermi occupancy is supported on s in {0, 1}")
+
+
+def _geometric_weights(x: float, s_bar: float) -> np.ndarray:
+    # support chosen so both the tail mass x^(M+1) and the tail mean
+    # x^(M+1) (M+1+s_bar) stay under the truncation budget
+    log_x = math.log(x)
+    m = max(1, math.ceil(math.log(quantstat._TAIL_MASS) / log_x))
+    for _ in range(8):
+        if x ** (m + 1) * (m + 1 + s_bar) <= quantstat._TAIL_MEAN:
+            break
+        m = math.ceil((math.log(quantstat._TAIL_MEAN) - math.log(m + 1 + s_bar)) / log_x)
+    if m + 1 > quantstat._MAX_SUPPORT:
+        raise NumericalError(
+            "occupancy support exceeds the bookkeeping cap; mode too close to the pole"
+        )
+    s = np.arange(m + 1, dtype=float)
+    return -math.expm1(log_x) * np.exp(log_x * s)
+
+
+def occupancy(
+    statistics: Statistics, epsilon: float, mu: float, temperature: float
+) -> OccupancyDistribution:
+    """Equilibrium distribution of the quanta count in one cell.
+
+    BOSE: geometric q(s) = (1-x) x^s with x = exp(-(eps-mu)/kT), needs
+    eps > mu. FERMI: two-point law on {0, 1}. BOLTZMANN: Poisson with
+    mean x, the no-condensation reduction.
+    """
+    if temperature <= 0:
+        raise DomainError("temperature must be positive")
+    y = (epsilon - mu) / (K_BOLTZMANN * temperature)
+    if statistics is Statistics.BOSE:
+        if y <= 0:
+            raise DomainError("Bose occupancy diverges for epsilon <= mu")
+        x = math.exp(-y)
+        if x == 0.0:
+            return OccupancyDistribution(statistics, 0.0, np.array([1.0]))
+        s_bar = x / -math.expm1(-y)
+        return OccupancyDistribution(statistics, s_bar, _geometric_weights(x, s_bar))
+    if statistics is Statistics.FERMI:
+        # logistic filling, evaluated on the stable side
+        if y >= 0:
+            e = math.exp(-y)
+            q1 = e / (1.0 + e)
+        else:
+            q1 = 1.0 / (1.0 + math.exp(y))
+        return OccupancyDistribution(statistics, q1, np.array([1.0 - q1, q1]))
+    if y < -700.0:
+        raise NumericalError("Boltzmann weight overflows double precision")
+    lam = math.exp(-y)
+    return OccupancyDistribution(statistics, lam, quantstat._poisson_weights(lam))

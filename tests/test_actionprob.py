@@ -17,7 +17,8 @@ from packetlab.actionprob import (
     width_ratio,
 )
 from packetlab.errors import DomainError, PreconditionError
-from packetlab.numkit import integrate_1d, sampled_gaussian
+from packetlab.numkit import sampled_gaussian
+from oracles import integrate_1d
 
 
 def _grid(start=-30.0, spacing=0.1):

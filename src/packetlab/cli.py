@@ -2,12 +2,11 @@
 
 One executable, one subcommand per experiment family. Everything a run
 needs is on the command line or in a JSON config whose keys mirror the
-flags; flags win over config. argv is read against the command registry:
-a flag's value is the next token, whatever it looks like, or the text
-after '='; a boolean flag takes none; the last of a repeated flag wins,
-and a flag name is never abbreviated. Output is a single JSON record (or
-CSV for the distribution-shaped commands) with the resolved parameters
-embedded, so a record is reproducible from itself.
+flags; flags win over config. A flag's value is the next token, whatever
+it looks like, or the text after '='; a boolean flag takes none, the last
+of a repeated flag wins, and no flag name is abbreviated. Output is a
+single JSON record (or CSV for the distribution-shaped commands) with the
+resolved parameters embedded, so a record is reproducible from itself.
 
 Exit codes: 0 on success, 1 for invalid input (a malformed flag or a
 value the library rejects), 2 for numerical failure, including an
@@ -206,31 +205,31 @@ def _choice(*options: str):
 # ---------------------------------------------------------------------------
 # the command registry: each handler registers its key, help line, parameter
 # table of (flag, converter, default, help) and whether it has a table with
-# @_command, which stores every handler as one that returns (fields, columns).
-# It is the one description of each flag: argv is parsed and --help written
-# from it
+# @_command, which appends the common flags to the table and stores every
+# handler as one that returns (fields, columns). It is the one description
+# of each flag: argv is parsed and --help written from it
 
 _Command = collections.namedtuple("_Command", "help flags handler table")
 _COMMANDS = {}  # key -> _Command, in --help order
 
-
-def _command(key: str, help_text: str, *flags, table: bool = False):
-    def register(handler):
-        uniform = handler if table else lambda p: (handler(p), None)
-        _COMMANDS[key] = _Command(help_text, flags, uniform, table)
-        return handler
-
-    return register
-
-
-_GLOBAL_FLAGS = [
+_GLOBAL_FLAGS = (
     ("seed", _u64, 0, "base RNG seed (unsigned 64-bit)"),
     ("shards", _posint, 1,
      "Monte Carlo worker threads, capped at the CPU count; results do not depend on N"),
     ("out", _text, None, "write the record to this path instead of stdout"),
     ("format", _choice("json", "csv"), "json", "output format"),
     ("config", _text, None, "JSON file whose keys mirror the flags"),
-]
+)
+
+
+def _command(key: str, help_text: str, *flags, table: bool = False):
+    def register(handler):
+        uniform = handler if table else lambda p: (handler(p), None)
+        _COMMANDS[key] = _Command(help_text, flags + _GLOBAL_FLAGS, uniform, table)
+        return handler
+
+    return register
+
 
 _PAIR_FLAGS = (
     ("model", _choice("qm", "sc"), "qm", "pair model"),
@@ -986,7 +985,7 @@ def _cmd_regress(p: dict):
 
 
 def _parse_argv(argv) -> tuple:
-    """The command key and the raw text of each flag given, or None for --help."""
+    """(key, {flag: raw value}) read from argv; for --help, (key or None, None)."""
     words = list(argv)
     packet = words[:1] == ["packet"]  # an optional prefix of the packet commands
     if len(words) == packet:
@@ -998,7 +997,7 @@ def _parse_argv(argv) -> tuple:
     if key not in _COMMANDS:
         got = " ".join(words[: packet + 1])
         raise CliError(f"unknown command: {got}; packetlab --help lists them")
-    convs = {name: conv for name, conv, *_ in [*_COMMANDS[key].flags, *_GLOBAL_FLAGS]}
+    convs = {name: conv for name, conv, *_ in _COMMANDS[key].flags}
     given = {}
     tokens = iter(rest)
     for token in tokens:
@@ -1010,9 +1009,11 @@ def _parse_argv(argv) -> tuple:
         boolean = convs[name] is _boolean
         if boolean and eq:
             raise CliError(f"flag --{name} takes no value")
-        given[name] = True if boolean else raw if eq else next(tokens, None)
-        if given[name] is None:
-            raise CliError(f"flag --{name} needs a value")
+        if not (boolean or eq):
+            raw = next(tokens, None)
+            if raw is None:
+                raise CliError(f"flag --{name} needs a value")
+        given[name] = True if boolean else raw
     return key, given
 
 
@@ -1025,7 +1026,7 @@ def _usage(key) -> str:
     else:
         head = f"{key} [--FLAG V ...]\n\n{_COMMANDS[key].help}"
         rows = []
-        for name, conv, default, text in [*_COMMANDS[key].flags, *_GLOBAL_FLAGS]:
+        for name, conv, default, text in _COMMANDS[key].flags:
             if isinstance(default, list):
                 default = ",".join(map(str, default))
             flag = f"--{name}" if conv is _boolean else f"--{name} V"
@@ -1051,13 +1052,12 @@ def _load_config(path):
 
 def _resolve(flags, config: dict, given: dict) -> dict:
     """Each flag's typed value from argv, else from config, else its default."""
-    spec = [*flags, *_GLOBAL_FLAGS]
-    allowed = {name for name, *_ in spec if name != "config"}
+    allowed = {name for name, *_ in flags if name != "config"}
     unknown = sorted(key for key in config if key not in allowed)
     if unknown:
         raise CliError(f"unknown config keys: {', '.join(unknown)}")
     params = {}
-    for name, conv, default, _help in spec:
+    for name, conv, default, _help in flags:
         raw = given.get(name, config.get(name))
         params[name] = default if raw is None else conv(raw, name)
     return params

@@ -618,8 +618,8 @@ class TestExitCodes:
 
 
 class TestNegativeValues:
-    # a flag's value is the next token, even one that starts with '-', as
-    # lists and exponents after a space do
+    # a flag's value is the next token even when it starts with '-', as a
+    # negative list or exponent does
     @pytest.mark.parametrize(
         "argv, flag, value",
         [
@@ -646,7 +646,7 @@ class TestNegativeValues:
 _FLAGS = [
     (key, name, conv, default)
     for key, command in cli._COMMANDS.items()
-    for name, conv, default, _help in [*command.flags, *cli._GLOBAL_FLAGS]
+    for name, conv, default, _help in command.flags
 ]
 # the flags with a value that their converter can refuse
 _REFUSABLE = [case for case in _FLAGS if case[2] not in (cli._boolean, cli._text)]
@@ -734,7 +734,7 @@ class TestArgvParsing:
         assert (code, err) == (0, "")
         assert capsys.readouterr().out == ""  # all of it went to run's stdout
         lines = page.splitlines()
-        for name, conv, default, text in [*cli._COMMANDS[key].flags, *cli._GLOBAL_FLAGS]:
+        for name, conv, default, text in cli._COMMANDS[key].flags:
             [line] = [ln for ln in lines if ln.split()[:1] == [f"--{name}"]]
             assert text in line
             if default is None or conv is cli._boolean:

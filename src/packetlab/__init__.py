@@ -24,7 +24,6 @@ from .errors import (
     DomainError,
     NumericalError,
     PacketLabError,
-    PreconditionError,
 )
 from .numkit import (
     RandomStream,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError
 from .numkit import SampledFunction1D, position_width, sampled_gaussian
 
 __all__ = [
@@ -51,16 +51,16 @@ class ScattererSpec:
 
     def __post_init__(self):
         if not self.phi0.same_grid(self.phin):
-            raise PreconditionError("phi0 and phin must share one grid")
+            raise DomainError("phi0 and phin must share one grid")
         for name, f in (("phi0", self.phi0), ("phin", self.phin)):
             if abs(f.norm_sq() - 1.0) > 1e-8:
-                raise PreconditionError(f"{name} must be normalized to 1 within 1e-8")
+                raise DomainError(f"{name} must be normalized to 1 within 1e-8")
         overlap = abs(
             complex(np.sum(np.conj(self.phin.values) * self.phi0.values))
             * self.phi0.spacing
         )
         if overlap > 1e-6:
-            raise PreconditionError(
+            raise DomainError(
                 f"phi0 and phin must be orthogonal within 1e-6 (got {overlap:.3e})"
             )
 
@@ -82,7 +82,7 @@ def _shift_function(f: SampledFunction1D, offset: float) -> SampledFunction1D:
     cells_float = offset / f.spacing
     cells = round(cells_float)
     if abs(cells_float - cells) > 1e-9:
-        raise PreconditionError("shift must be a whole number of grid cells")
+        raise DomainError("shift must be a whole number of grid cells")
     out = np.zeros_like(np.asarray(f.values))
     if cells >= 0:
         if cells < f.n:
@@ -103,7 +103,7 @@ class TransitionSetup:
 
     def __post_init__(self):
         if not self.t > self.t0:
-            raise PreconditionError("time window must have t > t0")
+            raise DomainError("time window must have t > t0")
 
 
 def width_ratio(setup: TransitionSetup, scatterer: ScattererSpec) -> float:
@@ -123,7 +123,7 @@ def first_order_transition(
     if not (
         setup.psi_i.same_grid(scatterer.phi0) and setup.psi_i.same_grid(psi_f)
     ):
-        raise PreconditionError("psi_i, psi_f and the scatterer must share one grid")
+        raise DomainError("psi_i, psi_f and the scatterer must share one grid")
     amplitude = (
         scatterer.strength
         * complex(
@@ -179,14 +179,14 @@ def action_ratio_audit(
     measures how far the factorization claim holds.
     """
     if len(final_set) == 0:
-        raise PreconditionError("need at least one final packet")
+        raise DomainError("need at least one final packet")
     if len(final_set) > _MAX_FINAL_PACKETS:
-        raise PreconditionError(f"final family capped at {_MAX_FINAL_PACKETS} packets")
+        raise DomainError(f"final family capped at {_MAX_FINAL_PACKETS} packets")
     mean_x, delta_x = position_width(setup.psi_i)
     ratios = []
     for x0 in centers:
         if abs(x0 - mean_x) > delta_x:
-            raise PreconditionError(
+            raise DomainError(
                 f"probe center {x0} outside the central region of psi_i"
             )
         density = abs(setup.psi_i.value_at(float(x0))) ** 2

@@ -26,14 +26,10 @@ import warnings
 import numpy as np
 
 from . import actionprob, configspace, numkit, quantstat, spincorr, wavepacket
-from .errors import AccuracyWarning, NumericalError, PacketLabError
+from .errors import AccuracyWarning, DomainError, NumericalError, PacketLabError
 from .numkit import E_CHARGE, H_PLANCK, K_BOLTZMANN, M_PROTON
 
-__all__ = ["main", "run", "CliError"]
-
-
-class CliError(Exception):
-    """Bad invocation: unknown flag, malformed value, conflicting options."""
+__all__ = ["main", "run"]
 
 
 # ---------------------------------------------------------------------------
@@ -95,56 +91,56 @@ def _render_csv(columns: dict) -> str:
 
 # ---------------------------------------------------------------------------
 # flag value converters; each takes the raw CLI/config value plus the flag
-# name and either returns the typed value or raises CliError naming the flag
+# name and either returns the typed value or raises DomainError naming the flag
 
 
 def _as_int(raw, name: str) -> int:
     if isinstance(raw, bool):
-        raise CliError(f"parameter {name}: expected an integer, got a boolean")
+        raise DomainError(f"parameter {name}: expected an integer, got a boolean")
     if isinstance(raw, int):
         return raw
     if isinstance(raw, float):
         if not raw.is_integer():  # also false for inf and nan
-            raise CliError(f"parameter {name}: expected an integer, got {raw!r}")
+            raise DomainError(f"parameter {name}: expected an integer, got {raw!r}")
         return int(raw)
     try:
         return int(str(raw).strip(), 10)
     except ValueError:
-        raise CliError(f"parameter {name}: {raw!r} is not an integer") from None
+        raise DomainError(f"parameter {name}: {raw!r} is not an integer") from None
 
 
 def _u64(raw, name: str) -> int:
     value = _as_int(raw, name)
     if not 0 <= value < 2**64:
-        raise CliError(f"parameter {name}: must fit in an unsigned 64-bit integer")
+        raise DomainError(f"parameter {name}: must fit in an unsigned 64-bit integer")
     return value
 
 
 def _posint(raw, name: str) -> int:
     value = _as_int(raw, name)
     if value < 1:
-        raise CliError(f"parameter {name}: must be a positive integer")
+        raise DomainError(f"parameter {name}: must be a positive integer")
     if value > 2**53:  # floats hold every integer up to here; quantstat caps g alike
-        raise CliError(f"parameter {name}: must be at most 2**53")
+        raise DomainError(f"parameter {name}: must be at most 2**53")
     return value
 
 
 def _flt(raw, name: str) -> float:
     if isinstance(raw, bool):
-        raise CliError(f"parameter {name}: expected a number, got a boolean")
+        raise DomainError(f"parameter {name}: expected a number, got a boolean")
     try:
         value = float(raw)
     except (TypeError, ValueError):
-        raise CliError(f"parameter {name}: {raw!r} is not a number") from None
+        raise DomainError(f"parameter {name}: {raw!r} is not a number") from None
     if not math.isfinite(value):
-        raise CliError(f"parameter {name}: {raw!r} is not a finite number")
+        raise DomainError(f"parameter {name}: {raw!r} is not a finite number")
     return value
 
 
 def _posflt(raw, name: str) -> float:
     value = _flt(raw, name)
     if not value > 0:
-        raise CliError(f"parameter {name}: must be positive")
+        raise DomainError(f"parameter {name}: must be positive")
     return value
 
 
@@ -156,12 +152,12 @@ def _boolean(raw, name: str) -> bool:
         return True
     if text in ("false", "0", "no"):
         return False
-    raise CliError(f"parameter {name}: {raw!r} is not a boolean")
+    raise DomainError(f"parameter {name}: {raw!r} is not a boolean")
 
 
 def _text(raw, name: str) -> str:
     if not isinstance(raw, str):
-        raise CliError(f"parameter {name}: expected a string")
+        raise DomainError(f"parameter {name}: expected a string")
     return raw
 
 
@@ -171,16 +167,16 @@ def _split_items(raw, name: str) -> list:
     if isinstance(raw, str):
         items = [p.strip() for p in raw.split(",")]
         if any(p == "" for p in items):
-            raise CliError(f"parameter {name}: empty entry in the list")
+            raise DomainError(f"parameter {name}: empty entry in the list")
         return items
-    raise CliError(f"parameter {name}: expected a comma-separated list")
+    raise DomainError(f"parameter {name}: expected a comma-separated list")
 
 
 def _float_list(count: int = None):
     def conv(raw, name: str) -> list:
         vals = [_flt(x, name) for x in _split_items(raw, name)]
         if count is not None and len(vals) != count:
-            raise CliError(f"parameter {name}: expected exactly {count} values")
+            raise DomainError(f"parameter {name}: expected exactly {count} values")
         return vals
 
     return conv
@@ -194,7 +190,7 @@ def _choice(*options: str):
     def conv(raw, name: str) -> str:
         text = str(raw).strip().lower()
         if text not in options:
-            raise CliError(
+            raise DomainError(
                 f"parameter {name}: {raw!r} is not one of {', '.join(options)}"
             )
         return text
@@ -245,25 +241,32 @@ _PAIR_FLAGS = (
 # columns maps each CSV column name to a 1-D array, one entry per row
 
 
-def _axis_from(values, name: str) -> numkit.UnitVector3:
+def _unit(values, zero: str, renormalized: str) -> np.ndarray:
+    """values over their norm; a zero norm raises the text zero, and a norm
+    off 1 by more than 1e-6 warns the text renormalized, then the norm."""
     unit, norm = numkit.normalize(values)
     if norm == 0.0:
-        raise CliError(f"parameter {name}: zero vector cannot define a direction")
+        raise DomainError(zero)
     if abs(norm - 1.0) > 1e-6:
-        warnings.warn(f"direction {name} renormalized from |v| = {norm:.8g}",
-                      AccuracyWarning)
-    return numkit.UnitVector3(*unit)
+        warnings.warn(f"{renormalized} {norm:.8g}", AccuracyWarning)
+    return unit
 
 
 def _settings_from(p: dict, vec_keys: tuple, default_angles: tuple) -> list:
     """Analyser directions from vector flags or coplanar angles."""
     if any(p[k] is not None for k in vec_keys):
         if p["angles-deg"] is not None:
-            raise CliError("give either --angles-deg or direction vectors, not both")
+            raise DomainError("give either --angles-deg or direction vectors, not both")
         missing = [k for k in vec_keys if p[k] is None]
         if missing:
-            raise CliError(f"missing direction vectors: {', '.join(missing)}")
-        return [_axis_from(p[k], k) for k in vec_keys]
+            raise DomainError(f"missing direction vectors: {', '.join(missing)}")
+        return [
+            numkit.UnitVector3(*_unit(
+                p[k], f"parameter {k}: zero vector cannot define a direction",
+                f"direction {k} renormalized from |v| =",
+            ))
+            for k in vec_keys
+        ]
     angles = p["angles-deg"] if p["angles-deg"] is not None else list(default_angles)
     return [spincorr.coplanar_axis(math.radians(a)) for a in angles]
 
@@ -351,7 +354,7 @@ def _cmd_lhv(p: dict):
     family = p["family"]
     for name, default in (("models", 100), ("n-lambda", 16)):  # drawn models only
         if family == "semiclassical" and p[name] is not None:
-            raise CliError(f"parameter {name}: not used by the semiclassical family")
+            raise DomainError(f"parameter {name}: not used by the semiclassical family")
         if family != "semiclassical" and p[name] is None:
             p[name] = default
     rng = numkit.RandomStream(p["seed"], 0)
@@ -387,9 +390,9 @@ def _cmd_lhv(p: dict):
 def _cmd_nosignal(p: dict):
     max_dim = p["max-dim"]
     if max_dim < 2:
-        raise CliError("parameter max-dim: need at least 2")
+        raise DomainError("parameter max-dim: need at least 2")
     if max_dim > spincorr.MAX_BIPARTITE_DIM:  # before any matrix is drawn
-        raise CliError(f"dimensions capped at {spincorr.MAX_BIPARTITE_DIM}")
+        raise DomainError(f"dimensions capped at {spincorr.MAX_BIPARTITE_DIM}")
     # each trial draws, in this order, the row and column counts, the
     # coefficient matrix, the apparatus unitary and the probed column
     rng = numkit.RandomStream(p["seed"], 0)
@@ -422,16 +425,14 @@ def _cmd_nosignal(p: dict):
 )
 def _cmd_reduce(p: dict):
     if p["coeffs"] is None:
-        raise CliError("parameter coeffs is required")
+        raise DomainError("parameter coeffs is required")
     window, pick = p["window"], p["mode"] == "pick"
     if window is None and not pick:
-        raise CliError("window mode needs --window")
-    unit, norm = numkit.normalize(p["coeffs"])
-    if norm == 0.0:
-        raise CliError("parameter coeffs: all coefficients are zero")
-    if abs(norm - 1.0) > 1e-6:
-        warnings.warn(f"coefficients renormalized from |c| = {norm:.8g}", AccuracyWarning)
-    coeffs = configspace.ExpansionCoefficients(unit)
+        raise DomainError("window mode needs --window")
+    coeffs = configspace.ExpansionCoefficients(
+        _unit(p["coeffs"], "parameter coeffs: all coefficients are zero",
+              "coefficients renormalized from |c| =")
+    )
     rng = numkit.RandomStream(p["seed"], 0) if pick else None
     out = configspace.reduce_expansion(coeffs, window, rng)
 
@@ -463,11 +464,11 @@ def _cmd_condspace(p: dict):
     start, stop, num_raw = p["grid"]
     num = _as_int(num_raw, "grid")
     if num < 2:
-        raise CliError("parameter grid: need at least 2 points")
+        raise DomainError("parameter grid: need at least 2 points")
     if num > configspace.MAX_POINTS:  # before the grid is sampled
-        raise CliError(f"grid capped at {configspace.MAX_POINTS} points")
+        raise DomainError(f"grid capped at {configspace.MAX_POINTS} points")
     if not stop > start:
-        raise CliError("parameter grid: stop must exceed start")
+        raise DomainError("parameter grid: stop must exceed start")
     spacing = (stop - start) / (num - 1)
 
     factors = [
@@ -542,7 +543,7 @@ def _cmd_actionprob(p: dict):
 )
 def _cmd_packet_spread(p: dict):
     if p["width0"] is not None and p["full-length"] is not None:
-        raise CliError("give either --width0 or --full-length, not both")
+        raise DomainError("give either --width0 or --full-length, not both")
     width0 = p["width0"] if p["full-length"] is None else 0.5 * p["full-length"]
     width0 = 2e-15 if width0 is None else width0
 
@@ -575,7 +576,7 @@ def _cmd_packet_coherence(p: dict):
     sigma = p["sigma"]
     num = p["points"]
     if num < 2:
-        raise CliError("parameter points: need at least 2")
+        raise DomainError("parameter points: need at least 2")
     half = p["span-sigmas"] * sigma
     spacing = 2.0 * half / (num - 1)
     psi = numkit.sampled_gaussian(0.0, sigma, -half, spacing, num).normalized()
@@ -650,7 +651,7 @@ def _cmd_packet_sterngerlach(p: dict):
 )
 def _cmd_cavity(p: dict):
     if p["polarizations"] not in (1, 2):
-        raise CliError("parameter polarizations: must be 1 or 2")
+        raise DomainError("parameter polarizations: must be 1 or 2")
     statistics = quantstat.Statistics(p["statistics"])
     temperature, volume = p["temperature"], p["volume"]
     photon = statistics is quantstat.Statistics.BOSE and p["mu"] == 0.0
@@ -704,7 +705,7 @@ def _cmd_counts(p: dict):
     statistics = quantstat.Statistics(p["stat"])
     g = p["g"]
     if (p["mbar"] is None) == (p["sbar"] is None):
-        raise CliError("give exactly one of --mbar or --sbar")
+        raise DomainError("give exactly one of --mbar or --sbar")
     eta = p["eta"]
     s_bar = p["sbar"] if p["sbar"] is not None else p["mbar"] / (g * eta)
     dist = quantstat.count_distribution(statistics, g, s_bar, eta)
@@ -723,7 +724,7 @@ def _cmd_counts(p: dict):
     n = p["mc"]
     if n is not None:
         if n < 2:
-            raise CliError("parameter mc: need at least 2 samples")
+            raise DomainError("parameter mc: need at least 2 samples")
         rng = numkit.RandomStream(p["seed"], 0)
         s1, s2 = quantstat.sample_count_moments(statistics, g, s_bar, eta, n, rng,
                                                 workers=p["shards"])
@@ -989,14 +990,14 @@ def _parse_argv(argv) -> tuple:
     words = list(argv)
     packet = words[:1] == ["packet"]  # an optional prefix of the packet commands
     if len(words) == packet:
-        raise CliError("missing command; packetlab --help lists them")
+        raise DomainError("missing command; packetlab --help lists them")
     head, *rest = words[packet:]
     if head in ("-h", "--help"):
         return None, None
     key = head if head in _COMMANDS and not packet else f"packet {head}"
     if key not in _COMMANDS:
         got = " ".join(words[: packet + 1])
-        raise CliError(f"unknown command: {got}; packetlab --help lists them")
+        raise DomainError(f"unknown command: {got}; packetlab --help lists them")
     convs = {name: conv for name, conv, *_ in _COMMANDS[key].flags}
     given = {}
     tokens = iter(rest)
@@ -1005,14 +1006,14 @@ def _parse_argv(argv) -> tuple:
             return key, None
         name, eq, raw = token[2:].partition("=")
         if not token.startswith("--") or name not in convs:
-            raise CliError(f"{key} has no flag {token}")
+            raise DomainError(f"{key} has no flag {token}")
         boolean = convs[name] is _boolean
         if boolean and eq:
-            raise CliError(f"flag --{name} takes no value")
+            raise DomainError(f"flag --{name} takes no value")
         if not (boolean or eq):
             raw = next(tokens, None)
             if raw is None:
-                raise CliError(f"flag --{name} needs a value")
+                raise DomainError(f"flag --{name} needs a value")
         given[name] = True if boolean else raw
     return key, given
 
@@ -1042,11 +1043,11 @@ def _load_config(path):
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise CliError(f"cannot read config: {exc}") from None
+        raise DomainError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise CliError(f"config is not valid JSON: {exc}") from None
+        raise DomainError(f"config is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise CliError("config must be a JSON object")
+        raise DomainError("config must be a JSON object")
     return data
 
 
@@ -1055,7 +1056,7 @@ def _resolve(flags, config: dict, given: dict) -> dict:
     allowed = {name for name, *_ in flags if name != "config"}
     unknown = sorted(key for key in config if key not in allowed)
     if unknown:
-        raise CliError(f"unknown config keys: {', '.join(unknown)}")
+        raise DomainError(f"unknown config keys: {', '.join(unknown)}")
     params = {}
     for name, conv, default, _help in flags:
         raw = given.get(name, config.get(name))
@@ -1080,7 +1081,7 @@ def run(argv, stdout=None, stderr=None) -> int:
         params = _resolve(command.flags, _load_config(given.get("config")), given)
         if params["format"] == "csv" and not command.table:
             names = ", ".join(sorted(k for k, c in _COMMANDS.items() if c.table))
-            raise CliError(f"csv output is only available for {names}")
+            raise DomainError(f"csv output is only available for {names}")
         with warnings.catch_warnings(record=True) as caught:
             try:
                 fields, columns = command.handler(params)
@@ -1098,20 +1099,20 @@ def run(argv, stdout=None, stderr=None) -> int:
                 with open(params["out"], "w", encoding="utf-8", newline="") as fh:
                     fh.write(text)
             except OSError as exc:
-                raise CliError(f"cannot write output: {exc}") from None
+                raise DomainError(f"cannot write output: {exc}") from None
         else:
             stdout.write(text)
         if key == "regress" and not fields["all_ok"]:
             return 2
         return 0
-    except (CliError, PacketLabError, MemoryError, ArithmeticError) as exc:
-        # a library error other than a numerical failure is bad input; a
-        # refused allocation or an arithmetic fault is a numerical failure
+    except (PacketLabError, MemoryError, ArithmeticError) as exc:
+        # a DomainError is bad input; any other library error, a refused
+        # allocation or an arithmetic fault is a numerical failure
         message = str(exc) or "out of memory"
         if isinstance(exc, ArithmeticError):  # math's OverflowError holds (errno, text)
             message = f"arithmetic failure: {(exc.args or [type(exc).__name__])[-1]}"
         print(f"error: {message}", file=stderr)
-        return 2 if isinstance(exc, (NumericalError, MemoryError, ArithmeticError)) else 1
+        return 1 if isinstance(exc, DomainError) else 2
 
 
 def main():

@@ -17,7 +17,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError
 from .numkit import RandomStream
 
 __all__ = [
@@ -53,19 +53,19 @@ class ManyBodyWavefunction:
     def __init__(self, start: float, spacing: float, tensor, symmetry: str = "none"):
         t = np.array(tensor, dtype=complex)
         if not 1 <= t.ndim <= _MAX_PARTICLES:
-            raise PreconditionError(f"particle count must be 1..{_MAX_PARTICLES}")
+            raise DomainError(f"particle count must be 1..{_MAX_PARTICLES}")
         if len(set(t.shape)) != 1:
-            raise PreconditionError("all tensor axes must share the same grid")
+            raise DomainError("all tensor axes must share the same grid")
         if t.shape[0] > MAX_POINTS:
-            raise PreconditionError(f"grid capped at {MAX_POINTS} points")
+            raise DomainError(f"grid capped at {MAX_POINTS} points")
         if not spacing > 0:
-            raise PreconditionError("spacing must be positive")
+            raise DomainError("spacing must be positive")
         if symmetry not in _SYMMETRIES:
-            raise PreconditionError(f"symmetry must be one of {_SYMMETRIES}")
+            raise DomainError(f"symmetry must be one of {_SYMMETRIES}")
 
         norm = float(np.sum(np.abs(t) ** 2)) * spacing**t.ndim
         if abs(norm - 1.0) > 1e-8:
-            raise PreconditionError(f"tensor norm {norm!r} must be 1 within 1e-8")
+            raise DomainError(f"tensor norm {norm!r} must be 1 within 1e-8")
 
         if symmetry != "none" and t.ndim >= 2:
             want = 1.0 if symmetry == "symmetric" else -1.0
@@ -75,7 +75,7 @@ class ManyBodyWavefunction:
                     axes[i], axes[j] = axes[j], axes[i]
                     dev = float(np.max(np.abs(np.transpose(t, axes) - want * t)))
                     if dev > 1e-10:
-                        raise PreconditionError(
+                        raise DomainError(
                             f"tensor violates the {symmetry} tag by {dev:.3e}"
                         )
 
@@ -101,13 +101,13 @@ class ManyBodyWavefunction:
     def from_product(cls, factors) -> "ManyBodyWavefunction":
         """Product state from normalized single-particle SampledFunction1D factors."""
         if not 1 <= len(factors) <= _MAX_PARTICLES:
-            raise PreconditionError(f"need 1..{_MAX_PARTICLES} factors")
+            raise DomainError(f"need 1..{_MAX_PARTICLES} factors")
         first = factors[0]
         for f in factors[1:]:
             if not first.same_grid(f):
-                raise PreconditionError("all factors must share one grid")
+                raise DomainError("all factors must share one grid")
         if len(first.values) > MAX_POINTS:  # before the N^2 or N^3 outer product
-            raise PreconditionError(f"grid capped at {MAX_POINTS} points")
+            raise DomainError(f"grid capped at {MAX_POINTS} points")
         tensor = factors[0].values
         for f in factors[1:]:
             tensor = np.multiply.outer(tensor, f.values)
@@ -125,7 +125,7 @@ def symmetrize(psi: ManyBodyWavefunction, sign: int = +1) -> ManyBodyWavefunctio
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
     if psi.symmetry != "none":
-        raise PreconditionError("input is already tagged")
+        raise DomainError("input is already tagged")
     ndim = psi.tensor.ndim
     total = np.zeros_like(psi.tensor)
     for perm in permutations(range(ndim)):
@@ -133,7 +133,7 @@ def symmetrize(psi: ManyBodyWavefunction, sign: int = +1) -> ManyBodyWavefunctio
         total = total + factor * np.transpose(psi.tensor, perm)
     norm = math.sqrt(float(np.sum(np.abs(total) ** 2)) * psi.spacing**ndim)
     if norm < 1e-12:
-        raise PreconditionError(
+        raise DomainError(
             "antisymmetrization annihilated the state (Pauli-excluded input)"
         )
     tag = "symmetric" if sign == 1 else "antisymmetric"
@@ -147,7 +147,7 @@ def one_particle_density(psi: ManyBodyWavefunction) -> np.ndarray:
     single-particle terms coincide; integrates to the particle count.
     """
     if psi.symmetry == "none":
-        raise PreconditionError("density needs a symmetric or antisymmetric tag")
+        raise DomainError("density needs a symmetric or antisymmetric tag")
     ndim = psi.tensor.ndim
     rest = tuple(range(1, ndim))
     rho = np.sum(np.abs(psi.tensor) ** 2, axis=rest) * psi.spacing ** (ndim - 1)
@@ -161,7 +161,7 @@ def conditional_probability(psi: ManyBodyWavefunction, x2: float) -> np.ndarray:
     partner density vanishes is a domain error.
     """
     if psi.n_particles != 2:
-        raise PreconditionError("conditional probability is a two-particle operation")
+        raise DomainError("conditional probability is a two-particle operation")
     grid = psi.grid
     if x2 < grid[0] - 0.5 * psi.spacing or x2 > grid[-1] + 0.5 * psi.spacing:
         raise DomainError(f"x2={x2} lies outside the grid")
@@ -182,7 +182,7 @@ def product_form_test(psi: ManyBodyWavefunction) -> tuple:
     rest of the Schmidt spectrum.
     """
     if psi.n_particles != 2:
-        raise PreconditionError("product form test is a two-particle operation")
+        raise DomainError("product form test is a two-particle operation")
     m = psi.tensor * psi.spacing
     s = np.linalg.svd(m, compute_uv=False)
     residual = float(np.sum(s[1:] ** 2))
@@ -199,10 +199,10 @@ class ExpansionCoefficients:
     def __post_init__(self):
         v = np.array(self.values, dtype=complex)
         if v.ndim != 1 or v.size == 0:
-            raise PreconditionError("coefficients must be a nonempty sequence")
+            raise DomainError("coefficients must be a nonempty sequence")
         total = float(np.sum(np.abs(v) ** 2))
         if abs(total - 1.0) > 1e-10:
-            raise PreconditionError(f"sum |c|^2 = {total!r}, must be 1 within 1e-10")
+            raise DomainError(f"sum |c|^2 = {total!r}, must be 1 within 1e-10")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -228,11 +228,13 @@ def reduce_expansion(
             raise DomainError("window mode needs a window; pick mode needs an rng")
         idx = np.arange(size)
     else:
-        idx = np.asarray(sorted(set(int(i) for i in window)), dtype=int)
-        if idx.size == 0:
+        kept = sorted(set(int(i) for i in window))
+        if not kept:
             raise DomainError("window must be nonempty")
-        if idx[0] < 0 or idx[-1] >= size:
+        # on the Python ints, before an index too large for a C long is converted
+        if kept[0] < 0 or kept[-1] >= size:
             raise DomainError("window index outside the expansion")
+        idx = np.asarray(kept, dtype=int)
 
     probs = np.abs(c.values[idx]) ** 2
     mass = float(probs.sum())

@@ -1,8 +1,8 @@
 """Error taxonomy shared by all packetlab modules.
 
-The split matters for the CLI exit-code contract: input-shaped problems
-(bad values, violated preconditions) exit 1, and genuine numerical
-failures (NumericalError) exit 2.
+The split matters for the CLI exit-code contract: bad input of any kind
+(DomainError) exits 1, and genuine numerical failures (NumericalError)
+exit 2.
 """
 
 
@@ -11,12 +11,10 @@ class PacketLabError(Exception):
 
 
 class DomainError(PacketLabError, ValueError):
-    """An argument lies outside the mathematical domain of the operation."""
-
-
-class PreconditionError(PacketLabError, ValueError):
-    """A documented input contract was violated: normalization, grids, tags,
-    a state the operation annihilates, or a model with no law for it."""
+    """Bad input: a malformed flag, invocation or config, a value outside
+    the operation's domain, or a broken documented contract (normalization,
+    grids, tags, a state the operation annihilates, or a model with no law
+    for it)."""
 
 
 class NumericalError(PacketLabError, RuntimeError):

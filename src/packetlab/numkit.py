@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError
 
 __all__ = [
     "UnitVector3",
@@ -64,7 +64,7 @@ class UnitVector3:
     def __post_init__(self):
         n = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
         if not abs(n - 1.0) <= _UNIT_TOL:  # also true for a NaN norm
-            raise PreconditionError(
+            raise DomainError(
                 f"unit vector norm {n!r} deviates from 1 by more than {_UNIT_TOL}"
             )
 
@@ -79,7 +79,7 @@ class UnitVector3:
     def from_array(cls, arr) -> "UnitVector3":
         a = np.asarray(arr, dtype=float)
         if a.shape != (3,):
-            raise PreconditionError("expected exactly three components")
+            raise DomainError("expected exactly three components")
         return cls(float(a[0]), float(a[1]), float(a[2]))
 
     def as_array(self) -> np.ndarray:
@@ -272,11 +272,11 @@ class SampledFunction1D:
     def __init__(self, start: float, spacing: float, values):
         vals = np.array(values, dtype=complex)
         if vals.ndim != 1:
-            raise PreconditionError("values must be a one dimensional sequence")
+            raise DomainError("values must be a one dimensional sequence")
         if vals.size < 8:
-            raise PreconditionError("need at least 8 samples")
+            raise DomainError("need at least 8 samples")
         if not spacing > 0:
-            raise PreconditionError("spacing must be positive")
+            raise DomainError("spacing must be positive")
         vals.setflags(write=False)
         self.start = float(start)
         self.spacing = float(spacing)
@@ -363,11 +363,11 @@ def fourier_widths(psi: SampledFunction1D) -> tuple:
     not represent the continuum function.
     """
     if abs(psi.norm_sq() - 1.0) > 1e-8:
-        raise PreconditionError("input must be normalized to 1 within 1e-8")
+        raise DomainError("input must be normalized to 1 within 1e-8")
     amax = float(np.max(np.abs(psi.values)))
     edge = max(abs(psi.values[0]), abs(psi.values[-1]))
     if amax == 0.0 or edge > 1e-6 * amax:
-        raise PreconditionError("boundary amplitude exceeds 1e-6 of the maximum")
+        raise DomainError("boundary amplitude exceeds 1e-6 of the maximum")
 
     _, delta_x = position_width(psi)
 

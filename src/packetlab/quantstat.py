@@ -26,12 +26,7 @@ from enum import Enum
 import numpy as np
 
 from . import numkit
-from .errors import (
-    AccuracyWarning,
-    DomainError,
-    NumericalError,
-    PreconditionError,
-)
+from .errors import AccuracyWarning, DomainError, NumericalError
 from .numkit import C_LIGHT, H_PLANCK, K_BOLTZMANN, log_binomial
 
 __all__ = [
@@ -245,7 +240,7 @@ def balance_residual(
     # with the step itself, which may be many orders of magnitude smaller
     scale = n * max(abs(e1i), abs(e1f)) + n_prime * max(abs(e2i), abs(e2f))
     if abs(lhs66 - rhs66) > 1e-12 * scale:
-        raise PreconditionError(
+        raise DomainError(
             "energy bookkeeping violated: n(e1i - e1f) must equal n'(e2f - e2i)"
         )
     if s - n < 0 or s_prime - n_prime < 0:
@@ -527,16 +522,16 @@ class CountDistribution:
         w = np.asarray(self.w, dtype=float)
         object.__setattr__(self, "w", w)
         if int(self.g) != self.g or self.g < 1:
-            raise PreconditionError("g must be a positive integer")
+            raise DomainError("g must be a positive integer")
         if w.ndim != 1 or w.size == 0 or np.any(w < 0):
-            raise PreconditionError("W must be a nonempty nonnegative 1-D array")
+            raise DomainError("W must be a nonempty nonnegative 1-D array")
         if abs(float(np.sum(w)) - 1.0) > 1e-9:
-            raise PreconditionError("count probabilities must sum to 1 within 1e-9")
+            raise DomainError("count probabilities must sum to 1 within 1e-9")
         mean = float(np.sum(np.arange(w.size) * w))
         if abs(mean - self.m_bar) > 1e-9 * max(1.0, abs(self.m_bar)):
-            raise PreconditionError("count mean must equal m_bar within 1e-9")
+            raise DomainError("count mean must equal m_bar within 1e-9")
         if self.statistics is Statistics.FERMI and self.m_bar > self.g:
-            raise PreconditionError("Fermi counts cannot exceed the cell count")
+            raise DomainError("Fermi counts cannot exceed the cell count")
 
     def central_moment(self, order: int) -> float:
         m = np.arange(self.w.size, dtype=float)

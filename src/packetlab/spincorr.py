@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError
 from .numkit import MC_BLOCK, RandomStream, UnitVector3, run_blocks
 from .numkit import sample_isotropic_directions
 
@@ -83,10 +83,10 @@ class PairModel:
             if self.triplet_m not in (-1, 0, 1):
                 raise DomainError("triplet m must be one of -1, 0, +1")
             if not isinstance(self.axis, UnitVector3):
-                raise PreconditionError("triplet model needs a preferred axis")
+                raise DomainError("triplet model needs a preferred axis")
         else:
             if self.triplet_m is not None or self.axis is not None:
-                raise PreconditionError("m and axis are only meaningful for triplets")
+                raise DomainError("m and axis are only meaningful for triplets")
 
     @classmethod
     def qm_singlet(cls) -> "PairModel":
@@ -113,9 +113,9 @@ class JointProbability:
     def __post_init__(self):
         entries = (self.pp, self.pm, self.mp, self.mm)
         if any(p < -1e-15 or p > 1.0 + 1e-15 for p in entries):
-            raise PreconditionError("joint probabilities must lie in [0, 1]")
+            raise DomainError("joint probabilities must lie in [0, 1]")
         if abs(sum(entries) - 1.0) > 1e-12:
-            raise PreconditionError("joint probabilities must sum to 1 within 1e-12")
+            raise DomainError("joint probabilities must sum to 1 within 1e-12")
 
     @property
     def expectation(self) -> float:
@@ -142,7 +142,7 @@ def joint_probability(
     here and are rejected.
     """
     if model.kind is ModelKind.TRIPLET:
-        raise PreconditionError("no joint probability law for triplet states")
+        raise DomainError("no joint probability law for triplet states")
     r = _outcome(r_a) * _outcome(r_b)
     cos_t = math.cos(_angle_between(a, b))
     if model.kind is ModelKind.QM_SINGLET:
@@ -224,7 +224,7 @@ def sample_pair_counts(
     four uniforms per pair are consumed all the same.
     """
     if model.kind is ModelKind.TRIPLET:
-        raise PreconditionError("no sampling law for triplet states")
+        raise DomainError("no sampling law for triplet states")
     if n <= 0:
         raise DomainError("n must be positive")
     u = rng.uniform(size=4 * n).reshape(n, 4)
@@ -327,11 +327,11 @@ class LhvModel:
         lam = np.atleast_2d(np.asarray(self.lambdas, dtype=float))
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size != lam.shape[0]:
-            raise PreconditionError("weights must match the lambda grid length")
+            raise DomainError("weights must match the lambda grid length")
         if np.any(w < -1e-15):
-            raise PreconditionError("weights must be nonnegative")
+            raise DomainError("weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > 1e-10:
-            raise PreconditionError("weights must sum to 1 within 1e-10")
+            raise DomainError("weights must sum to 1 within 1e-10")
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "weights", w)
 
@@ -343,14 +343,14 @@ def _settings_matrix(settings) -> np.ndarray:
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != 3:
-        raise PreconditionError("settings must be 3-vectors or an (n, 3) array")
+        raise DomainError("settings must be 3-vectors or an (n, 3) array")
     return arr
 
 
 def _aligned_settings(*settings) -> list:
     mats = [_settings_matrix(s) for s in settings]
     if len({m.shape[0] for m in mats}) > 1:
-        raise PreconditionError("setting batches must align")
+        raise DomainError("setting batches must align")
     return mats
 
 
@@ -360,10 +360,10 @@ def _mean_response(model: LhvModel, p, settings: np.ndarray) -> np.ndarray:
     minus = np.asarray(p(-1, settings, model.lambdas), dtype=float)
     want = (settings.shape[0], model.lambdas.shape[0])
     if plus.shape != want or minus.shape != want:
-        raise PreconditionError(f"response table must have shape {want}")
+        raise DomainError(f"response table must have shape {want}")
     for tab in (plus, minus):
         if np.any(tab < -1e-12) or np.any(tab > 1.0 + 1e-12):
-            raise PreconditionError("response probabilities must lie in [0, 1]")
+            raise DomainError("response probabilities must lie in [0, 1]")
     return plus - minus
 
 
@@ -489,14 +489,14 @@ class BipartiteCoefficients:
     def __post_init__(self):
         a = np.array(self.a, dtype=complex)
         if a.ndim != 2:
-            raise PreconditionError("coefficients must form a matrix")
+            raise DomainError("coefficients must form a matrix")
         if a.shape[0] > MAX_BIPARTITE_DIM or a.shape[1] > MAX_BIPARTITE_DIM:
-            raise PreconditionError(f"dimensions capped at {MAX_BIPARTITE_DIM}")
+            raise DomainError(f"dimensions capped at {MAX_BIPARTITE_DIM}")
         if not self.C > 0:
-            raise PreconditionError("normalization constant must be positive")
+            raise DomainError("normalization constant must be positive")
         total = float(self.C**2 * np.sum(np.abs(a) ** 2))
         if abs(total - 1.0) > 1e-10:
-            raise PreconditionError(
+            raise DomainError(
                 f"C^2 sum|a|^2 = {total!r}, must equal 1 within 1e-10"
             )
         a.setflags(write=False)
@@ -514,10 +514,10 @@ class BipartiteCoefficients:
 def _check_unitary(u: np.ndarray, dim: int) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (dim, dim):
-        raise PreconditionError(f"unitary must be {dim}x{dim} for these coefficients")
+        raise DomainError(f"unitary must be {dim}x{dim} for these coefficients")
     dev = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
     if dev > 1e-12:
-        raise PreconditionError(f"matrix is not unitary (max deviation {dev:.3e})")
+        raise DomainError(f"matrix is not unitary (max deviation {dev:.3e})")
     return u
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError
 from .numkit import C_LIGHT, E_CHARGE, HBAR, M_ELECTRON, SampledFunction1D
 
 __all__ = [
@@ -178,7 +178,7 @@ def coherence_profile(psi: SampledFunction1D, shifts) -> tuple:
     crosses inside the grid.
     """
     if abs(psi.norm_sq() - 1.0) > 1e-8:
-        raise PreconditionError("psi must be normalized to 1 within 1e-8")
+        raise DomainError("psi must be normalized to 1 within 1e-8")
     shifts = np.asarray(shifts, dtype=float)
     beyond = np.abs(shifts) > psi.end - psi.start
     if beyond.any():

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from packetlab import quantstat
-from packetlab.errors import DomainError, NumericalError, PreconditionError
+from packetlab.errors import DomainError, NumericalError
 from packetlab.numkit import K_BOLTZMANN
 from packetlab.quantstat import Statistics
 
@@ -67,14 +67,14 @@ class OccupancyDistribution:
         q = np.asarray(self.q, dtype=float)
         object.__setattr__(self, "q", q)
         if q.ndim != 1 or q.size == 0 or np.any(q < 0):
-            raise PreconditionError("q must be a nonempty nonnegative 1-D array")
+            raise DomainError("q must be a nonempty nonnegative 1-D array")
         if abs(float(np.sum(q)) - 1.0) > 1e-10:
-            raise PreconditionError("occupancy probabilities must sum to 1 within 1e-10")
+            raise DomainError("occupancy probabilities must sum to 1 within 1e-10")
         mean = float(np.sum(np.arange(q.size) * q))
         if abs(mean - self.s_bar) > 1e-10 * max(1.0, abs(self.s_bar)):
-            raise PreconditionError("occupancy mean must equal s_bar within 1e-10")
+            raise DomainError("occupancy mean must equal s_bar within 1e-10")
         if self.statistics is Statistics.FERMI and q.size > 2 and np.any(q[2:] != 0.0):
-            raise PreconditionError("Fermi occupancy is supported on s in {0, 1}")
+            raise DomainError("Fermi occupancy is supported on s in {0, 1}")
 
 
 def _geometric_weights(x: float, s_bar: float) -> np.ndarray:

@@ -16,7 +16,7 @@ from packetlab.actionprob import (
     first_order_transition,
     width_ratio,
 )
-from packetlab.errors import DomainError, PreconditionError
+from packetlab.errors import DomainError
 from packetlab.numkit import sampled_gaussian
 from oracles import integrate_1d
 
@@ -71,7 +71,7 @@ class TestScattererSpec:
     def test_orthogonality_guard(self):
         start, spacing, num = _grid(-8.0, 0.125)
         h = final_packet_family(0.0, 1.0, start, spacing, num, 1)[0]
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             ScattererSpec(0.0, h, h, 1.0)
 
     def test_norm_guard(self):
@@ -80,7 +80,7 @@ class TestScattererSpec:
         from packetlab.numkit import SampledFunction1D
 
         bad = SampledFunction1D(h1.start, h1.spacing, 2.0 * h1.values)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             ScattererSpec(0.0, h0, bad, 1.0)
 
     def test_shift_whole_cells_only(self):
@@ -89,13 +89,13 @@ class TestScattererSpec:
         scat = ScattererSpec(0.0, h0, h1, 1.0)
         moved = scat.shifted(0.25)
         assert moved.center == 0.25
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             scat.shifted(0.3)
 
     def test_time_window_guard(self):
         start, spacing, num = _grid(-8.0, 0.125)
         psi = sampled_gaussian(0.0, 2.0, start, spacing, num)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             TransitionSetup(psi, 1.0, 1.0)
 
 
@@ -156,7 +156,7 @@ class TestFirstOrderTransition:
         h0, h1 = final_packet_family(0.0, 1.0, start, spacing, num, 2)
         other = sampled_gaussian(0.0, 1.0, start, spacing, num - 1)
         setup = TransitionSetup(psi_i, 0.0, 1.0)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             first_order_transition(setup, ScattererSpec(0.0, h0, h1, 1.0), other)
 
 
@@ -182,7 +182,7 @@ class TestAudit:
 
     def test_probe_outside_central_region(self):
         setup, scatterer, _, finals = audit_scenario(20.0, 3, 4)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             action_ratio_audit(setup, scatterer, [100.0], finals)
 
     def test_scenario_guards(self):
@@ -198,7 +198,7 @@ class TestAudit:
 
     def test_empty_finals(self):
         setup, scatterer, centers, _ = audit_scenario(20.0, 3, 4)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             action_ratio_audit(setup, scatterer, centers, [])
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import packetlab
 from packetlab import cli
 from packetlab.cli import run
-from packetlab.errors import AccuracyWarning, NumericalError
+from packetlab.errors import AccuracyWarning, DomainError, NumericalError
 from packetlab.numkit import K_BOLTZMANN
 
 # the wide default photon window includes sparse near-pole bins; their
@@ -425,13 +425,19 @@ class TestArrayRenderer:
 
 
 class TestExitCodes:
-    def test_input_errors_exit_one_numerical_failures_two(self):
+    def test_input_errors_exit_one_numerical_failures_two(self, tmp_path):
+        window_cfg = tmp_path / "cfg.json"
+        window_cfg.write_text('{"window": [1e300]}')
         cases = [
             # a DomainError is bad input, as errors.py and the README say
             (("actionprob", "--width-ratio", "1"), 1),
             (("counts", "--stat", "fermi", "--sbar", "2"), 1),
             (("nosignal", "--max-dim", "70"), 1),
             (("coherence", "--points", "1"), 1),
+            # so is a window index too large for a C long
+            (("reduce", "--coeffs", "0.6,0.8", "--window", "99999999999999999999"), 1),
+            (("reduce", "--coeffs", "0.6,0.8", "--window=-99999999999999999999"), 1),
+            (("reduce", "--coeffs", "0.6,0.8", "--config", str(window_cfg)), 1),
             # a NumericalError is a numerical failure
             (("counts", "--mbar", "1e12"), 2),
             # so is an arithmetic fault: a division by zero or an overflow
@@ -664,7 +670,7 @@ def _accepted_text(conv, name, default) -> str:
         try:
             conv(text, name)
             return text
-        except cli.CliError:
+        except DomainError:
             pass
     raise AssertionError(f"no candidate text for --{name}")
 
@@ -675,7 +681,7 @@ class TestArgvParsing:
         words = key.split()
         if conv is cli._boolean:
             assert cli._parse_argv([*words, f"--{name}"]) == (key, {name: True})
-            with pytest.raises(cli.CliError, match="takes no value"):
+            with pytest.raises(DomainError, match="takes no value"):
                 cli._parse_argv([*words, f"--{name}=false"])
             return
         text = _accepted_text(conv, name, default)

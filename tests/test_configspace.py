@@ -20,7 +20,7 @@ from packetlab.configspace import (
     reduce_expansion,
     symmetrize,
 )
-from packetlab.errors import DomainError, PreconditionError
+from packetlab.errors import DomainError
 from packetlab.numkit import RandomStream, sampled_gaussian
 
 START, SPACING, NUM = -8.0, 16.0 / 127, 128
@@ -38,12 +38,12 @@ class TestConstruction:
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_particle_cap(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             ManyBodyWavefunction.from_product([_packet(0.0)] * 4)
 
     def test_point_cap(self):
         big = sampled_gaussian(0.0, 1.0, -10.0, 20.0 / 299, 300).normalized()
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             ManyBodyWavefunction.from_product([big, big])
 
     def test_point_cap_precedes_the_outer_product(self):
@@ -51,7 +51,7 @@ class TestConstruction:
         big = sampled_gaussian(0.0, 1.0, -10.0, 20.0 / 2999, 3000).normalized()
         tracemalloc.start()
         try:
-            with pytest.raises(PreconditionError, match="grid capped at 256 points"):
+            with pytest.raises(DomainError, match="grid capped at 256 points"):
                 ManyBodyWavefunction.from_product([big, big])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -60,13 +60,13 @@ class TestConstruction:
 
     def test_norm_guard(self):
         t = np.ones((16, 16), dtype=complex)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             ManyBodyWavefunction(0.0, 0.1, t)
 
     def test_mismatched_grids(self):
         a = _packet(0.0)
         b = sampled_gaussian(0.0, 0.8, START, SPACING * 1.5, NUM).normalized()
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             ManyBodyWavefunction.from_product([a, b])
 
 
@@ -92,13 +92,13 @@ class TestSymmetrize:
     def test_pauli_annihilation(self):
         # antisymmetrizing two quanta in the same packet has nowhere to go
         psi = ManyBodyWavefunction.from_product([_packet(0.0), _packet(0.0)])
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             symmetrize(psi, -1)
 
     def test_double_tag_rejected(self):
         psi = ManyBodyWavefunction.from_product([_packet(-1.0), _packet(1.0)])
         sym = symmetrize(psi, 1)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             symmetrize(sym, 1)
 
     def test_sign_guard(self):
@@ -122,7 +122,7 @@ class TestDensities:
 
     def test_untagged_rejected(self):
         psi = ManyBodyWavefunction.from_product([_packet(-1.0), _packet(1.0)])
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             one_particle_density(psi)
 
     def test_well_separated_packets_stack(self):
@@ -170,7 +170,7 @@ class TestConditional:
 
     def test_needs_two_particles(self):
         psi = ManyBodyWavefunction.from_product([_packet(0.0)])
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             conditional_probability(psi, 0.0)
 
 
@@ -255,6 +255,6 @@ class TestReduceExpansion:
             reduce_expansion(ExpansionCoefficients(np.array([1.0, 0.0])), window=[1])
 
     def test_norm_guard(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             ExpansionCoefficients(np.array([0.6, 0.9]))
 

@@ -13,7 +13,7 @@ from scipy import constants
 from scipy.special import gammaln as scipy_gammaln
 
 from packetlab import numkit
-from packetlab.errors import DomainError, NumericalError, PreconditionError
+from packetlab.errors import DomainError, NumericalError
 from packetlab.numkit import (
     HBAR,
     H_PLANCK,
@@ -41,13 +41,13 @@ class TestUnitVector3:
         assert v.dot(v) == 1.0
 
     def test_norm_guard(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             UnitVector3(1.0, 1.0, 0.0)
 
     def test_norm_guard_is_tight(self):
         # 1e-12 band: slightly off-norm inputs must be rejected
         eps = 5e-12
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             UnitVector3(1.0 + eps, 0.0, 0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -58,10 +58,10 @@ class TestUnitVector3:
         parts = [0.0, 0.0, 0.0]
         parts[(slot + 1) % 3] = 1.0
         parts[slot] = bad
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             UnitVector3(*parts)
         parts[(slot + 1) % 3] = 0.0
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             UnitVector3(*parts)
 
     def test_normalized(self):
@@ -73,7 +73,7 @@ class TestUnitVector3:
             UnitVector3.normalized(0.0, 0.0, 0.0)
 
     def test_from_array_shape(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             UnitVector3.from_array([1.0, 0.0])
 
     def test_roundtrip(self):
@@ -372,11 +372,11 @@ class TestIntegrate1d:
 
 class TestSampledFunction1D:
     def test_min_samples(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             SampledFunction1D(0.0, 0.1, np.ones(7))
 
     def test_spacing_guard(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             SampledFunction1D(0.0, 0.0, np.ones(16))
 
     def test_norm_and_normalize(self):
@@ -482,13 +482,13 @@ class TestGaussianWidths:
     def test_normalization_guard(self):
         g = sampled_gaussian(0.0, 1.0, -10.0, 20.0 / 511, 512)
         bad = SampledFunction1D(g.start, g.spacing, 2.0 * g.values)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             fourier_widths(bad)
 
     def test_boundary_guard(self):
         # a packet cut off mid-flank cannot be transformed faithfully
         g = sampled_gaussian(0.0, 5.0, -6.0, 12.0 / 255, 256)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             fourier_widths(g.normalized())
 
     def test_no_point_cap(self):

@@ -1,15 +1,25 @@
-"""Every exported name has a caller in the package.
+"""Every exported name has a caller in the package, and every error is one
+of two kinds.
 
 A name in a module's __all__ must be referenced somewhere in src/packetlab
 outside its own definition; the re-export in __init__.py does not count.
 Only the oracles below are exported for the tests alone; every other
 reference implementation lives in tests/oracles.py.
+
+Bad input raises DomainError and exits 1; a numerical failure raises
+NumericalError and exits 2. No other class is raised, so no raise site
+chooses between two names for one exit code.
 """
 
 import ast
+import io
 import pathlib
 
+import pytest
+
 import packetlab
+from packetlab import cli
+from packetlab.errors import DomainError, NumericalError
 
 SRC = pathlib.Path(packetlab.__file__).parent
 
@@ -68,3 +78,40 @@ def test_oracles_are_still_exported():
     trees = [ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")]
     exported = {name for tree in trees for name in _exports(tree)}
     assert set(ORACLES) <= exported
+
+
+def _raised(tree):
+    """(enclosing top-level def, class name) of every raise in the tree."""
+    for top in tree.body:
+        for n in ast.walk(top):
+            if isinstance(n, ast.Raise) and n.exc is not None:  # not a re-raise
+                yield getattr(top, "name", None), n.exc.func.id
+
+
+def test_errors_defines_the_taxonomy_only():
+    tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    classes = [n.name for n in tree.body if isinstance(n, ast.ClassDef)]
+    assert classes == ["PacketLabError", "DomainError", "NumericalError", "AccuracyWarning"]
+
+
+def test_every_raise_is_bad_input_or_a_numerical_failure():
+    others = [
+        (path.name, where, name)
+        for path in sorted(SRC.glob("*.py"))
+        for where, name in _raised(ast.parse(path.read_text(encoding="utf-8")))
+        if name not in ("DomainError", "NumericalError")
+    ]
+    # a value of a type no record holds is a bug in the program, not bad input
+    assert others == [("cli.py", "_render_json", "TypeError")]
+
+
+@pytest.mark.parametrize("error, code", [(DomainError, 1), (NumericalError, 2)])
+def test_run_maps_each_kind_to_its_exit_code(monkeypatch, error, code):
+    def handler(params):
+        raise error("x")
+
+    command = cli._COMMANDS["vonlaue"]
+    monkeypatch.setitem(cli._COMMANDS, "vonlaue", command._replace(handler=handler))
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["vonlaue"], stdout=out, stderr=err) == code
+    assert (out.getvalue(), err.getvalue()) == ("", "error: x\n")

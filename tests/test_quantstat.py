@@ -16,12 +16,7 @@ from scipy.constants import k as K_BOLTZMANN
 from scipy.stats import binom, nbinom, poisson
 
 from packetlab import numkit, quantstat
-from packetlab.errors import (
-    AccuracyWarning,
-    DomainError,
-    NumericalError,
-    PreconditionError,
-)
+from packetlab.errors import AccuracyWarning, DomainError, NumericalError
 from packetlab.numkit import RandomStream
 from packetlab.quantstat import (
     RADIATION_CONSTANT,
@@ -204,10 +199,10 @@ class TestOccupancy:
         assert mean == pytest.approx(d.s_bar, abs=1e-10 + 1e-10 * abs(d.s_bar))
 
     def test_distribution_validation(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             # sums to 2
             OccupancyDistribution(Statistics.BOSE, 1.0, np.array([1.0, 1.0]))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             OccupancyDistribution(
                 Statistics.FERMI, 1.0, np.array([0.25, 0.25, 0.5])
             )
@@ -295,12 +290,12 @@ class TestCollisionBalance:
     def test_energy_bookkeeping_enforced(self):
         bad = dict(self.INTACT)
         bad["e2f"] = 1.7
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             balance_residual(**bad)
 
     def test_bookkeeping_tolerance_stays_tight(self):
         bad = dict(self.INTACT, e2f=self.INTACT["e2f"] + 1e-9)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             balance_residual(**bad)
 
     def test_small_energy_step_accepted(self):
@@ -632,7 +627,7 @@ class TestAgainstPerBinCode:
         new = quantstat._entropy_energy_number(statistics, bins, t, mu)[:3]
         try:
             old = _old_entropy_energy_number(statistics, rows, t, mu)
-        except (NumericalError, PreconditionError):
+        except (NumericalError, DomainError):
             # the old per-cell supports hit their cap next to the Bose pole,
             # or their 1e-10 sum check at large Poisson means
             assert all(math.isfinite(value) for value in new)
@@ -906,11 +901,11 @@ class TestCountLaws:
             count_distribution(statistics, 3, 1e-200, 1e-200)
 
     def test_distribution_validation(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             CountDistribution(Statistics.BOSE, 1, 0.5, np.array([0.7, 0.7]))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             CountDistribution(Statistics.BOSE, 1, 2.0, np.array([0.5, 0.5]))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             CountDistribution(Statistics.FERMI, 1, 1.5, np.array([0.25, 0.75]))
 
     def test_fold_check_equal_efficiencies_exact(self):

@@ -12,10 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from packetlab.errors import (
-    DomainError,
-    PreconditionError,
-)
+from packetlab.errors import DomainError
 from packetlab.numkit import (
     MC_BLOCK,
     RandomStream,
@@ -169,7 +166,7 @@ class TestMarginals:
     def test_triplet_has_no_joint_law(self):
         z = UnitVector3(0.0, 0.0, 1.0)
         a = coplanar_axis(0.7)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             marginal(PairModel.triplet(1, z), a, z, 1)
 
 
@@ -324,7 +321,7 @@ class TestBlockSampling:
 
     def test_triplet_blocks_rejected(self):
         z = UnitVector3(0.0, 0.0, 1.0)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             block_pair_counts(PairModel.triplet(0, z), z, z, 10, 0)
 
 
@@ -414,14 +411,14 @@ class TestLhvModels:
         model = semiclassical_lhv_model()
         a, b, a2 = _random_axes(53, 3)
         b2 = np.stack([x.as_array() for x in _random_axes(54, 2)])
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             lhv_chsh_audit(model, a, b, a2, b2)
 
     def test_weight_guard(self):
         lam = np.zeros((2, 3))
         lam[0, 2] = 1.0
         lam[1, 0] = 1.0
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             LhvModel(lam, np.array([0.5, 0.6]), lambda a, l: 0.5, lambda b, l: 0.5)
 
     @settings(max_examples=25, deadline=None)
@@ -444,11 +441,11 @@ class TestBipartite:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_norm_guard(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             BipartiteCoefficients(np.eye(2), 1.0)
 
     def test_dimension_cap(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             BipartiteCoefficients.normalized(np.ones((65, 2)))
 
     def test_basis_change_preserves_norm(self):
@@ -462,7 +459,7 @@ class TestBipartite:
 
     def test_basis_change_rejects_nonunitary(self):
         coeffs = _singlet()
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             basis_change(coeffs, np.array([[1.0, 0.0], [0.0, 2.0]]))
 
     def test_no_signaling_routes_agree(self):

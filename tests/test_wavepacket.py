@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.constants import c as C_LIGHT
 from scipy.constants import electron_mass, hbar, proton_mass
 
-from packetlab.errors import DomainError, PreconditionError
+from packetlab.errors import DomainError
 from packetlab.numkit import SampledFunction1D, sampled_gaussian
 from packetlab.wavepacket import (
     BOHR_MAGNETON,
@@ -302,7 +302,7 @@ class TestCoherence:
     def test_norm_guard(self):
         g = sampled_gaussian(0.0, 1.0, -8.0, 16.0 / 511, 512)
         bad = SampledFunction1D(g.start, g.spacing, 0.5 * g.values)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             coherence_profile(bad, [1.0])
 
     def test_shift_beyond_grid(self):

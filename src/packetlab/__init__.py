@@ -15,8 +15,9 @@ The package groups five experiment families behind one CLI:
 
 numkit carries the shared numerics: counter-based random streams and
 their samplers, sampled functions on uniform grids, width and spectral
-measures, the physical constants, and the special functions, which load
-on first use so that importing packetlab loads numpy only.
+measures, the physical constants, and the special functions. numpy.random
+loads with the first random stream and the special functions on first
+use, so importing packetlab loads numpy only.
 """
 
 from .errors import (

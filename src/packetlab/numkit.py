@@ -18,7 +18,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .errors import DomainError
 
@@ -125,6 +124,8 @@ class RandomStream:
         if position < 0 or position % 4:
             raise DomainError("position must be a nonnegative multiple of 4")
         self.seed, self.stream_id, self.position = seed, stream_id, position
+        from numpy.random import Generator, Philox  # only once a stream is made
+
         bits = Philox(key=np.array([seed, stream_id], dtype=np.uint64))
         self._gen = Generator(bits.advance(position // 4))
 
@@ -202,7 +203,9 @@ def sample_integer(rng: RandomStream, lo: int, hi: int) -> int:
     return min(lo + int(float(rng.uniform()) * (hi - lo + 1)), hi)
 
 
-# Monte Carlo draws per block: a block's arrays stay a few MB at any n
+# Monte Carlo draws per block, the unit of thread work and of stream
+# addressing; a block's arrays stay a few MB at any n, and the pair
+# sampler works through each block in smaller chunks
 MC_BLOCK = 2**16
 
 

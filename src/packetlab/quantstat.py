@@ -157,7 +157,7 @@ def _tail_within_budget(w_last: float, ratio: float, m: int, mean: float) -> boo
 def _poisson_weights(lam: float) -> np.ndarray:
     if lam == 0.0:
         return np.array([1.0])
-    m = int(lam + 15.0 * math.sqrt(lam) + 30.0)
+    m = int(min(lam + 15.0 * math.sqrt(lam) + 30.0, _MAX_SUPPORT))  # lam may be inf
     while m + 1 <= _MAX_SUPPORT:
         s = np.arange(m + 1, dtype=float)
         w = np.exp(s * math.log(lam) - lam - numkit.gammaln(s + 1.0))
@@ -451,7 +451,9 @@ def _negative_binomial_weights(g: int, mean_per_packet: float) -> np.ndarray:
     # w(n) = C(g+n-1, n) (1+sb)^(-g) (1+1/sb)^(-n), summed in log space
     sb = mean_per_packet
     mean = g * sb
-    m = int(mean + 15.0 * math.sqrt(g * sb * (1.0 + sb)) + 30.0)
+    # the bound is compared with the cap as a float: it overflows to inf
+    # once sb passes about 1e154
+    m = int(min(mean + 15.0 * math.sqrt(g * sb * (1.0 + sb)) + 30.0, _MAX_SUPPORT))
     while m + 1 <= _MAX_SUPPORT:
         n = np.arange(m + 1, dtype=float)
         log_w = (
@@ -611,7 +613,8 @@ def sample_counts(
     """n Monte Carlo detector counts: draw the cell total, thin by eta.
 
     Consumes n uniforms (inverse-CDF on the cell total) and n binomial
-    draws from the stream, in that order.
+    draws from the stream, in that order. At eta = 1 the thinning keeps
+    every quantum, so the n uniforms are all it consumes.
     """
     if n <= 0:
         raise DomainError("sample count must be positive")
@@ -636,7 +639,8 @@ def sample_count_moments(
 
 
 def _count_sampler(statistics: Statistics, g, s_bar: float, eta: float):
-    # the count law, built once; draw(n, rng) takes n uniforms, then n binomials
+    # the count law, built once; draw(n, rng) takes n uniforms, then n
+    # binomials unless eta = 1, where a binomial would return its n
     if not 0.0 < eta <= 1.0:
         raise DomainError("eta must lie in (0, 1]")
     w = packet_quanta_dist(statistics, g, s_bar)
@@ -644,6 +648,7 @@ def _count_sampler(statistics: Statistics, g, s_bar: float, eta: float):
 
     def draw(n, rng):
         quanta = np.searchsorted(cum, rng.uniform(size=n), side="right")
-        return rng.binomial(np.minimum(quanta, w.size - 1), eta)
+        quanta = np.minimum(quanta, w.size - 1)
+        return quanta if eta == 1.0 else rng.binomial(quanta, eta)
 
     return draw

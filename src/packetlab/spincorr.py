@@ -51,6 +51,8 @@ __all__ = [
 
 CHSH_BOUND_TOL = 1e-9
 _SEMICLASSICAL_NODES = (32, 32)  # polar and azimuth nodes of semiclassical_lhv_model
+# pairs per sample_pair_counts chunk: 256 KiB of uniforms, which fits in L2
+_PAIR_CHUNK = 2**13
 
 
 def _outcome(r) -> int:
@@ -215,6 +217,12 @@ def sample_pair_counts(
     azimuth, A outcome, B outcome), so one batch of n pairs reproduces n
     one-pair calls on the same stream exactly.
 
+    The pairs are drawn in chunks of _PAIR_CHUNK, each from the next 4m
+    uniforms of the stream, and the chunks' counts are summed as Python
+    ints. Each pair's arithmetic does not depend on its chunk, so the
+    counts equal one draw of all n pairs, and the memory stays under 1 MiB
+    at any n.
+
     sigma.axis is summed over the axis components that are nonzero only,
     for the axes the model reads (a alone for the singlet, a and b for the
     semiclassical model). A zero component adds a +-0 term, which cannot
@@ -227,17 +235,33 @@ def sample_pair_counts(
         raise DomainError("no sampling law for triplet states")
     if n <= 0:
         raise DomainError("n must be positive")
-    u = rng.uniform(size=4 * n).reshape(n, 4)
+    n_am = n_bm = n_mm = 0
+    for done in range(0, n, _PAIR_CHUNK):
+        m = min(_PAIR_CHUNK, n - done)
+        am, bm, mm = _minus_counts(model, a, b, rng.uniform(size=4 * m).reshape(m, 4))
+        n_am, n_bm, n_mm = n_am + am, n_bm + bm, n_mm + mm
+    return n - n_am - n_bm + n_mm, n_bm - n_mm, n_am - n_mm, n_mm
+
+
+def _minus_counts(model: PairModel, a: UnitVector3, b: UnitVector3, u) -> tuple:
+    # (A minus, B minus, both minus) among the pairs drawn from u, an (m, 4)
+    # array of uniforms; its temporaries are freed before the next chunk
     singlet = model.kind is ModelKind.QM_SINGLET
     axes = (a,) if singlet else (a, b)
     need_x = any(v.x != 0.0 for v in axes)
     need_y = any(v.y != 0.0 for v in axes)
     z = 2.0 * u[:, 0] - 1.0
+    sx = sy = None
     if need_x or need_y:
         s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
         phi = 2.0 * math.pi * u[:, 1]
-    sx = s * np.cos(phi) if need_x else None
-    sy = s * np.sin(phi) if need_y else None
+        if need_x:
+            sx = s * np.cos(phi)
+        if need_y:
+            sy = s * np.sin(phi)
+        # freed before the products: with them alive, a semiclassical chunk's
+        # arrays passed the heap's trim threshold, so every chunk refaulted
+        del s, phi
 
     def sigma_dot(v):
         # sx v.x + sy v.y + z v.z without its zero terms, summed left to right
@@ -257,9 +281,7 @@ def sample_pair_counts(
     else:
         p_b_plus = 0.5 * (1.0 - sigma_dot(b))
     b_minus = u[:, 3] >= p_b_plus
-    n_am, n_bm, n_mm = (int(np.count_nonzero(m))
-                        for m in (a_minus, b_minus, a_minus & b_minus))
-    return n - n_am - n_bm + n_mm, n_bm - n_mm, n_am - n_mm, n_mm
+    return tuple(int(np.count_nonzero(m)) for m in (a_minus, b_minus, a_minus & b_minus))
 
 
 def block_pair_counts(

@@ -1,8 +1,9 @@
 """Reference implementations that the tests check packetlab's kernels against.
 
 No code in packetlab calls these: an adaptive Simpson quadrature, which
-checks the transition amplitudes, and the per-cell occupancy law, which the
-vectorized cavity columns must reproduce.
+checks the transition amplitudes, the per-cell occupancy law, which the
+vectorized cavity columns must reproduce, and the pair sampler that draws
+all its pairs at once, which the chunked sampler must reproduce.
 """
 
 import math
@@ -14,6 +15,7 @@ from packetlab import quantstat
 from packetlab.errors import DomainError, NumericalError
 from packetlab.numkit import K_BOLTZMANN
 from packetlab.quantstat import Statistics
+from packetlab.spincorr import ModelKind
 
 _SIMPSON_MAX_DEPTH = 30
 
@@ -126,3 +128,42 @@ def occupancy(
         raise NumericalError("Boltzmann weight overflows double precision")
     lam = math.exp(-y)
     return OccupancyDistribution(statistics, lam, quantstat._poisson_weights(lam))
+
+
+def one_shot_pair_counts(model, a, b, n: int, rng) -> tuple:
+    """spincorr.sample_pair_counts with all 4n uniforms and every temporary
+    for the n pairs drawn at once: the same arithmetic, unchunked."""
+    if model.kind is ModelKind.TRIPLET:
+        raise DomainError("no sampling law for triplet states")
+    if n <= 0:
+        raise DomainError("n must be positive")
+    u = rng.uniform(size=4 * n).reshape(n, 4)
+    singlet = model.kind is ModelKind.QM_SINGLET
+    axes = (a,) if singlet else (a, b)
+    need_x = any(v.x != 0.0 for v in axes)
+    need_y = any(v.y != 0.0 for v in axes)
+    z = 2.0 * u[:, 0] - 1.0
+    if need_x or need_y:
+        s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+        phi = 2.0 * math.pi * u[:, 1]
+    sx = s * np.cos(phi) if need_x else None
+    sy = s * np.sin(phi) if need_y else None
+
+    def sigma_dot(v):
+        (c0, w0), *rest = [(c, w) for c, w in ((sx, v.x), (sy, v.y), (z, v.z))
+                           if w != 0.0]
+        total = c0 * w0
+        for c, w in rest:
+            total += c * w
+        return total
+
+    a_minus = u[:, 2] >= 0.5 * (1.0 + sigma_dot(a))
+    if singlet:
+        cos_ab = float(a.as_array() @ b.as_array())
+        p_b_plus = np.where(a_minus, 0.5 * (1.0 + cos_ab), 0.5 * (1.0 - cos_ab))
+    else:
+        p_b_plus = 0.5 * (1.0 - sigma_dot(b))
+    b_minus = u[:, 3] >= p_b_plus
+    n_am, n_bm, n_mm = (int(np.count_nonzero(m))
+                        for m in (a_minus, b_minus, a_minus & b_minus))
+    return n - n_am - n_bm + n_mm, n_bm - n_mm, n_am - n_mm, n_mm

@@ -457,6 +457,19 @@ class TestExitCodes:
             assert out == ""
             assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, law", [
+        (("counts", "--stat", "bose", "--sbar", "1e155"), "count"),
+        (("counts", "--mbar", "1", "--eta", "1e-300", "--mc", "2"), "count"),
+        (("counts", "--stat", "boltzmann", "--g", "1000", "--sbar", "1e306"), "Poisson"),
+        (("counts", "--stat", "boltzmann", "--mbar", "1", "--eta", "1e-320", "--mc", "2"),
+         "Poisson"),
+    ])
+    def test_support_bound_past_float_range_reports_the_cap(self, argv, law):
+        # the support bound overflows to inf, which used to end in
+        # "cannot convert float infinity to integer"
+        want = f"error: {law} support exceeds the bookkeeping cap\n"
+        assert run_cli(*argv) == (2, "", want)
+
     def test_bad_flag_value_exits_one(self):
         code, _, err = run_cli("sample", "--n", "0")
         assert code == 1
@@ -1191,6 +1204,20 @@ class TestColdStart:
         )
         want = "True" if (os.cpu_count() or 1) > 1 else "False"
         assert out.split() == ["False", "False", want]
+
+    def test_numpy_random_loads_with_the_first_stream(self):
+        # numpy 1.x imports numpy.random itself; packetlab loads it only once
+        # a command draws, so a closed-form command leaves it as numpy did
+        out = fresh_python(
+            "import io, sys, numpy\n"
+            "loaded_by_numpy = 'numpy.random' in sys.modules\n"
+            "from packetlab.cli import run\n"
+            "run(['chsh'], io.StringIO())\n"
+            "print(('numpy.random' in sys.modules) == loaded_by_numpy)\n"
+            "run(['sample', '--n', '1000'], io.StringIO())\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        assert out.split() == ["True", "True"]
 
     def test_cli_import_loads_no_argparse(self):
         # argv is read against the command registry

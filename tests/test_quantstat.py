@@ -984,6 +984,19 @@ class TestSampling:
         sample_counts(Statistics.BOLTZMANN, 2, 0.5, 0.5, 50, rng)
         assert rng.position == 100
 
+    @pytest.mark.parametrize("statistics, s_bar", [
+        (Statistics.BOSE, 2.0), (Statistics.FERMI, 0.4), (Statistics.BOLTZMANN, 1.5),
+    ])
+    def test_perfect_detector_draws_no_binomials(self, statistics, s_bar):
+        # a binomial at eta = 1 returns its n, so the thinning is skipped
+        rng, ref = RandomStream(8, 1), RandomStream(8, 1)
+        draws = sample_counts(statistics, 4, s_bar, 1.0, 500, rng)
+        cum = np.cumsum(packet_quanta_dist(statistics, 4, s_bar))
+        quanta = np.searchsorted(cum, ref.uniform(size=500), side="right")
+        want = ref.binomial(np.minimum(quanta, cum.size - 1), 1.0)
+        assert np.array_equal(draws, want)
+        assert rng.position == 500
+
     def test_sample_mean_near_expectation(self):
         n = 100_000
         draws = sample_counts(

@@ -6,12 +6,14 @@ no-signaling audit routes.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import one_shot_pair_counts
 from packetlab.errors import DomainError
 from packetlab.numkit import (
     MC_BLOCK,
@@ -20,6 +22,7 @@ from packetlab.numkit import (
     sample_isotropic_direction,
 )
 from packetlab.spincorr import (
+    _PAIR_CHUNK,
     BipartiteCoefficients,
     LhvModel,
     ModelKind,
@@ -46,6 +49,9 @@ from packetlab.spincorr import (
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 # components of coplanar_axis(pi/2): y is exactly 0, z = cos(pi/2) is 6e-17
 _XZ_RIGHT = coplanar_axis(math.pi / 2).as_array().tolist()
+# axes along z, x and y, and an oblique one that needs all three components
+_AXES = [UnitVector3(0.0, 0.0, 1.0), UnitVector3(1.0, 0.0, 0.0),
+         UnitVector3(0.0, 1.0, 0.0), UnitVector3(1 / 3, -2 / 3, 2 / 3)]
 
 
 def _singlet():
@@ -258,6 +264,55 @@ class TestSampling:
         sample_pair_counts(model, a, b, 1000, rng)
         assert calls == {"cos": cos_calls, "sin": sin_calls}
         assert rng.position == 4 * 1000
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model=st.sampled_from([PairModel.qm_singlet(), PairModel.semiclassical()]),
+        a=st.sampled_from(_AXES),
+        b=st.sampled_from(_AXES),
+        n=st.one_of(
+            st.sampled_from([1, _PAIR_CHUNK - 1, _PAIR_CHUNK, _PAIR_CHUNK + 1, MC_BLOCK + 5]),
+            st.integers(min_value=1, max_value=3 * _PAIR_CHUNK),
+        ),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        skip=st.integers(min_value=0, max_value=1000),
+    )
+    @example(PairModel.qm_singlet(), _AXES[1], _AXES[3], 1, 1, 3)
+    @example(PairModel.semiclassical(), _AXES[3], _AXES[2], _PAIR_CHUNK - 1, 2, 4)
+    @example(PairModel.qm_singlet(), _AXES[0], _AXES[1], _PAIR_CHUNK, 3, 0)
+    @example(PairModel.semiclassical(), _AXES[1], _AXES[0], _PAIR_CHUNK + 1, 4, 7)
+    @example(PairModel.qm_singlet(), _AXES[3], _AXES[0], MC_BLOCK + 5, 5, 8)
+    @example(PairModel.semiclassical(), _AXES[3], _AXES[3], MC_BLOCK + 5, 6, 1)
+    def test_chunks_equal_one_draw_of_all_pairs(self, model, a, b, n, seed, skip):
+        # the stream may stand anywhere, also inside a Philox counter step
+        rng, ref = RandomStream(seed), RandomStream(seed)
+        rng.uniform(size=skip)
+        ref.uniform(size=skip)
+        assert sample_pair_counts(model, a, b, n, rng) == one_shot_pair_counts(
+            model, a, b, n, ref)
+        assert rng.position == ref.position == skip + 4 * n
+        assert rng.uniform() == ref.uniform()
+
+    @pytest.mark.parametrize("model, a", [
+        (PairModel.qm_singlet(), _AXES[1]), (PairModel.semiclassical(), _AXES[3]),
+    ], ids=["singlet-a-along-x", "sc-oblique-a"])
+    def test_memory_does_not_grow_with_n(self, model, a):
+        # drawing every pair at once traced 74 MiB (singlet) and 88 MiB
+        # (oblique) more at 2**20 pairs than at 2**14. A first untraced call
+        # keeps first-use allocations out of both peaks.
+        b = coplanar_axis(0.7)
+        sample_pair_counts(model, a, b, 2**14, RandomStream(1))
+
+        def traced_peak(n):
+            tracemalloc.start()
+            try:
+                sample_pair_counts(model, a, b, n, RandomStream(2))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = traced_peak(2**14)
+        assert traced_peak(2**20) - small < 2**20
 
 
 def _sigma_matrix_counts(model, a, b, n, rng):

@@ -53,6 +53,8 @@ CHSH_BOUND_TOL = 1e-9
 _SEMICLASSICAL_NODES = (32, 32)  # polar and azimuth nodes of semiclassical_lhv_model
 # pairs per sample_pair_counts chunk: 256 KiB of uniforms, which fits in L2
 _PAIR_CHUNK = 2**13
+# settings per lhv_chsh_audit block: 2 MiB per semiclassical table (L = 1,024)
+_AUDIT_BLOCK = 2**8
 
 
 def _outcome(r) -> int:
@@ -334,16 +336,17 @@ def coincidence_expectation(n_ll: int, n_lr: int, n_rl: int, n_rr: int) -> float
 class LhvModel:
     """Factorizing hidden-variable model on a finite weighted grid.
 
-    ``p_a(r, settings, lambdas)`` returns the probability of outcome r at
-    each (setting, lambda) combination as an (S, L) array; likewise p_b.
-    The factorization is structural: p_a never sees the b setting and
-    p_b never sees a.
+    ``abar(settings, lambdas)`` returns side A's mean outcome, P(+1) - P(-1),
+    at each (setting, lambda) combination as an (S, L) array in [-1, 1];
+    likewise bbar for side B. Bell's bound needs nothing more of a model.
+    The factorization is structural: abar never sees the b setting and
+    bbar never sees a.
     """
 
     lambdas: np.ndarray
     weights: np.ndarray
-    p_a: Callable
-    p_b: Callable
+    abar: Callable
+    bbar: Callable
 
     def __post_init__(self):
         lam = np.atleast_2d(np.asarray(self.lambdas, dtype=float))
@@ -376,17 +379,15 @@ def _aligned_settings(*settings) -> list:
     return mats
 
 
-def _mean_response(model: LhvModel, p, settings: np.ndarray) -> np.ndarray:
-    """Abar or Bbar: P(+1) - P(-1), checked against the [0, 1] bounds."""
-    plus = np.asarray(p(+1, settings, model.lambdas), dtype=float)
-    minus = np.asarray(p(-1, settings, model.lambdas), dtype=float)
+def _mean_response(model: LhvModel, mean, settings: np.ndarray) -> np.ndarray:
+    """Abar or Bbar from one call of mean, checked as an (S, L) table in [-1, 1]."""
+    tab = np.asarray(mean(settings, model.lambdas), dtype=float)
     want = (settings.shape[0], model.lambdas.shape[0])
-    if plus.shape != want or minus.shape != want:
-        raise DomainError(f"response table must have shape {want}")
-    for tab in (plus, minus):
-        if np.any(tab < -1e-12) or np.any(tab > 1.0 + 1e-12):
-            raise DomainError("response probabilities must lie in [0, 1]")
-    return plus - minus
+    if tab.shape != want:
+        raise DomainError(f"mean response table must have shape {want}")
+    if not np.all(np.abs(tab) <= 1.0 + 1e-12):  # NaN fails too
+        raise DomainError("mean responses must lie in [-1, 1]")
+    return tab
 
 
 def lhv_expectation(model: LhvModel, a, b):
@@ -395,8 +396,8 @@ def lhv_expectation(model: LhvModel, a, b):
     a and b may be single axes or aligned (n, 3) arrays of settings.
     """
     sa, sb = _aligned_settings(a, b)
-    abar = _mean_response(model, model.p_a, sa)
-    bbar = _mean_response(model, model.p_b, sb)
+    abar = _mean_response(model, model.abar, sa)
+    bbar = _mean_response(model, model.bbar, sb)
     e = (abar * bbar) @ model.weights
     return float(e[0]) if e.size == 1 and isinstance(a, UnitVector3) else e
 
@@ -405,16 +406,23 @@ def lhv_chsh_audit(model: LhvModel, a, b, a2, b2) -> tuple:
     """CHSH value(s) of a hidden-variable model and the K <= 2 verdict.
 
     Each setting may be an axis or an (n, 3) batch of axes; batches give
-    a K array and a verdict covering every quadruple. Abar(a), Abar(a'),
-    Bbar(b) and Bbar(b') are built once each, and the four correlations
-    equal those of lhv_expectation exactly.
+    a K array and a verdict covering every quadruple. The batch is audited
+    in blocks of _AUDIT_BLOCK settings, so the tables take a few MB at any
+    n. In each block Abar(a), Abar(a'), Bbar(b) and Bbar(b') are built once
+    each, and the four correlations equal lhv_expectation's on the block's
+    rows exactly. numpy's BLAS can round a row by the batch around it (a
+    one-row product, the last rows of a thread's share), so a few rows may
+    differ in the last bits from one lhv_expectation call on the whole batch.
     """
     sa, sb, sa2, sb2 = _aligned_settings(a, b, a2, b2)
-    abars = [_mean_response(model, model.p_a, s) for s in (sa, sa2)]
-    bbars = [_mean_response(model, model.p_b, s) for s in (sb, sb2)]
-    # E(a,b), E(a,b'), E(a',b), E(a',b')
-    e = [(abar * bbar) @ model.weights for abar in abars for bbar in bbars]
-    k = np.abs(e[0] + e[1] + e[2] - e[3])
+    k = np.empty(sa.shape[0])
+    for lo in range(0, k.size, _AUDIT_BLOCK):
+        block = slice(lo, lo + _AUDIT_BLOCK)
+        abars = [_mean_response(model, model.abar, s[block]) for s in (sa, sa2)]
+        bbars = [_mean_response(model, model.bbar, s[block]) for s in (sb, sb2)]
+        # E(a,b), E(a,b'), E(a',b), E(a',b')
+        e = [(abar * bbar) @ model.weights for abar in abars for bbar in bbars]
+        k[block] = np.abs(e[0] + e[1] + e[2] - e[3])
     satisfied = bool(np.all(k <= 2.0 + CHSH_BOUND_TOL))
     if k.size == 1 and isinstance(a, UnitVector3):
         return float(k[0]), satisfied
@@ -424,9 +432,9 @@ def lhv_chsh_audit(model: LhvModel, a, b, a2, b2) -> tuple:
 def random_lhv_model(rng: RandomStream, n_lambda: int = 16) -> LhvModel:
     """Random smooth factorizing model for bound sweeps.
 
-    Each side responds through a logistic curve in the setting-lambda
-    overlap with coefficients fixed at construction; P(-1) = 1 - P(+1),
-    so the response bounds hold by construction.
+    Each side responds through a logistic curve P(+1) in the
+    setting-lambda overlap with coefficients fixed at construction; its
+    mean P(+1) - (1 - P(+1)) lies in [-1, 1] by construction.
     """
     if n_lambda < 1:
         raise DomainError("need at least one lambda point")
@@ -435,12 +443,13 @@ def random_lhv_model(rng: RandomStream, n_lambda: int = 16) -> LhvModel:
     w = w / w.sum()
 
     def make_response(c0, c1, c2):
-        def p(r, settings, lambdas):
+        def mean(settings, lambdas):
             t = settings @ lambdas.T
             plus = 1.0 / (1.0 + np.exp(-(c0 + c1 * t + c2 * t * t)))
-            return plus if r > 0 else 1.0 - plus
+            # kept as P(+1) - P(-1): 2 * plus - 1 would move K's last bit
+            return plus - (1.0 - plus)
 
-        return p
+        return mean
 
     ca = 4.0 * rng.uniform(size=3) - 2.0
     cb = 4.0 * rng.uniform(size=3) - 2.0
@@ -452,24 +461,23 @@ def sign_anticorrelated_model(rng: RandomStream, n_lambda: int = 64) -> LhvModel
     lams = sample_isotropic_directions(rng, n_lambda)
     w = np.full(n_lambda, 1.0 / n_lambda)
 
-    def p_a(r, settings, lambdas):
-        up = (settings @ lambdas.T) >= 0.0
-        return np.where(up, 1.0, 0.0) if r > 0 else np.where(up, 0.0, 1.0)
+    def abar(settings, lambdas):
+        return np.where(settings @ lambdas.T >= 0.0, 1.0, -1.0)
 
-    def p_b(r, settings, lambdas):
-        up = (settings @ lambdas.T) >= 0.0
-        return np.where(up, 0.0, 1.0) if r > 0 else np.where(up, 1.0, 0.0)
+    def bbar(settings, lambdas):
+        return -abar(settings, lambdas)
 
-    return LhvModel(lams, w, p_a, p_b)
+    return LhvModel(lams, w, abar, bbar)
 
 
 def semiclassical_lhv_model() -> LhvModel:
     """The independent-evolution model as an explicit hidden-variable grid.
 
     lambda is the initial spin direction, integrated with Gauss-Legendre
-    nodes in the polar cosine and a uniform azimuth grid; the product
-    responses (1 + r sigma.a)/2 and (1 - r sigma.b)/2 then average to the
-    reduced correlation -cos(theta)/3 exactly at quadrature order 2.
+    nodes in the polar cosine and a uniform azimuth grid; the outcome
+    probabilities (1 + r sigma.a)/2 and (1 - r sigma.b)/2 give the mean
+    responses sigma.a and -sigma.b, whose product averages to the reduced
+    correlation -cos(theta)/3 exactly at quadrature order 2.
     """
     n_polar, n_azimuth = _SEMICLASSICAL_NODES
     nodes, wts = np.polynomial.legendre.leggauss(n_polar)
@@ -481,13 +489,16 @@ def semiclassical_lhv_model() -> LhvModel:
     )
     w = np.outer(wts / 2.0, np.full(n_azimuth, 1.0 / n_azimuth)).ravel()
 
-    def p_a(r, settings, lambdas):
-        return 0.5 * (1.0 + (1 if r > 0 else -1) * settings @ lambdas.T)
+    def abar(settings, lambdas):
+        t = settings @ lambdas.T
+        # kept as P(+1) - P(-1): the bare t would move K's last bit
+        return 0.5 * (1.0 + t) - 0.5 * (1.0 - t)
 
-    def p_b(r, settings, lambdas):
-        return 0.5 * (1.0 - (1 if r > 0 else -1) * settings @ lambdas.T)
+    def bbar(settings, lambdas):
+        t = settings @ lambdas.T
+        return 0.5 * (1.0 - t) - 0.5 * (1.0 + t)
 
-    return LhvModel(lams, w, p_a, p_b)
+    return LhvModel(lams, w, abar, bbar)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,10 @@ from packetlab.numkit import (
     RandomStream,
     UnitVector3,
     sample_isotropic_direction,
+    sample_isotropic_directions,
 )
 from packetlab.spincorr import (
+    _AUDIT_BLOCK,
     _PAIR_CHUNK,
     BipartiteCoefficients,
     LhvModel,
@@ -380,6 +382,26 @@ class TestBlockSampling:
             block_pair_counts(PairModel.triplet(0, z), z, z, 10, 0)
 
 
+def _counting_model(family):
+    """A family's model whose abar and bbar count their calls, and the counts."""
+    made = {
+        "random": lambda: random_lhv_model(RandomStream(49), 16),
+        "sign": lambda: sign_anticorrelated_model(RandomStream(50)),
+        "semiclassical": semiclassical_lhv_model,
+    }[family]()
+    calls = {"a": 0, "b": 0}
+
+    def counting(side, mean):
+        def shim(settings_, lambdas):
+            calls[side] += 1
+            return mean(settings_, lambdas)
+        return shim
+
+    model = LhvModel(made.lambdas, made.weights,
+                     counting("a", made.abar), counting("b", made.bbar))
+    return model, calls
+
+
 class TestLhvModels:
     def test_random_model_weights(self):
         model = random_lhv_model(RandomStream(41), 16)
@@ -429,21 +451,7 @@ class TestLhvModels:
     @pytest.mark.parametrize("family", ["random", "sign", "semiclassical"])
     @pytest.mark.parametrize("batched", [False, True])
     def test_audit_builds_each_response_table_once(self, family, batched):
-        made = {
-            "random": lambda: random_lhv_model(RandomStream(49), 16),
-            "sign": lambda: sign_anticorrelated_model(RandomStream(50)),
-            "semiclassical": semiclassical_lhv_model,
-        }[family]()
-        calls = {"a": 0, "b": 0}
-
-        def counting(side, p):
-            def shim(r, settings_, lambdas):
-                calls[side] += 1
-                return p(r, settings_, lambdas)
-            return shim
-
-        model = LhvModel(made.lambdas, made.weights,
-                         counting("a", made.p_a), counting("b", made.p_b))
+        model, calls = _counting_model(family)
         if batched:
             rng = RandomStream(51)
             axes = [np.stack([sample_isotropic_direction(rng).as_array()
@@ -451,7 +459,7 @@ class TestLhvModels:
         else:
             axes = _random_axes(52, 4)
         k, ok = lhv_chsh_audit(model, *axes)
-        assert calls == {"a": 4, "b": 4}  # 2 settings x 2 outcomes per side
+        assert calls == {"a": 2, "b": 2}  # one table per setting per side
 
         a, b, a2, b2 = axes
         want = abs(lhv_expectation(model, a, b) + lhv_expectation(model, a, b2)
@@ -461,6 +469,80 @@ class TestLhvModels:
         else:
             assert type(k) is float and k == want
         assert ok == bool(np.all(want <= 2.0 + 1e-9))
+
+    @pytest.mark.parametrize("family", ["random", "sign", "semiclassical"])
+    @pytest.mark.parametrize("n", [1, _AUDIT_BLOCK - 1, _AUDIT_BLOCK,
+                                   _AUDIT_BLOCK + 1, 2 * _AUDIT_BLOCK + 5])
+    def test_audit_blocks_equal_one_table_per_batch(self, family, n):
+        model, calls = _counting_model(family)
+        rng = RandomStream(57)
+        axes = [sample_isotropic_directions(rng, n) for _ in range(4)]
+        k, ok = lhv_chsh_audit(model, *axes)
+        blocks = -(-n // _AUDIT_BLOCK)
+        assert calls == {"a": 2 * blocks, "b": 2 * blocks}
+
+        def expected_k(a, b, a2, b2):
+            return np.abs(lhv_expectation(model, a, b) + lhv_expectation(model, a, b2)
+                          + lhv_expectation(model, a2, b) - lhv_expectation(model, a2, b2))
+
+        per_block = np.concatenate([expected_k(*(x[lo:lo + _AUDIT_BLOCK] for x in axes))
+                                    for lo in range(0, n, _AUDIT_BLOCK)])
+        assert k.shape == (n,) and np.array_equal(k, per_block)
+        whole = expected_k(*axes)
+        assert ok == bool(np.all(whole <= 2.0 + 1e-9))
+        # numpy's BLAS rounds a one-row product, and the last rows of each
+        # thread's share of a large one, in their own order, so the rows of
+        # the 1,024-point semiclassical grid can move by a few ulps with the
+        # batch around them. The 16-point random tables are too small to be
+        # split, and the sign sums of +-1/64 are exact, so those must match
+        if family == "semiclassical":
+            np.testing.assert_allclose(k, whole, rtol=0.0, atol=1e-14)
+        else:
+            assert np.array_equal(k, whole)
+
+    def test_audit_memory_does_not_grow_with_settings(self):
+        # tables for every setting at once traced 281 MiB more at 8,000
+        # settings than at 2,000. A first untraced call keeps first-use
+        # allocations out of both peaks, and the settings are drawn untraced.
+        model = semiclassical_lhv_model()
+        rng = RandomStream(58)
+        big = [sample_isotropic_directions(rng, 8000) for _ in range(4)]
+        small = [s[:2000] for s in big]
+        lhv_chsh_audit(model, *small)
+
+        def traced_peak(axes):
+            tracemalloc.start()
+            try:
+                lhv_chsh_audit(model, *axes)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small_peak = traced_peak(small)
+        assert traced_peak(big) - small_peak < 2**20
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("bad", ["nan", "above_one", "wrong_shape"])
+    def test_invalid_mean_response_refused(self, side, bad):
+        made = semiclassical_lhv_model()
+
+        def broken(settings_, lambdas):
+            tab = made.abar(settings_, lambdas)
+            if bad == "nan":
+                tab[0, 0] = np.nan
+            elif bad == "above_one":
+                tab[0, 0] = 1.5
+            else:
+                tab = tab[:, 1:]
+            return tab
+
+        means = {"a": (broken, made.bbar), "b": (made.abar, broken)}[side]
+        model = LhvModel(made.lambdas, made.weights, *means)
+        axes = _random_axes(59, 4)
+        with pytest.raises(DomainError):
+            lhv_chsh_audit(model, *axes)
+        with pytest.raises(DomainError):
+            lhv_expectation(model, axes[0], axes[1])
 
     def test_audit_rejects_misaligned_batches(self):
         model = semiclassical_lhv_model()

@@ -907,12 +907,12 @@ _REGRESSION_CHECKS = [
 def _bespoke_values(p: dict) -> dict:
     """The value of every regress check that no subcommand computes."""
     v = {}
-    rng = numkit.RandomStream(p["seed"], 1)
+    dirs = numkit.sample_isotropic_directions(numkit.RandomStream(p["seed"], 1), 400)
+    axes = [numkit.UnitVector3.from_array(d) for d in dirs]
+    pairs = list(zip(axes[0::2], axes[1::2]))  # (a, b) in draw order, 100 per model
     worst = 0.0
-    for model in (_PAIR_MODELS["qm"](), _PAIR_MODELS["sc"]()):
-        for _ in range(100):
-            a = numkit.sample_isotropic_direction(rng)
-            b = numkit.sample_isotropic_direction(rng)
+    for k, model in enumerate((_PAIR_MODELS["qm"](), _PAIR_MODELS["sc"]())):
+        for a, b in pairs[100 * k:100 * (k + 1)]:
             for r_b in (+1, -1):
                 worst = max(worst, abs(spincorr.marginal(model, a, b, r_b) - 0.5))
     v["marginal_half"] = worst

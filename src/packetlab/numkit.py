@@ -26,7 +26,6 @@ __all__ = [
     "normalize",
     "RandomStream",
     "SampledFunction1D",
-    "sample_isotropic_direction",
     "sample_isotropic_directions",
     "sample_normals",
     "sample_haar_unitary",
@@ -66,13 +65,6 @@ class UnitVector3:
             raise DomainError(
                 f"unit vector norm {n!r} deviates from 1 by more than {_UNIT_TOL}"
             )
-
-    @classmethod
-    def normalized(cls, x: float, y: float, z: float) -> "UnitVector3":
-        unit, n = normalize([x, y, z])
-        if n == 0.0:
-            raise DomainError("cannot normalize the zero vector")
-        return cls.from_array(unit)
 
     @classmethod
     def from_array(cls, arr) -> "UnitVector3":
@@ -151,23 +143,13 @@ class RandomStream:
         )
 
 
-def sample_isotropic_direction(rng: RandomStream) -> UnitVector3:
-    """One direction uniform on the sphere, by inverse CDF.
-
-    cos(polar angle) is uniform on [-1, 1] and the azimuth uniform on
-    [0, 2pi); exactly two uniforms are consumed, in that order.
-    """
-    u = rng.uniform(size=2)
-    z = 2.0 * u[0] - 1.0
-    phi = 2.0 * math.pi * u[1]
-    s = math.sqrt(max(0.0, 1.0 - z * z))
-    return UnitVector3(s * math.cos(phi), s * math.sin(phi), z)
-
-
 def sample_isotropic_directions(rng: RandomStream, n: int) -> np.ndarray:
-    """(n, 3) array of uniform sphere directions.
+    """(n, 3) array of directions uniform on the sphere, by inverse CDF.
 
-    Consumes the same uniforms in the same order as n scalar calls.
+    Row i takes uniforms 2i and 2i + 1 of the draw: cos(polar angle) =
+    2 u - 1 is uniform on [-1, 1], then the azimuth 2 pi u' on [0, 2pi).
+    Exactly 2n uniforms are consumed, so n rows and then m rows equal one
+    call of n + m rows.
     """
     if n <= 0:
         raise DomainError("n must be positive")

@@ -23,10 +23,10 @@ from packetlab.numkit import (
     UnitVector3,
     fourier_widths,
     log_binomial,
+    normalize,
     position_width,
     sample_haar_unitary,
     sample_integer,
-    sample_isotropic_direction,
     sample_isotropic_directions,
     sample_normals,
     run_blocks,
@@ -64,20 +64,30 @@ class TestUnitVector3:
         with pytest.raises(DomainError):
             UnitVector3(*parts)
 
-    def test_normalized(self):
-        v = UnitVector3.normalized(3.0, 4.0, 0.0)
-        assert abs(v.x - 0.6) < 1e-15 and abs(v.y - 0.8) < 1e-15
+    @pytest.mark.parametrize("values, unit, norm", [
+        ((3.0, 4.0, 0.0), (0.6, 0.8, 0.0), 5.0),
+        # a subnormal sum of squares and an overflowing one are retaken after
+        # dividing by the largest entry
+        ((5e-324, 0.0, 0.0), (1.0, 0.0, 0.0), 5e-324),
+        ((3 * 5e-324, -4 * 5e-324, 0.0), (0.6, -0.8, 0.0), 5 * 5e-324),
+        ((1e308, 0.0, -1e308), (math.sqrt(0.5), 0.0, -math.sqrt(0.5)),
+         math.sqrt(2.0) * 1e308),
+    ])
+    def test_normalized(self, values, unit, norm):
+        got, n = normalize(values)
+        np.testing.assert_allclose(got, unit, rtol=0.0, atol=1e-15)
+        assert n == pytest.approx(norm, rel=1e-15)
 
     def test_zero_vector(self):
-        with pytest.raises(DomainError):
-            UnitVector3.normalized(0.0, 0.0, 0.0)
+        got, n = normalize([0.0, 0.0, 0.0])
+        assert n == 0.0 and np.array_equal(got, np.zeros(3))
 
     def test_from_array_shape(self):
         with pytest.raises(DomainError):
             UnitVector3.from_array([1.0, 0.0])
 
     def test_roundtrip(self):
-        v = UnitVector3.normalized(1.0, -2.0, 0.5)
+        v = UnitVector3.from_array(normalize([1.0, -2.0, 0.5])[0])
         w = UnitVector3.from_array(v.as_array())
         assert v.dot(w) == pytest.approx(1.0, abs=1e-15)
 
@@ -188,17 +198,21 @@ class TestRunBlocks:
 
 class TestIsotropicSampling:
     def test_unit_norm(self):
-        rng = RandomStream(1)
-        for _ in range(100):
-            v = sample_isotropic_direction(rng)
-            assert abs(v.x**2 + v.y**2 + v.z**2 - 1.0) < 1e-12
+        dirs = sample_isotropic_directions(RandomStream(1), 100)
+        assert np.all(np.abs(np.sum(dirs**2, axis=1) - 1.0) < 1e-12)
 
-    def test_batch_equals_scalar_sequence(self):
-        batch = sample_isotropic_directions(RandomStream(5), 50)
-        rng = RandomStream(5)
-        for i in range(50):
-            v = sample_isotropic_direction(rng)
-            assert np.array_equal(batch[i], v.as_array())
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 300), m=st.integers(1, 300),
+           seed=st.integers(0, 2**64 - 1))
+    def test_pieces_equal_one_call(self, n, m, seed):
+        # each row takes the next two uniforms, so draws may be split at
+        # any row; regress draws its 400 marginal axes in one call on this
+        rng = RandomStream(seed)
+        pieces = np.vstack([sample_isotropic_directions(rng, n),
+                            sample_isotropic_directions(rng, m)])
+        whole = sample_isotropic_directions(RandomStream(seed), n + m)
+        assert np.array_equal(pieces, whole)
+        assert rng.position == 2 * (n + m)
 
     def test_mean_is_zero(self):
         # CLT band 4/sqrt(n) on each component

@@ -1,8 +1,9 @@
-"""Every exported name has a caller in the package, and every error is one
-of two kinds.
+"""The package carries its modules and errors only, every exported name has
+a caller in the package, and every error is one of two kinds.
 
-A name in a module's __all__ must be referenced somewhere in src/packetlab
-outside its own definition; the re-export in __init__.py does not count.
+`import packetlab` gives the six modules, errors and the four error classes,
+so each library name has one home, its module. A name in a module's __all__
+must be referenced somewhere in src/packetlab outside its own definition.
 Only the oracles below are exported for the tests alone; every other
 reference implementation lives in tests/oracles.py.
 
@@ -13,7 +14,10 @@ chooses between two names for one exit code.
 
 import ast
 import io
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -31,6 +35,21 @@ ORACLES = {
     "lhv_expectation": "hidden-variable correlation E(a, b) that the tests check "
     "lhv_chsh_audit's shared response tables against",
 }
+
+
+MODULES = ["actionprob", "configspace", "numkit", "quantstat", "spincorr", "wavepacket"]
+ERRORS = ["AccuracyWarning", "DomainError", "NumericalError", "PacketLabError"]
+
+
+def test_package_exports_its_modules_and_errors_only():
+    # a fresh interpreter, so no submodule another test imported shows up
+    path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import packetlab; print(*sorted(n for n in vars(packetlab) if n[0] != '_'))"],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
+    ).stdout
+    assert out.split() == sorted(MODULES + ["errors"] + ERRORS)
 
 
 def _exports(tree) -> list:

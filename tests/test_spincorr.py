@@ -19,7 +19,7 @@ from packetlab.numkit import (
     MC_BLOCK,
     RandomStream,
     UnitVector3,
-    sample_isotropic_direction,
+    normalize,
     sample_isotropic_directions,
 )
 from packetlab.spincorr import (
@@ -62,9 +62,9 @@ def _singlet():
     return BipartiteCoefficients(np.array([[0.0, inv], [-inv, 0.0]]), 1.0)
 
 
-def _random_axes(seed, n):
-    rng = RandomStream(seed)
-    return [sample_isotropic_direction(rng) for _ in range(n)]
+def _random_axes(rng, n):
+    """The next n isotropic directions of rng, as UnitVector3 values."""
+    return [UnitVector3.from_array(v) for v in sample_isotropic_directions(rng, n)]
 
 
 class TestSingletClosedForms:
@@ -84,12 +84,14 @@ class TestSingletClosedForms:
         assert t.expectation == pytest.approx(-1.0)
 
     def test_expectation_is_minus_dot(self):
-        for a, b in zip(_random_axes(11, 20), _random_axes(12, 20)):
+        for a, b in zip(_random_axes(RandomStream(11), 20),
+                        _random_axes(RandomStream(12), 20)):
             e = expectation(PairModel.qm_singlet(), a, b)
             assert e == pytest.approx(-a.dot(b), abs=1e-13)
 
     def test_table_sums_to_one(self):
-        for a, b in zip(_random_axes(13, 50), _random_axes(14, 50)):
+        for a, b in zip(_random_axes(RandomStream(13), 50),
+                        _random_axes(RandomStream(14), 50)):
             t = joint_table(PairModel.qm_singlet(), a, b)
             assert t.pp + t.pm + t.mp + t.mm == pytest.approx(1.0, abs=1e-12)
 
@@ -107,7 +109,8 @@ class TestSingletClosedForms:
 
 class TestSemiclassicalClosedForms:
     def test_reduced_correlation(self):
-        for a, b in zip(_random_axes(15, 30), _random_axes(16, 30)):
+        for a, b in zip(_random_axes(RandomStream(15), 30),
+                        _random_axes(RandomStream(16), 30)):
             e = expectation(PairModel.semiclassical(), a, b)
             assert e == pytest.approx(-a.dot(b) / 3.0, abs=1e-13)
 
@@ -128,14 +131,16 @@ class TestSemiclassicalClosedForms:
 class TestTriplet:
     def test_m0_closed_form(self):
         z = UnitVector3(0.0, 0.0, 1.0)
-        for a, b in zip(_random_axes(17, 20), _random_axes(18, 20)):
+        for a, b in zip(_random_axes(RandomStream(17), 20),
+                        _random_axes(RandomStream(18), 20)):
             e = expectation(PairModel.triplet(0, z), a, b)
             want = a.dot(b) - 2.0 * a.z * b.z
             assert e == pytest.approx(want, abs=1e-13)
 
     def test_m1_is_product_form(self):
         z = UnitVector3(0.0, 0.0, 1.0)
-        for a, b in zip(_random_axes(19, 20), _random_axes(20, 20)):
+        for a, b in zip(_random_axes(RandomStream(19), 20),
+                        _random_axes(RandomStream(20), 20)):
             for m in (1, -1):
                 e = expectation(PairModel.triplet(m, z), a, b)
                 assert e == pytest.approx(a.z * b.z, abs=1e-13)
@@ -159,14 +164,15 @@ class TestChsh:
     def test_quantum_never_exceeds_tsirelson(self):
         rng = RandomStream(21)
         for _ in range(200):
-            axes = [sample_isotropic_direction(rng) for _ in range(4)]
+            axes = _random_axes(rng, 4)
             assert chsh(PairModel.qm_singlet(), *axes) <= TWO_SQRT_TWO + 1e-12
 
 
 class TestMarginals:
     def test_always_half(self):
         models = [PairModel.qm_singlet(), PairModel.semiclassical()]
-        for a, b in zip(_random_axes(22, 100), _random_axes(23, 100)):
+        for a, b in zip(_random_axes(RandomStream(22), 100),
+                        _random_axes(RandomStream(23), 100)):
             for model in models:
                 for r_b in (1, -1):
                     assert abs(marginal(model, a, b, r_b) - 0.5) < 1e-12
@@ -238,8 +244,8 @@ class TestSampling:
     @example(PairModel.semiclassical(), [0.0, 1.0, 0.0, *_XZ_RIGHT], 20000, 7)
     @example(PairModel.semiclassical(), [0.0, -0.0, 1.0, -0.0, 0.0, -1.0], 20000, 8)
     def test_counts_match_the_sigma_matrix_sampler(self, model, axes, n, seed):
-        a = UnitVector3.normalized(*axes[:3])
-        b = UnitVector3.normalized(*axes[3:])
+        a = UnitVector3.from_array(normalize(axes[:3])[0])
+        b = UnitVector3.from_array(normalize(axes[3:])[0])
         want = _sigma_matrix_counts(model, a, b, n, RandomStream(seed))
         assert sample_pair_counts(model, a, b, n, RandomStream(seed)) == want
 
@@ -412,10 +418,10 @@ class TestLhvModels:
 
     def test_random_model_bound(self):
         rng = RandomStream(42)
-        a = np.stack([sample_isotropic_direction(rng).as_array() for _ in range(50)])
-        b = np.stack([sample_isotropic_direction(rng).as_array() for _ in range(50)])
-        a2 = np.stack([sample_isotropic_direction(rng).as_array() for _ in range(50)])
-        b2 = np.stack([sample_isotropic_direction(rng).as_array() for _ in range(50)])
+        a = sample_isotropic_directions(rng, 50)
+        b = sample_isotropic_directions(rng, 50)
+        a2 = sample_isotropic_directions(rng, 50)
+        b2 = sample_isotropic_directions(rng, 50)
         for seed in range(20):
             model = random_lhv_model(RandomStream(seed, 99), 16)
             k, ok = lhv_chsh_audit(model, a, b, a2, b2)
@@ -424,20 +430,21 @@ class TestLhvModels:
 
     def test_sign_model_anticorrelated(self):
         model = sign_anticorrelated_model(RandomStream(43))
-        for a in _random_axes(44, 10):
+        for a in _random_axes(RandomStream(44), 10):
             assert lhv_expectation(model, a, a) == pytest.approx(-1.0, abs=1e-12)
 
     def test_sign_model_bound(self):
         model = sign_anticorrelated_model(RandomStream(45))
         rng = RandomStream(46)
         for _ in range(50):
-            axes = [sample_isotropic_direction(rng) for _ in range(4)]
+            axes = _random_axes(rng, 4)
             k, ok = lhv_chsh_audit(model, *axes)
             assert ok and k <= 2.0 + 1e-9
 
     def test_semiclassical_grid_matches_reduced_correlation(self):
         model = semiclassical_lhv_model()
-        for a, b in zip(_random_axes(47, 20), _random_axes(48, 20)):
+        for a, b in zip(_random_axes(RandomStream(47), 20),
+                        _random_axes(RandomStream(48), 20)):
             want = -a.dot(b) / 3.0
             assert lhv_expectation(model, a, b) == pytest.approx(want, abs=1e-12)
 
@@ -454,10 +461,9 @@ class TestLhvModels:
         model, calls = _counting_model(family)
         if batched:
             rng = RandomStream(51)
-            axes = [np.stack([sample_isotropic_direction(rng).as_array()
-                              for _ in range(7)]) for _ in range(4)]
+            axes = [sample_isotropic_directions(rng, 7) for _ in range(4)]
         else:
-            axes = _random_axes(52, 4)
+            axes = _random_axes(RandomStream(52), 4)
         k, ok = lhv_chsh_audit(model, *axes)
         assert calls == {"a": 2, "b": 2}  # one table per setting per side
 
@@ -538,7 +544,7 @@ class TestLhvModels:
 
         means = {"a": (broken, made.bbar), "b": (made.abar, broken)}[side]
         model = LhvModel(made.lambdas, made.weights, *means)
-        axes = _random_axes(59, 4)
+        axes = _random_axes(RandomStream(59), 4)
         with pytest.raises(DomainError):
             lhv_chsh_audit(model, *axes)
         with pytest.raises(DomainError):
@@ -546,8 +552,8 @@ class TestLhvModels:
 
     def test_audit_rejects_misaligned_batches(self):
         model = semiclassical_lhv_model()
-        a, b, a2 = _random_axes(53, 3)
-        b2 = np.stack([x.as_array() for x in _random_axes(54, 2)])
+        a, b, a2 = _random_axes(RandomStream(53), 3)
+        b2 = sample_isotropic_directions(RandomStream(54), 2)
         with pytest.raises(DomainError):
             lhv_chsh_audit(model, a, b, a2, b2)
 
@@ -563,7 +569,7 @@ class TestLhvModels:
     def test_audit_verdict_matches_bound(self, seed):
         model = random_lhv_model(RandomStream(seed, 7), 8)
         rng = RandomStream(seed, 8)
-        axes = [sample_isotropic_direction(rng) for _ in range(4)]
+        axes = _random_axes(rng, 4)
         k, ok = lhv_chsh_audit(model, *axes)
         assert ok == (k <= 2.0 + 1e-9)
 

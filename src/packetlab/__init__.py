@@ -21,9 +21,31 @@ use, so importing packetlab loads numpy only.
 
 The package carries the modules, the errors and __version__; import a
 function from its module, for example ``from packetlab.spincorr import chsh``.
+
+When packetlab is the first to import numpy, OpenBLAS loads with one
+thread. packetlab's largest BLAS call is a 256 x 256 SVD, so a second BLAS
+thread only busy-waits, and the thread count moves the last bits of that
+SVD; with one thread, records do not depend on the core count. A caller
+who sets OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS keeps
+that count, and the environment is left as it was found. The Monte Carlo
+worker threads are set by ``--shards``.
 """
 
-from . import actionprob, configspace, numkit, quantstat, spincorr, wavepacket
-from .errors import AccuracyWarning, DomainError, NumericalError, PacketLabError
+import os as _os
+
+# OpenBLAS reads the variable once, when numpy loads it with the first
+# submodule import below, so it is set for that import only
+_PIN = not any(
+    v in _os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+)
+if _PIN:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    from . import actionprob, configspace, numkit, quantstat, spincorr, wavepacket
+    from .errors import AccuracyWarning, DomainError, NumericalError, PacketLabError
+finally:
+    if _PIN:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+    del _os, _PIN
 
 __version__ = "0.1.0"

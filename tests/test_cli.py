@@ -91,20 +91,20 @@ def _child_env() -> dict:
     return dict(os.environ, PYTHONPATH=path)
 
 
-def fresh_process(*args, check=True) -> subprocess.CompletedProcess:
+def fresh_process(*args, check=True, env=None) -> subprocess.CompletedProcess:
     """A new interpreter run with args and this packetlab importable."""
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env=_child_env(),
+        env=_child_env() if env is None else env,
         check=check,
     )
 
 
-def fresh_python(code: str) -> str:
+def fresh_python(code: str, env=None) -> str:
     """stdout of a new interpreter that runs code."""
-    return fresh_process("-c", code).stdout
+    return fresh_process("-c", code, env=env).stdout
 
 
 STIRLING_WARNING = (
@@ -571,10 +571,10 @@ class TestExitCodes:
         def limit():
             resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
-        env = dict(_child_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        # the package's own one-thread BLAS default keeps the child under it
         done = subprocess.run(
             [sys.executable, "-m", "packetlab.cli", "actionprob", "--width-ratio", "1e6"],
-            capture_output=True, text=True, timeout=120, env=env, preexec_fn=limit,
+            capture_output=True, text=True, timeout=120, env=_child_env(), preexec_fn=limit,
         )
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == (
@@ -1181,6 +1181,58 @@ class TestRegress:
         base = record("regress")
         sharded = record("regress", "--shards", "4")
         assert sharded["checks"] == base["checks"]
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+TASKS = "len(os.listdir('/proc/self/task'))"
+
+
+def _unpinned_env(**extra) -> dict:
+    """_child_env() without the BLAS thread variables, plus extra."""
+    env = {k: v for k, v in _child_env().items() if k not in BLAS_THREAD_VARS}
+    return dict(env, **extra)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+class TestBlasThreads:
+    # numpy's OpenBLAS starts one worker per extra core, which busy-waits and
+    # changes the last bits of an SVD; packetlab loads it with one thread
+    # unless the caller chose a count, and leaves the environment as it was
+
+    def test_import_loads_one_thread_and_leaves_no_variable(self):
+        out = fresh_python(
+            f"import os, packetlab; print({TASKS}, 'OPENBLAS_NUM_THREADS' in os.environ)",
+            _unpinned_env(),
+        )
+        assert out.split() == ["1", "False"]
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 cores")
+    @pytest.mark.parametrize("var", BLAS_THREAD_VARS)
+    def test_a_caller_count_is_kept(self, var):
+        out = fresh_python(
+            "import os; before = dict(os.environ); import packetlab\n"
+            f"print({TASKS}, dict(os.environ) == before, "
+            "[v for v in os.environ if v.endswith('_NUM_THREADS')])",
+            _unpinned_env(**{var: "2"}),
+        )
+        assert out == f"2 True ['{var}']\n"
+
+    def test_numpy_imported_first_leaves_the_environment_unchanged(self):
+        out = fresh_python(
+            f"import os, numpy; before, tasks = dict(os.environ), {TASKS}\n"
+            f"import packetlab; print(dict(os.environ) == before, {TASKS} == tasks)",
+            _unpinned_env(),
+        )
+        assert out == "True True\n"
+
+    def test_records_do_not_depend_on_the_thread_count(self):
+        # the Schmidt residual of this product state is an SVD's last bits
+        default, pinned = (
+            fresh_process("-m", "packetlab.cli", "condspace", "--symmetry", "none", env=env).stdout
+            for env in (_unpinned_env(), _unpinned_env(OPENBLAS_NUM_THREADS="1"))
+        )
+        assert default == pinned
 
 
 class TestColdStart:

@@ -248,6 +248,20 @@ class TestSamplers:
             u = sample_haar_unitary(rng, dim)
             assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < 1e-12
 
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    def test_haar_unitary_has_the_positive_qr_phase(self, dim):
+        # U = QD with D = diag(r_ii / |r_ii|), so U^H z / sqrt(2) = D^H R is
+        # upper triangular with a positive diagonal; that QR is unique, which
+        # makes the draw Haar (Mezzadri 2007)
+        for seed in range(20):
+            u = sample_haar_unitary(RandomStream(seed, 3), dim)
+            rng = RandomStream(seed, 3)  # the same stream at the same position
+            z = sample_normals(rng, dim * dim) + 1j * sample_normals(rng, dim * dim)
+            r = u.conj().T @ z.reshape(dim, dim) / math.sqrt(2.0)
+            assert np.max(np.abs(np.tril(r, -1))) < 1e-12
+            diag = np.diagonal(r)
+            assert np.max(np.abs(diag.imag)) < 1e-12 and np.all(diag.real > 0)
+
     def test_integer_bounds_and_consumption(self):
         rng = RandomStream(9)
         seen = set()

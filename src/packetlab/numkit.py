@@ -1,6 +1,6 @@
 """Shared numerical substrate.
 
-Unit vectors, reproducible counter-based random streams and the samplers
+Unit vectors, reproducible PCG64 random streams and the samplers
 that draw from them (isotropic directions, Box-Muller normals, Haar
 unitaries, bounded integers), fixed Monte Carlo blocks, log-space
 binomial coefficients, sampled 1-D functions and their position/wavenumber
@@ -100,26 +100,27 @@ def normalize(values) -> tuple:
 class RandomStream:
     """Reproducible stream of variates keyed by (seed, stream_id).
 
-    Built on the counter-based Philox generator, so identical keys give
-    identical sequences on every platform and distinct stream ids give
-    statistically independent sequences. ``position`` counts variates
+    Built on numpy's PCG64, seeded by SeedSequence(seed, spawn_key=(stream_id,)),
+    so identical keys give identical sequences on every platform and distinct
+    stream ids give independent sequences. ``position`` counts variates
     delivered to callers, which pins down the consumption order documented
-    by each sampler. A stream may start at a ``position`` that is a multiple
-    of 4 (one Philox counter step yields four words, one per uniform); it
-    then matches a fresh stream that has drawn that many uniforms.
+    by each sampler. PCG64 makes one 64-bit output per uniform, so a stream
+    may start at any nonnegative ``position``; it then matches a fresh stream
+    that has drawn that many uniforms.
     """
 
     def __init__(self, seed: int = 0, stream_id: int = 0, position: int = 0):
         seed, stream_id, position = int(seed), int(stream_id), int(position)
         if not (0 <= seed < 2**64 and 0 <= stream_id < 2**64):
             raise DomainError("seed and stream_id must be unsigned 64-bit integers")
-        if position < 0 or position % 4:
-            raise DomainError("position must be a nonnegative multiple of 4")
+        if position < 0:
+            raise DomainError("position must be nonnegative")
         self.seed, self.stream_id, self.position = seed, stream_id, position
-        from numpy.random import Generator, Philox  # only once a stream is made
+        # only once a stream is made
+        from numpy.random import PCG64, Generator, SeedSequence
 
-        bits = Philox(key=np.array([seed, stream_id], dtype=np.uint64))
-        self._gen = Generator(bits.advance(position // 4))
+        bits = PCG64(SeedSequence(seed, spawn_key=(stream_id,)))
+        self._gen = Generator(bits.advance(position))
 
     def split(self, stream_id: int) -> "RandomStream":
         """Independent stream with the same seed and a new stream id."""

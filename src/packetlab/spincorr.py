@@ -390,6 +390,21 @@ def _mean_response(model: LhvModel, mean, settings: np.ndarray) -> np.ndarray:
     return tab
 
 
+def _overlaps(settings: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+    """(S, L) table of setting-lambda dot products, one product per row.
+
+    Each row is its own (1, 3) x (3, L) product, so its bits do not depend
+    on the other rows of the batch; one (S, 3) x (3, L) product can round a
+    row by the batch around it.
+    """
+    return np.matmul(settings[:, None, :], lambdas.T)[:, 0, :]
+
+
+def _correlations(model: LhvModel, abar: np.ndarray, bbar: np.ndarray) -> np.ndarray:
+    """sum over lambda of f Abar Bbar, each row reduced by itself."""
+    return np.einsum("ij,ij,j->i", abar, bbar, model.weights)
+
+
 def lhv_expectation(model: LhvModel, a, b):
     """E(a, b) = sum over lambda of f Abar Bbar.
 
@@ -398,7 +413,7 @@ def lhv_expectation(model: LhvModel, a, b):
     sa, sb = _aligned_settings(a, b)
     abar = _mean_response(model, model.abar, sa)
     bbar = _mean_response(model, model.bbar, sb)
-    e = (abar * bbar) @ model.weights
+    e = _correlations(model, abar, bbar)
     return float(e[0]) if e.size == 1 and isinstance(a, UnitVector3) else e
 
 
@@ -409,10 +424,9 @@ def lhv_chsh_audit(model: LhvModel, a, b, a2, b2) -> tuple:
     a K array and a verdict covering every quadruple. The batch is audited
     in blocks of _AUDIT_BLOCK settings, so the tables take a few MB at any
     n. In each block Abar(a), Abar(a'), Bbar(b) and Bbar(b') are built once
-    each, and the four correlations equal lhv_expectation's on the block's
-    rows exactly. numpy's BLAS can round a row by the batch around it (a
-    one-row product, the last rows of a thread's share), so a few rows may
-    differ in the last bits from one lhv_expectation call on the whole batch.
+    each. Each row is reduced by itself, so with the families' mean responses
+    each K equals that of a one-row call, and the four correlations equal
+    lhv_expectation's, whatever the batch around the row.
     """
     sa, sb, sa2, sb2 = _aligned_settings(a, b, a2, b2)
     k = np.empty(sa.shape[0])
@@ -421,7 +435,7 @@ def lhv_chsh_audit(model: LhvModel, a, b, a2, b2) -> tuple:
         abars = [_mean_response(model, model.abar, s[block]) for s in (sa, sa2)]
         bbars = [_mean_response(model, model.bbar, s[block]) for s in (sb, sb2)]
         # E(a,b), E(a,b'), E(a',b), E(a',b')
-        e = [(abar * bbar) @ model.weights for abar in abars for bbar in bbars]
+        e = [_correlations(model, abar, bbar) for abar in abars for bbar in bbars]
         k[block] = np.abs(e[0] + e[1] + e[2] - e[3])
     satisfied = bool(np.all(k <= 2.0 + CHSH_BOUND_TOL))
     if k.size == 1 and isinstance(a, UnitVector3):
@@ -434,7 +448,7 @@ def random_lhv_model(rng: RandomStream, n_lambda: int = 16) -> LhvModel:
 
     Each side responds through a logistic curve P(+1) in the
     setting-lambda overlap with coefficients fixed at construction; its
-    mean P(+1) - (1 - P(+1)) lies in [-1, 1] by construction.
+    mean 2 P(+1) - 1 lies in [-1, 1] by construction.
     """
     if n_lambda < 1:
         raise DomainError("need at least one lambda point")
@@ -444,10 +458,9 @@ def random_lhv_model(rng: RandomStream, n_lambda: int = 16) -> LhvModel:
 
     def make_response(c0, c1, c2):
         def mean(settings, lambdas):
-            t = settings @ lambdas.T
+            t = _overlaps(settings, lambdas)
             plus = 1.0 / (1.0 + np.exp(-(c0 + c1 * t + c2 * t * t)))
-            # kept as P(+1) - P(-1): 2 * plus - 1 would move K's last bit
-            return plus - (1.0 - plus)
+            return 2.0 * plus - 1.0
 
         return mean
 
@@ -462,7 +475,7 @@ def sign_anticorrelated_model(rng: RandomStream, n_lambda: int = 64) -> LhvModel
     w = np.full(n_lambda, 1.0 / n_lambda)
 
     def abar(settings, lambdas):
-        return np.where(settings @ lambdas.T >= 0.0, 1.0, -1.0)
+        return np.where(_overlaps(settings, lambdas) >= 0.0, 1.0, -1.0)
 
     def bbar(settings, lambdas):
         return -abar(settings, lambdas)
@@ -490,13 +503,10 @@ def semiclassical_lhv_model() -> LhvModel:
     w = np.outer(wts / 2.0, np.full(n_azimuth, 1.0 / n_azimuth)).ravel()
 
     def abar(settings, lambdas):
-        t = settings @ lambdas.T
-        # kept as P(+1) - P(-1): the bare t would move K's last bit
-        return 0.5 * (1.0 + t) - 0.5 * (1.0 - t)
+        return _overlaps(settings, lambdas)
 
     def bbar(settings, lambdas):
-        t = settings @ lambdas.T
-        return 0.5 * (1.0 - t) - 0.5 * (1.0 + t)
+        return -_overlaps(settings, lambdas)
 
     return LhvModel(lams, w, abar, bbar)
 

@@ -292,7 +292,7 @@ class TestSampling:
     @example(PairModel.qm_singlet(), _AXES[3], _AXES[0], MC_BLOCK + 5, 5, 8)
     @example(PairModel.semiclassical(), _AXES[3], _AXES[3], MC_BLOCK + 5, 6, 1)
     def test_chunks_equal_one_draw_of_all_pairs(self, model, a, b, n, seed, skip):
-        # the stream may stand anywhere, also inside a Philox counter step
+        # the stream may stand at any position, odd ones too
         rng, ref = RandomStream(seed), RandomStream(seed)
         rng.uniform(size=skip)
         ref.uniform(size=skip)
@@ -496,15 +496,11 @@ class TestLhvModels:
         assert k.shape == (n,) and np.array_equal(k, per_block)
         whole = expected_k(*axes)
         assert ok == bool(np.all(whole <= 2.0 + 1e-9))
-        # numpy's BLAS rounds a one-row product, and the last rows of each
-        # thread's share of a large one, in their own order, so the rows of
-        # the 1,024-point semiclassical grid can move by a few ulps with the
-        # batch around them. The 16-point random tables are too small to be
-        # split, and the sign sums of +-1/64 are exact, so those must match
-        if family == "semiclassical":
-            np.testing.assert_allclose(k, whole, rtol=0.0, atol=1e-14)
-        else:
-            assert np.array_equal(k, whole)
+        assert np.array_equal(k, whole)
+        # each row's K is its own, whatever the batch around it
+        one_row = [lhv_chsh_audit(model, *(x[i:i + 1] for x in axes))[0][0]
+                   for i in range(n)]
+        assert np.array_equal(k, one_row)
 
     def test_audit_memory_does_not_grow_with_settings(self):
         # tables for every setting at once traced 281 MiB more at 8,000

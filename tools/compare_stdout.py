@@ -14,6 +14,8 @@ The argv list comes from the checkout that holds this file:
   extracted as CI extracts them (trailing comments cut, split on blanks);
 - the ``montecarlo`` benchmark workload at seed 1, from ``bench/workloads.py``;
 - ``regress`` at seeds 0 and 12345;
+- records that print values of the isotropic draw, which ``regress``
+  does not, and the SVD of ``condspace --symmetry none``;
 - the argv that each size cap refuses.
 
 Standard library only. This is not a test: the bytes hold only on one
@@ -31,6 +33,12 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+EXTRA_ARGVS = [
+    ["lhv", "--family", "random", "--models", "20", "--settings", "1000"],
+    ["lhv", "--family", "semiclassical", "--settings", "517"],
+    ["condspace", "--symmetry", "none"],
+]
 
 SIZE_CAP_ARGVS = [
     ["cavity", "--bins", "5000000000000000000"],
@@ -65,7 +73,8 @@ def montecarlo_argvs() -> list:
 
 def argvs() -> list:
     return (readme_argvs() + montecarlo_argvs()
-            + [["regress", "--seed", "0"], ["regress", "--seed", "12345"]] + SIZE_CAP_ARGVS)
+            + [["regress", "--seed", "0"], ["regress", "--seed", "12345"]]
+            + EXTRA_ARGVS + SIZE_CAP_ARGVS)
 
 
 def run(checkout: pathlib.Path, argv: list) -> tuple:

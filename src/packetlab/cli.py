@@ -357,10 +357,7 @@ def _cmd_lhv(p: dict):
             raise DomainError(f"parameter {name}: not used by the semiclassical family")
         if family != "semiclassical" and p[name] is None:
             p[name] = default
-    rng = numkit.RandomStream(p["seed"], 0)
-    n_settings = p["settings"]
-    settings = [numkit.sample_isotropic_directions(rng, n_settings) for _ in range(4)]
-
+    seed, n_settings = p["seed"], p["settings"]
     fields = {"family": family, "settings_per_model": n_settings}
     if family == "semiclassical":
         models = [spincorr.semiclassical_lhv_model()]
@@ -370,11 +367,20 @@ def _cmd_lhv(p: dict):
     else:
         make = {"sign": spincorr.sign_anticorrelated_model,
                 "random": spincorr.random_lhv_model}[family]
+        rng = numkit.RandomStream(seed, 0, position=8 * n_settings)
         models = [make(rng, p["n-lambda"]) for _ in range(p["models"])]
         bound = 2.0
 
-    peaks = [float(np.max(spincorr.lhv_chsh_audit(m, *settings)[0])) for m in models]
-    max_k = max([0.0] + peaks)
+    # stream 0 holds a, b, a', b' as four arrays of n rows, two uniforms a row,
+    # then the models; drawing each block where it lies bounds the memory
+    max_k = 0.0
+    for lo in range(0, n_settings, numkit.MC_BLOCK):
+        size = min(numkit.MC_BLOCK, n_settings - lo)
+        settings = [numkit.sample_isotropic_directions(
+            numkit.RandomStream(seed, 0, position=2 * (k * n_settings + lo)), size)
+            for k in range(4)]
+        for m in models:
+            max_k = max(max_k, float(np.max(spincorr.lhv_chsh_audit(m, *settings)[0])))
     fields["models"] = len(models)
     fields["max_K"] = max_k
     fields["bound"] = bound
@@ -907,15 +913,12 @@ _REGRESSION_CHECKS = [
 def _bespoke_values(p: dict) -> dict:
     """The value of every regress check that no subcommand computes."""
     v = {}
-    dirs = numkit.sample_isotropic_directions(numkit.RandomStream(p["seed"], 1), 400)
-    axes = [numkit.UnitVector3.from_array(d) for d in dirs]
-    pairs = list(zip(axes[0::2], axes[1::2]))  # (a, b) in draw order, 100 per model
-    worst = 0.0
-    for k, model in enumerate((_PAIR_MODELS["qm"](), _PAIR_MODELS["sc"]())):
-        for a, b in pairs[100 * k:100 * (k + 1)]:
-            for r_b in (+1, -1):
-                worst = max(worst, abs(spincorr.marginal(model, a, b, r_b) - 0.5))
-    v["marginal_half"] = worst
+    # marginal reads only cos(theta), so fixed axes test it as well as drawn ones
+    axes = [spincorr.coplanar_axis(math.radians(d)) for d in (0, 45, 90, -45, 30, 60, 120)]
+    v["marginal_half"] = max(
+        abs(spincorr.marginal(model, a, b, r_b) - 0.5)
+        for model in (_PAIR_MODELS["qm"](), _PAIR_MODELS["sc"]())
+        for a in axes for b in axes for r_b in (+1, -1))
 
     z = numkit.UnitVector3(0.0, 0.0, 1.0)
     a45 = spincorr.coplanar_axis(math.radians(45.0))

@@ -456,11 +456,10 @@ def _negative_binomial_weights(g: int, mean_per_packet: float) -> np.ndarray:
     m = int(min(mean + 15.0 * math.sqrt(g * sb * (1.0 + sb)) + 30.0, _MAX_SUPPORT))
     while m + 1 <= _MAX_SUPPORT:
         n = np.arange(m + 1, dtype=float)
-        log_w = (
-            log_binomial(g + n - 1.0, n)
-            - g * math.log1p(sb)
-            - n * math.log1p(1.0 / sb)
-        )
+        log_w = log_binomial(g + n - 1.0, n) - g * math.log1p(sb)
+        # n = 0 takes no odds term: below sb = 2^-1024, 1/sb overflows and
+        # 0 * inf would be nan, while every n >= 1 weight is 0 all the same
+        log_w[1:] -= n[1:] * math.log1p(1.0 / sb)
         w = np.exp(log_w)
         # w(n+1)/w(n) = (g+n)/(n+1) * sb/(1+sb), nonincreasing for g >= 1
         ratio = (g + m) / (m + 1.0) * sb / (1.0 + sb)

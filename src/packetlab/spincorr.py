@@ -50,10 +50,9 @@ __all__ = [
 ]
 
 CHSH_BOUND_TOL = 1e-9
-_SEMICLASSICAL_NODES = (32, 32)  # polar and azimuth nodes of semiclassical_lhv_model
 # pairs per sample_pair_counts chunk: 256 KiB of uniforms, which fits in L2
 _PAIR_CHUNK = 2**13
-# settings per lhv_chsh_audit block: 2 MiB per semiclassical table (L = 1,024)
+# settings per lhv_chsh_audit block: an (S, L) table takes 2 KiB per lambda point
 _AUDIT_BLOCK = 2**8
 
 
@@ -486,21 +485,17 @@ def sign_anticorrelated_model(rng: RandomStream, n_lambda: int = 64) -> LhvModel
 def semiclassical_lhv_model() -> LhvModel:
     """The independent-evolution model as an explicit hidden-variable grid.
 
-    lambda is the initial spin direction, integrated with Gauss-Legendre
-    nodes in the polar cosine and a uniform azimuth grid; the outcome
-    probabilities (1 + r sigma.a)/2 and (1 - r sigma.b)/2 give the mean
-    responses sigma.a and -sigma.b, whose product averages to the reduced
-    correlation -cos(theta)/3 exactly at quadrature order 2.
+    lambda is the initial spin direction sigma; the outcome probabilities
+    (1 + r sigma.a)/2 and (1 - r sigma.b)/2 give the mean responses sigma.a
+    and -sigma.b. So the model reads its grid only through sum w sigma and
+    sum w sigma sigma^T, as E(a, b) = -a^T (sum w sigma sigma^T) b, and any
+    grid on which these are 0 and I/3, as on the sphere, is the same model.
+    The octahedron vertices +-e_i at weight 1/6, the smallest spherical
+    3-design (Delsarte, Goethals and Seidel, 1977), give both exactly in
+    floating point, since 2 fl(1/6) = fl(1/3).
     """
-    n_polar, n_azimuth = _SEMICLASSICAL_NODES
-    nodes, wts = np.polynomial.legendre.leggauss(n_polar)
-    phis = 2.0 * math.pi * (np.arange(n_azimuth) + 0.5) / n_azimuth
-    ct, ph = np.meshgrid(nodes, phis, indexing="ij")
-    st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))
-    lams = np.column_stack(
-        [(st * np.cos(ph)).ravel(), (st * np.sin(ph)).ravel(), ct.ravel()]
-    )
-    w = np.outer(wts / 2.0, np.full(n_azimuth, 1.0 / n_azimuth)).ravel()
+    lams = np.concatenate([np.eye(3), -np.eye(3)])
+    w = np.full(6, 1.0 / 6.0)
 
     def abar(settings, lambdas):
         return _overlaps(settings, lambdas)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import packetlab
-from packetlab import cli
+from packetlab import cli, numkit, spincorr
 from packetlab.cli import run
 from packetlab.errors import AccuracyWarning, DomainError, NumericalError
 from packetlab.numkit import K_BOLTZMANN
@@ -936,6 +936,48 @@ class TestCommandValues:
         assert rec["max_K"] <= 2.0 + 1e-9
         assert rec["satisfied"] is True
 
+    def test_lhv_settings_lie_at_their_documented_offsets(self, monkeypatch):
+        # stream 0 holds a, b, a', b' as whole arrays of n rows, then the
+        # models; the handler draws each block of rows where it lies
+        n, seed = 2 * numkit.MC_BLOCK + 3, 5
+        blocks, real = [], spincorr.lhv_chsh_audit
+
+        def audit(model, *axes):
+            blocks.append(axes)
+            return real(model, *axes)
+
+        monkeypatch.setattr(cli.spincorr, "lhv_chsh_audit", audit)
+        rec = record("lhv", "--family", "random", "--models", "2", "--settings", str(n),
+                     "--seed", str(seed))
+        monkeypatch.undo()
+        rng = numkit.RandomStream(seed, 0)
+        axes = [numkit.sample_isotropic_directions(rng, n) for _ in range(4)]
+        models = [spincorr.random_lhv_model(rng, 16) for _ in range(2)]
+        assert len(blocks) == 3 * 2
+        for k in range(4):  # each model is audited on every row of every array
+            for i in range(2):
+                assert np.array_equal(np.concatenate([b[k] for b in blocks[i::2]]), axes[k])
+        assert rec["max_K"] == max(float(np.max(spincorr.lhv_chsh_audit(m, *axes)[0]))
+                                   for m in models)
+
+    def test_lhv_memory_does_not_grow_with_settings(self):
+        # drawn whole, the four settings arrays took 96 B per setting, 38 MB
+        # more at 8 blocks than at 2. A first untraced run keeps first-use
+        # allocations out of both peaks.
+        argv = ("lhv", "--family", "semiclassical", "--settings")
+        assert run_cli(*argv, "3")[0] == 0
+
+        def traced_peak(n):
+            tracemalloc.start()
+            try:
+                assert run_cli(*argv, str(n))[0] == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = traced_peak(2 * numkit.MC_BLOCK)
+        assert traced_peak(8 * numkit.MC_BLOCK) - small < 2**20
+
     def test_nosignal_small_run(self):
         rec = record("nosignal", "--trials", "20", "--max-dim", "5")
         assert rec["max_deviation"] < 1e-10
@@ -1108,6 +1150,16 @@ class TestFloatRangeEdges:
             assert got == pytest.approx(direction, abs=1e-15)
         else:
             assert rec["input_probabilities"] == pytest.approx([0.5, 0.5], abs=1e-15)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("argv", [
+        # 1/sb overflows; the n = 0 log-weight used to take 0 * inf
+        ("counts", "--stat", "bose", "--g", "1", "--sbar", "1e-320"),
+    ])
+    def test_valid_input_at_the_float_limits_exits_0(self, argv, strict):
+        code, out, err = (_run_strict if strict else run_cli)(*argv)
+        assert (code, err) == (0, "")
+        assert _strict_json(out)["command"] == argv[0]
 
     @pytest.mark.parametrize("statistics", ["bose", "fermi", "boltzmann"])
     def test_counts_at_an_underflowing_thinned_mean_is_bad_input(self, statistics):

@@ -448,6 +448,14 @@ class TestLhvModels:
             want = -a.dot(b) / 3.0
             assert lhv_expectation(model, a, b) == pytest.approx(want, abs=1e-12)
 
+    def test_semiclassical_grid_has_the_sphere_moments_exactly(self):
+        # the model reads its grid only through sum w lambda and
+        # sum w lambda lambda^T, so with these exact it is the sphere integral
+        model = semiclassical_lhv_model()
+        w, lam = model.weights, model.lambdas
+        assert np.array_equal(w @ lam, np.zeros(3))
+        assert np.array_equal((w[:, None] * lam).T @ lam, np.eye(3) / 3.0)
+
     def test_semiclassical_canonical_chsh(self):
         model = semiclassical_lhv_model()
         axes = [coplanar_axis(math.radians(t)) for t in (0.0, 45.0, 90.0, -45.0)]

@@ -1108,9 +1108,9 @@ def run(argv, stdout=None, stderr=None) -> int:
         if key == "regress" and not fields["all_ok"]:
             return 2
         return 0
-    except (PacketLabError, MemoryError, ArithmeticError) as exc:
-        # a DomainError is bad input; any other library error, a refused
-        # allocation or an arithmetic fault is a numerical failure
+    except (PacketLabError, MemoryError, ArithmeticError, Warning) as exc:
+        # a DomainError is bad input; any other library error, a refused allocation,
+        # an arithmetic fault or a warning raised as an error is a numerical failure
         message = str(exc) or "out of memory"
         if isinstance(exc, ArithmeticError):  # math's OverflowError holds (errno, text)
             message = f"arithmetic failure: {(exc.args or [type(exc).__name__])[-1]}"

@@ -52,8 +52,7 @@ __all__ = [
     "sample_count_moments",
 ]
 
-# truncated series bookkeeping: mass and mean deficits kept under these
-_TAIL_MASS = 1e-13
+# truncated series bookkeeping: the mean deficit is kept under this
 _TAIL_MEAN = 1e-13
 _MAX_SUPPORT = 10_000_000
 
@@ -141,30 +140,31 @@ def photon_bins(
     )
 
 
-def _tail_within_budget(w_last: float, ratio: float, m: int, mean: float) -> bool:
-    # successive-weight ratios are monotone nonincreasing for these laws,
-    # so past the cutoff the tail is dominated by a geometric series; the
-    # float sum itself is no truncation measure, roundoff floors it near
-    # 1e-11 once the log-space terms grow large
-    if not ratio < 1.0:
-        return False
-    geo = ratio / (1.0 - ratio)
-    tail_mass = w_last * geo
-    tail_mean = w_last * (m * geo + ratio / (1.0 - ratio) ** 2)
-    return tail_mass <= _TAIL_MASS and tail_mean <= _TAIL_MEAN * max(1.0, mean)
+def _law_on_support(log_weight, ratio_after, mean: float, variance: float) -> np.ndarray:
+    """exp(log_weight(n)) over n = 0..m, m doubled from mean + 15 sd + 30
+    until the tail mean, bounded by the geometric series that ratio_after(m)
+    = w(m+1)/w(m) (nonincreasing) gives, is under _TAIL_MEAN * max(1, mean).
+    The tail mass is then under _TAIL_MEAN too: it is at most 1/m of the tail
+    mean, and m > mean + 29, m >= 29. (The float sum of w is no truncation
+    measure: roundoff floors it near 1e-11.)"""
+    # the start is compared with the cap as a float: it may overflow to inf
+    m = int(min(mean + 15.0 * math.sqrt(variance) + 30.0, _MAX_SUPPORT))
+    while m + 1 <= _MAX_SUPPORT:
+        w = np.exp(log_weight(np.arange(m + 1, dtype=float)))
+        r = ratio_after(m)
+        if r < 1.0:
+            tail_mean = float(w[-1]) * (m * (r / (1.0 - r)) + r / (1.0 - r) ** 2)
+            if tail_mean <= _TAIL_MEAN * max(1.0, mean):
+                return w
+        m *= 2
+    raise NumericalError("count support exceeds the bookkeeping cap")
 
 
 def _poisson_weights(lam: float) -> np.ndarray:
     if lam == 0.0:
         return np.array([1.0])
-    m = int(min(lam + 15.0 * math.sqrt(lam) + 30.0, _MAX_SUPPORT))  # lam may be inf
-    while m + 1 <= _MAX_SUPPORT:
-        s = np.arange(m + 1, dtype=float)
-        w = np.exp(s * math.log(lam) - lam - numkit.gammaln(s + 1.0))
-        if _tail_within_budget(float(w[-1]), lam / (m + 1.0), m, lam):
-            return w
-        m *= 2
-    raise NumericalError("Poisson support exceeds the bookkeeping cap")
+    return _law_on_support(lambda s: s * math.log(lam) - lam - numkit.gammaln(s + 1.0),
+                           lambda m: lam / (m + 1.0), lam, lam)
 
 
 def _reduced_energy(bins, temperature: float, mu: float) -> np.ndarray:
@@ -450,23 +450,18 @@ def _check_packet_count(g) -> int:
 def _negative_binomial_weights(g: int, mean_per_packet: float) -> np.ndarray:
     # w(n) = C(g+n-1, n) (1+sb)^(-g) (1+1/sb)^(-n), summed in log space
     sb = mean_per_packet
-    mean = g * sb
-    # the bound is compared with the cap as a float: it overflows to inf
-    # once sb passes about 1e154
-    m = int(min(mean + 15.0 * math.sqrt(g * sb * (1.0 + sb)) + 30.0, _MAX_SUPPORT))
-    while m + 1 <= _MAX_SUPPORT:
-        n = np.arange(m + 1, dtype=float)
+
+    def log_weight(n):
         log_w = log_binomial(g + n - 1.0, n) - g * math.log1p(sb)
         # n = 0 takes no odds term: below sb = 2^-1024, 1/sb overflows and
         # 0 * inf would be nan, while every n >= 1 weight is 0 all the same
         log_w[1:] -= n[1:] * math.log1p(1.0 / sb)
-        w = np.exp(log_w)
-        # w(n+1)/w(n) = (g+n)/(n+1) * sb/(1+sb), nonincreasing for g >= 1
-        ratio = (g + m) / (m + 1.0) * sb / (1.0 + sb)
-        if _tail_within_budget(float(w[-1]), ratio, m, mean):
-            return w
-        m *= 2
-    raise NumericalError("count support exceeds the bookkeeping cap")
+        return log_w
+
+    # w(n+1)/w(n) = (g+n)/(n+1) * sb/(1+sb), nonincreasing for g >= 1
+    mean = g * sb
+    return _law_on_support(log_weight, lambda m: (g + m) / (m + 1.0) * sb / (1.0 + sb),
+                           mean, mean * (1.0 + sb))
 
 
 def binomial_pmf(n: int, eta: float) -> np.ndarray:
@@ -559,7 +554,10 @@ def count_distribution(
     if statistics is Statistics.FERMI and thinned >= 1.0:
         raise DomainError("Fermi counts need eta * s_bar < 1")
     w = packet_quanta_dist(statistics, g, thinned)  # the same law at eta * s_bar
-    return CountDistribution(statistics, g, g * thinned, w)
+    try:  # every input passed its check above, so a failed check is the law's
+        return CountDistribution(statistics, g, g * thinned, w)
+    except DomainError as exc:
+        raise NumericalError(f"count law lost accuracy: {exc}") from None
 
 
 def thinned_count_distribution(

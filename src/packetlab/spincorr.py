@@ -52,8 +52,8 @@ __all__ = [
 CHSH_BOUND_TOL = 1e-9
 # pairs per sample_pair_counts chunk: 256 KiB of uniforms, which fits in L2
 _PAIR_CHUNK = 2**13
-# settings per lhv_chsh_audit block: an (S, L) table takes 2 KiB per lambda point
-_AUDIT_BLOCK = 2**8
+# (S, L) table cells per lhv_chsh_audit block: 128 KiB per table at any L
+_AUDIT_CELLS = 2**14
 
 
 def _outcome(r) -> int:
@@ -420,17 +420,18 @@ def lhv_chsh_audit(model: LhvModel, a, b, a2, b2) -> tuple:
     """CHSH value(s) of a hidden-variable model and the K <= 2 verdict.
 
     Each setting may be an axis or an (n, 3) batch of axes; batches give
-    a K array and a verdict covering every quadruple. The batch is audited
-    in blocks of _AUDIT_BLOCK settings, so the tables take a few MB at any
-    n. In each block Abar(a), Abar(a'), Bbar(b) and Bbar(b') are built once
-    each. Each row is reduced by itself, so with the families' mean responses
-    each K equals that of a one-row call, and the four correlations equal
-    lhv_expectation's, whatever the batch around the row.
+    a K array and a verdict covering every quadruple. A grid of L lambda
+    points is audited max(1, _AUDIT_CELLS // L) settings at a time, which
+    bounds each table at any n. Abar(a), Abar(a'), Bbar(b) and Bbar(b') are
+    built once per block. Each row is reduced by itself, so with the
+    families' mean responses each K equals that of a one-row call, and the
+    four correlations equal lhv_expectation's, whatever the batch around it.
     """
     sa, sb, sa2, sb2 = _aligned_settings(a, b, a2, b2)
     k = np.empty(sa.shape[0])
-    for lo in range(0, k.size, _AUDIT_BLOCK):
-        block = slice(lo, lo + _AUDIT_BLOCK)
+    rows = max(1, _AUDIT_CELLS // model.weights.size)
+    for lo in range(0, k.size, rows):
+        block = slice(lo, lo + rows)
         abars = [_mean_response(model, model.abar, s[block]) for s in (sa, sa2)]
         bbars = [_mean_response(model, model.bbar, s[block]) for s in (sb, sb2)]
         # E(a,b), E(a,b'), E(a',b), E(a',b')

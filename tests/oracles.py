@@ -83,7 +83,7 @@ def _geometric_weights(x: float, s_bar: float) -> np.ndarray:
     # support chosen so both the tail mass x^(M+1) and the tail mean
     # x^(M+1) (M+1+s_bar) stay under the truncation budget
     log_x = math.log(x)
-    m = max(1, math.ceil(math.log(quantstat._TAIL_MASS) / log_x))
+    m = max(1, math.ceil(math.log(quantstat._TAIL_MEAN) / log_x))
     for _ in range(8):
         if x ** (m + 1) * (m + 1 + s_bar) <= quantstat._TAIL_MEAN:
             break

@@ -964,6 +964,33 @@ class TestSupportCap:
         assert w.size < quantstat._MAX_SUPPORT
         assert float(np.sum(w)) == pytest.approx(1.0, abs=1e-9)
 
+    def test_a_short_first_support_doubles(self):
+        # mean 10, sd 10.5: the first support ends at m = 197, where the
+        # tail mean is still over budget, so the law ends at m = 394
+        assert quantstat._negative_binomial_weights(1, 10.0).size == 395
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bose=st.booleans(),
+        log2_g=st.floats(min_value=0.0, max_value=53.0),
+        log10_mean=st.floats(min_value=-6.0, max_value=5.0),
+    )
+    def test_the_support_bounds_the_tail_mass_too(self, bose, log2_g, log10_mean):
+        # the support is chosen on its tail mean alone; the geometric bound on
+        # the mass beyond it, w(m) r / (1 - r), must meet the same budget
+        g = int(2.0**log2_g)
+        sb = 10.0**log10_mean / g
+        if bose:
+            w = quantstat._negative_binomial_weights(g, sb)
+            m = w.size - 1
+            r = (g + m) / (m + 1.0) * sb / (1.0 + sb)
+        else:
+            w = quantstat._poisson_weights(g * sb)
+            m = w.size - 1
+            r = g * sb / (m + 1.0)
+        assert r < 1.0
+        assert float(w[-1]) * (r / (1.0 - r)) <= quantstat._TAIL_MEAN
+
 
 class TestSampling:
     def test_reproducible(self):

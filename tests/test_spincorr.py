@@ -23,7 +23,7 @@ from packetlab.numkit import (
     sample_isotropic_directions,
 )
 from packetlab.spincorr import (
-    _AUDIT_BLOCK,
+    _AUDIT_CELLS,
     _PAIR_CHUNK,
     BipartiteCoefficients,
     LhvModel,
@@ -408,6 +408,10 @@ def _counting_model(family):
     return model, calls
 
 
+# settings per audit block of each family's 16, 64 and 6 lambda points
+_AUDIT_ROWS = {"random": 1024, "sign": 256, "semiclassical": 2730}
+
+
 class TestLhvModels:
     def test_random_model_weights(self):
         model = random_lhv_model(RandomStream(41), 16)
@@ -484,23 +488,25 @@ class TestLhvModels:
             assert type(k) is float and k == want
         assert ok == bool(np.all(want <= 2.0 + 1e-9))
 
-    @pytest.mark.parametrize("family", ["random", "sign", "semiclassical"])
-    @pytest.mark.parametrize("n", [1, _AUDIT_BLOCK - 1, _AUDIT_BLOCK,
-                                   _AUDIT_BLOCK + 1, 2 * _AUDIT_BLOCK + 5])
+    @pytest.mark.parametrize("family, n", [
+        (family, n) for family, rows in _AUDIT_ROWS.items()
+        for n in (1, rows - 1, rows, rows + 1, 2 * rows + 5)])
     def test_audit_blocks_equal_one_table_per_batch(self, family, n):
         model, calls = _counting_model(family)
+        rows = _AUDIT_ROWS[family]
+        assert rows == max(1, _AUDIT_CELLS // model.weights.size)
         rng = RandomStream(57)
         axes = [sample_isotropic_directions(rng, n) for _ in range(4)]
         k, ok = lhv_chsh_audit(model, *axes)
-        blocks = -(-n // _AUDIT_BLOCK)
+        blocks = -(-n // rows)
         assert calls == {"a": 2 * blocks, "b": 2 * blocks}
 
         def expected_k(a, b, a2, b2):
             return np.abs(lhv_expectation(model, a, b) + lhv_expectation(model, a, b2)
                           + lhv_expectation(model, a2, b) - lhv_expectation(model, a2, b2))
 
-        per_block = np.concatenate([expected_k(*(x[lo:lo + _AUDIT_BLOCK] for x in axes))
-                                    for lo in range(0, n, _AUDIT_BLOCK)])
+        per_block = np.concatenate([expected_k(*(x[lo:lo + rows] for x in axes))
+                                    for lo in range(0, n, rows)])
         assert k.shape == (n,) and np.array_equal(k, per_block)
         whole = expected_k(*axes)
         assert ok == bool(np.all(whole <= 2.0 + 1e-9))

@@ -16,7 +16,10 @@ The argv list comes from the checkout that holds this file:
 - ``regress`` at seeds 0 and 12345;
 - records that print values of the isotropic draw, which ``regress``
   does not, and the SVD of ``condspace --symmetry none``;
-- the argv that each size cap refuses.
+- count laws whose first support doubles, or that span 10^5 points, and
+  an ``lhv`` run that crosses a draw block and many audit blocks;
+- the argv that each size cap refuses, and a count law that misses its
+  own normalization.
 
 Standard library only. This is not a test: the bytes hold only on one
 machine with one numpy build (README). The children write no bytecode, so
@@ -38,6 +41,9 @@ EXTRA_ARGVS = [
     ["lhv", "--family", "random", "--models", "20", "--settings", "1000"],
     ["lhv", "--family", "semiclassical", "--settings", "517"],
     ["condspace", "--symmetry", "none"],
+    ["counts", "--stat", "bose", "--g", "1", "--sbar", "10"],
+    ["counts", "--stat", "boltzmann", "--mbar", "100000"],
+    ["lhv", "--family", "random", "--models", "3", "--settings", "70000"],
 ]
 
 SIZE_CAP_ARGVS = [
@@ -45,6 +51,8 @@ SIZE_CAP_ARGVS = [
     ["condspace", "--grid", "-8,8,257"],
     ["nosignal", "--max-dim", "65"],
     ["actionprob", "--width-ratio", "1e6"],
+    ["counts", "--stat", "boltzmann", "--mbar", "1e7"],
+    ["counts", "--stat", "bose", "--g", "10000000", "--sbar", "1e-6"],
 ]
 
 

@@ -373,14 +373,13 @@ def _cmd_lhv(p: dict):
 
     # stream 0 holds a, b, a', b' as four arrays of n rows, two uniforms a row,
     # then the models; drawing each block where it lies bounds the memory
-    max_k = 0.0
-    for lo in range(0, n_settings, numkit.MC_BLOCK):
-        size = min(numkit.MC_BLOCK, n_settings - lo)
-        settings = [numkit.sample_isotropic_directions(
-            numkit.RandomStream(seed, 0, position=2 * (k * n_settings + lo)), size)
+    def block(b, size):
+        settings = [numkit.sample_isotropic_directions(numkit.RandomStream(
+            seed, 0, position=2 * (k * n_settings + b * numkit.MC_BLOCK)), size)
             for k in range(4)]
-        for m in models:
-            max_k = max(max_k, float(np.max(spincorr.lhv_chsh_audit(m, *settings)[0])))
+        return max(float(np.max(spincorr.lhv_chsh_audit(m, *settings)[0])) for m in models)
+
+    max_k = max(numkit.run_blocks(block, n_settings, p["shards"]))
     fields["models"] = len(models)
     fields["max_K"] = max_k
     fields["bound"] = bound
@@ -469,8 +468,8 @@ def _cmd_reduce(p: dict):
 def _cmd_condspace(p: dict):
     start, stop, num_raw = p["grid"]
     num = _as_int(num_raw, "grid")
-    if num < 2:
-        raise DomainError("parameter grid: need at least 2 points")
+    if num < numkit.MIN_SAMPLES:
+        raise DomainError(f"parameter grid: need at least {numkit.MIN_SAMPLES} points")
     if num > configspace.MAX_POINTS:  # before the grid is sampled
         raise DomainError(f"grid capped at {configspace.MAX_POINTS} points")
     if not stop > start:
@@ -581,8 +580,8 @@ def _cmd_packet_spread(p: dict):
 def _cmd_packet_coherence(p: dict):
     sigma = p["sigma"]
     num = p["points"]
-    if num < 2:
-        raise DomainError("parameter points: need at least 2")
+    if num < numkit.MIN_SAMPLES:
+        raise DomainError(f"parameter points: need at least {numkit.MIN_SAMPLES}")
     half = p["span-sigmas"] * sigma
     spacing = 2.0 * half / (num - 1)
     psi = numkit.sampled_gaussian(0.0, sigma, -half, spacing, num).normalized()

@@ -49,6 +49,7 @@ M_PROTON = 1.67262192595e-27  # kg
 _UNIT_TOL = 1e-12
 # below this 2-norm the sum of squares is subnormal and has lost digits
 _TINY_NORM = math.sqrt(np.finfo(float).tiny)
+MIN_SAMPLES = 8  # fewest grid points a SampledFunction1D holds
 
 
 @dataclass(frozen=True)
@@ -188,16 +189,16 @@ def sample_integer(rng: RandomStream, lo: int, hi: int) -> int:
 
 # Monte Carlo draws per block, the unit of thread work and of stream
 # addressing; a block's arrays stay a few MB at any n, and the pair
-# sampler works through each block in smaller chunks
+# sampler and the lhv audit work through each block in smaller chunks
 MC_BLOCK = 2**16
 
 
-def run_blocks(work, n: int, workers: int = 1) -> np.ndarray:
-    """Sum of the integer tuples work(b, size) over the blocks b of n draws.
+def run_blocks(work, n: int, workers: int = 1) -> list:
+    """[work(b, size) for each block b of n draws], in block order.
 
     Blocks hold MC_BLOCK draws, the last one the rest. Thread i of
-    min(workers, os.cpu_count(), blocks) sums blocks i, i + threads, ... as
-    exact Python integers, so the sum does not depend on the thread count.
+    min(workers, os.cpu_count(), blocks) runs blocks i, i + threads, ... one
+    at a time, so no block waits in a queue; the caller reduces the list.
     """
     if n <= 0:
         raise DomainError("n must be positive")
@@ -205,15 +206,15 @@ def run_blocks(work, n: int, workers: int = 1) -> np.ndarray:
     threads = min(workers, os.cpu_count() or 1, blocks)
 
     def part(i):
-        return sum(np.array(work(b, min(MC_BLOCK, n - b * MC_BLOCK)), dtype=object)
-                   for b in range(i, blocks, threads))
+        return [work(b, min(MC_BLOCK, n - b * MC_BLOCK)) for b in range(i, blocks, threads)]
 
     if threads == 1:
         return part(0)
     from concurrent.futures import ThreadPoolExecutor  # only when threads run
 
     with ThreadPoolExecutor(threads) as pool:
-        return sum(pool.map(part, range(threads)))
+        parts = list(pool.map(part, range(threads)))
+    return [parts[b % threads][b // threads] for b in range(blocks)]
 
 
 def gammaln(x):
@@ -259,8 +260,8 @@ class SampledFunction1D:
         vals = np.array(values, dtype=complex)
         if vals.ndim != 1:
             raise DomainError("values must be a one dimensional sequence")
-        if vals.size < 8:
-            raise DomainError("need at least 8 samples")
+        if vals.size < MIN_SAMPLES:
+            raise DomainError(f"need at least {MIN_SAMPLES} samples")
         if not spacing > 0:
             raise DomainError("spacing must be positive")
         vals.setflags(write=False)

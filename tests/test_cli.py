@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -192,6 +193,26 @@ class TestShards:
         assert done.returncode == 0, done.stderr
         rec = json.loads(done.stdout)
         assert rec["params"].pop("shards") == 10**12
+        want["params"].pop("shards")
+        assert rec == want
+
+    def test_lhv_audits_its_blocks_on_the_shard_threads(self, monkeypatch):
+        # lhv's setting blocks run through numkit.run_blocks like every
+        # Monte Carlo loop; the largest K over blocks is the same at any count
+        argv = ("lhv", "--family", "random", "--models", "2",
+                "--settings", str(2 * numkit.MC_BLOCK + 3))
+        want = record(*argv, "--shards", "1")
+        monkeypatch.setattr(numkit.os, "cpu_count", lambda: 2)
+        threads, real = set(), spincorr.lhv_chsh_audit
+
+        def audit(model, *axes):
+            threads.add(threading.get_ident())
+            return real(model, *axes)
+
+        monkeypatch.setattr(cli.spincorr, "lhv_chsh_audit", audit)
+        rec = record(*argv, "--shards", "2")
+        assert len(threads) > 1
+        assert rec["params"].pop("shards") == 2
         want["params"].pop("shards")
         assert rec == want
 
@@ -479,6 +500,14 @@ class TestExitCodes:
         # "cannot convert float infinity to integer"
         want = "error: count support exceeds the bookkeeping cap\n"
         assert run_cli(*argv) == (2, "", want)
+
+    @pytest.mark.parametrize("argv, want", [
+        (("coherence", "--points", "5"), "error: parameter points: need at least 8\n"),
+        (("condspace", "--grid", "-8,8,5"), "error: parameter grid: need at least 8 points\n"),
+    ])
+    def test_small_grids_name_their_flag(self, argv, want):
+        # a sampled function holds at least numkit.MIN_SAMPLES points
+        assert run_cli(*argv) == (1, "", want)
 
     def test_bad_flag_value_exits_one(self):
         code, _, err = run_cli("sample", "--n", "0")

@@ -177,17 +177,17 @@ class TestRandomStream:
 
 class TestRunBlocks:
     @pytest.mark.parametrize("workers", [1, 2, 3, 7])
-    def test_sum_over_blocks_with_the_rest_last(self, workers):
-        # (blocks, sum of b, draws, sum of b * size) of 2 full blocks and 3
-        n = 2 * MC_BLOCK + 3
-        total = run_blocks(lambda b, size: (1, b, size, b * size), n, workers)
-        assert tuple(total) == (3, 3, n, MC_BLOCK + 2 * 3)
-        assert tuple(run_blocks(lambda b, size: (b, size), 5, workers)) == (0, 5)
+    def test_block_results_in_order_with_the_rest_last(self, workers):
+        # 4 full blocks and 3: each thread's stride is merged back in order
+        n = 4 * MC_BLOCK + 3
+        want = [(b, MC_BLOCK) for b in range(4)] + [(4, 3)]
+        assert run_blocks(lambda b, size: (b, size), n, workers) == want
+        assert run_blocks(lambda b, size: (b, size), 5, workers) == [(0, 5)]
 
-    def test_sums_stay_exact_beyond_64_bits(self):
+    def test_big_ints_pass_through_untouched(self):
         big = 2**70 + 1
-        total = run_blocks(lambda b, size: (big, -big * b), 3 * MC_BLOCK, 2)
-        assert tuple(total) == (3 * big, -3 * big)
+        blocks = run_blocks(lambda b, size: (big, -big * b), 3 * MC_BLOCK, 2)
+        assert blocks == [(big, 0), (big, -big), (big, -2 * big)]
 
     def test_threads_capped_by_cpus_and_blocks(self):
         # each block records the thread that ran it; the pool never holds
@@ -200,10 +200,25 @@ class TestRunBlocks:
                 time.sleep(0.01)  # keeps a finished thread from taking every block
                 return (1,)
 
-            assert tuple(run_blocks(work, blocks * MC_BLOCK, workers)) == (blocks,)
+            assert run_blocks(work, blocks * MC_BLOCK, workers) == [(1,)] * blocks
             assert len(seen) <= min(workers, os.cpu_count() or 1, blocks)
             if min(workers, os.cpu_count() or 1, blocks) == 1:
                 assert seen == {threading.get_ident()}
+
+    def test_no_block_is_queued_ahead_of_its_thread(self, monkeypatch):
+        # each thread runs its stride one block at a time; submitting every
+        # block up front would call work once per block, 10**6 times here,
+        # and at sample's largest n would hold 1.4e11 queued blocks
+        monkeypatch.setattr(numkit.os, "cpu_count", lambda: 2)
+        calls = []
+
+        def work(b, size):
+            calls.append(b)
+            raise DomainError(f"block {b}")
+
+        with pytest.raises(DomainError, match="block"):
+            run_blocks(work, 10**6 * MC_BLOCK, 2)
+        assert len(calls) <= 2
 
     def test_block_errors_propagate(self):
         def work(b, size):

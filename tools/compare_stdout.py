@@ -17,7 +17,9 @@ The argv list comes from the checkout that holds this file:
 - records that print values of the isotropic draw, which ``regress``
   does not, and the SVD of ``condspace --symmetry none``;
 - count laws whose first support doubles, or that span 10^5 points, and
-  an ``lhv`` run that crosses a draw block and many audit blocks;
+  an ``lhv`` run that crosses a draw block and many audit blocks, on one
+  thread and on two (``--shards 2``);
+- a ``coherence`` and a ``condspace`` grid too small for a sampled function;
 - the argv that each size cap refuses, and a count law that misses its
   own normalization.
 
@@ -44,6 +46,9 @@ EXTRA_ARGVS = [
     ["counts", "--stat", "bose", "--g", "1", "--sbar", "10"],
     ["counts", "--stat", "boltzmann", "--mbar", "100000"],
     ["lhv", "--family", "random", "--models", "3", "--settings", "70000"],
+    ["lhv", "--family", "random", "--models", "3", "--settings", "70000", "--shards", "2"],
+    ["coherence", "--points", "5"],
+    ["condspace", "--grid", "-8,8,5"],
 ]
 
 SIZE_CAP_ARGVS = [

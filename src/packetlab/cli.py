@@ -379,7 +379,7 @@ def _cmd_lhv(p: dict):
             for k in range(4)]
         return max(float(np.max(spincorr.lhv_chsh_audit(m, *settings)[0])) for m in models)
 
-    max_k = max(numkit.run_blocks(block, n_settings, p["shards"]))
+    max_k = numkit.run_blocks(block, n_settings, p["shards"], combine=max)
     fields["models"] = len(models)
     fields["max_K"] = max_k
     fields["bound"] = bound

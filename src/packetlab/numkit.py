@@ -13,8 +13,11 @@ numpy's FFT.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,28 +196,37 @@ def sample_integer(rng: RandomStream, lo: int, hi: int) -> int:
 MC_BLOCK = 2**16
 
 
-def run_blocks(work, n: int, workers: int = 1) -> list:
-    """[work(b, size) for each block b of n draws], in block order.
+def run_blocks(work, n: int, workers: int = 1, combine=lambda x, y: tuple(map(sum, zip(x, y)))):
+    """work(b, size) over the blocks b of n draws, folded by combine.
 
     Blocks hold MC_BLOCK draws, the last one the rest. Thread i of
-    min(workers, os.cpu_count(), blocks) runs blocks i, i + threads, ... one
-    at a time, so no block waits in a queue; the caller reduces the list.
+    min(workers, os.cpu_count(), blocks) folds in blocks i, i + threads, ...
+    one at a time, so memory does not grow with n; combine, by default the
+    exact elementwise sum of integer tuples, must not depend on order.
     """
     if n <= 0:
         raise DomainError("n must be positive")
     blocks = -(-n // MC_BLOCK)
     threads = min(workers, os.cpu_count() or 1, blocks)
+    stop = threading.Event()  # a block raised or the caller left: end each stride
 
     def part(i):
-        return [work(b, min(MC_BLOCK, n - b * MC_BLOCK)) for b in range(i, blocks, threads)]
+        stride = itertools.takewhile(lambda b: b == i or not stop.is_set(),
+                                     range(i, blocks, threads))
+        return functools.reduce(combine, (work(b, min(MC_BLOCK, n - b * MC_BLOCK))
+                                          for b in stride))
 
     if threads == 1:
         return part(0)
-    from concurrent.futures import ThreadPoolExecutor  # only when threads run
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait  # only with threads
 
     with ThreadPoolExecutor(threads) as pool:
-        parts = list(pool.map(part, range(threads)))
-    return [parts[b % threads][b // threads] for b in range(blocks)]
+        try:
+            parts = [pool.submit(part, i) for i in range(threads)]
+            wait(parts, return_when=FIRST_EXCEPTION)
+        finally:
+            stop.set()
+        return functools.reduce(combine, [f.result() for f in parts])
 
 
 def gammaln(x):

@@ -632,7 +632,7 @@ def sample_count_moments(
         counts = draw(size, rng.split(b)).astype(np.int64)
         return int(np.sum(counts)), int(np.sum(counts**2))
 
-    return tuple(map(sum, zip(*numkit.run_blocks(block, n, workers))))
+    return numkit.run_blocks(block, n, workers)
 
 
 def _count_sampler(statistics: Statistics, g, s_bar: float, eta: float):

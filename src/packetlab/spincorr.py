@@ -298,7 +298,7 @@ def block_pair_counts(
         rng = RandomStream(seed, position=4 * (start + k * MC_BLOCK))
         return sample_pair_counts(model, a, b, size, rng)
 
-    return tuple(map(sum, zip(*run_blocks(block, n, workers))))
+    return run_blocks(block, n, workers)
 
 
 def chsh_estimate(model: PairModel, settings, n: int, seed: int, workers=1) -> tuple:

@@ -2,8 +2,10 @@
 
 import math
 import os
+import signal
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,17 +179,24 @@ class TestRandomStream:
 
 class TestRunBlocks:
     @pytest.mark.parametrize("workers", [1, 2, 3, 7])
-    def test_block_results_in_order_with_the_rest_last(self, workers):
-        # 4 full blocks and 3: each thread's stride is merged back in order
-        n = 4 * MC_BLOCK + 3
-        want = [(b, MC_BLOCK) for b in range(4)] + [(4, 3)]
-        assert run_blocks(lambda b, size: (b, size), n, workers) == want
-        assert run_blocks(lambda b, size: (b, size), 5, workers) == [(0, 5)]
+    def test_sum_over_blocks_with_the_rest_last(self, workers):
+        # (blocks, sum of b, draws, sum of b * size) of 2 full blocks and 3
+        n = 2 * MC_BLOCK + 3
+        total = run_blocks(lambda b, size: (1, b, size, b * size), n, workers)
+        assert total == (3, 3, n, MC_BLOCK + 2 * 3)
+        assert run_blocks(lambda b, size: (b, size), 5, workers) == (0, 5)
 
-    def test_big_ints_pass_through_untouched(self):
+    def test_sums_stay_exact_beyond_64_bits(self):
         big = 2**70 + 1
-        blocks = run_blocks(lambda b, size: (big, -big * b), 3 * MC_BLOCK, 2)
-        assert blocks == [(big, 0), (big, -big), (big, -2 * big)]
+        total = run_blocks(lambda b, size: (big, -big * b), 3 * MC_BLOCK, 2)
+        assert total == (3 * big, -3 * big)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_any_order_free_combine(self, workers):
+        # lhv keeps the largest K over its blocks
+        top = run_blocks(lambda b, size: (b * 7) % 5 + size / MC_BLOCK, 4 * MC_BLOCK + 1,
+                         workers, combine=max)
+        assert top == 5.0
 
     def test_threads_capped_by_cpus_and_blocks(self):
         # each block records the thread that ran it; the pool never holds
@@ -200,7 +209,7 @@ class TestRunBlocks:
                 time.sleep(0.01)  # keeps a finished thread from taking every block
                 return (1,)
 
-            assert run_blocks(work, blocks * MC_BLOCK, workers) == [(1,)] * blocks
+            assert run_blocks(work, blocks * MC_BLOCK, workers) == (blocks,)
             assert len(seen) <= min(workers, os.cpu_count() or 1, blocks)
             if min(workers, os.cpu_count() or 1, blocks) == 1:
                 assert seen == {threading.get_ident()}
@@ -219,6 +228,56 @@ class TestRunBlocks:
         with pytest.raises(DomainError, match="block"):
             run_blocks(work, 10**6 * MC_BLOCK, 2)
         assert len(calls) <= 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_stays_flat_over_many_blocks(self, monkeypatch, workers):
+        # 10**5 blocks fold as they run; a list of their results alone
+        # took about 10 MB
+        monkeypatch.setattr(numkit.os, "cpu_count", lambda: 2)
+        run_blocks(lambda b, size: (1,), 2 * MC_BLOCK, workers)  # imports the pool first
+        tracemalloc.start()
+        try:
+            total = run_blocks(lambda b, size: (1, size, b), 10**5 * MC_BLOCK, workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert total == (10**5, 10**5 * MC_BLOCK, 10**5 * (10**5 - 1) // 2)
+        assert peak < 200_000
+
+    def test_a_failed_block_stops_the_other_strides(self, monkeypatch):
+        # thread 1 fails at its first block; thread 0 would otherwise run
+        # all 50 of its blocks before the error surfaced
+        monkeypatch.setattr(numkit.os, "cpu_count", lambda: 2)
+        ran = []
+
+        def work(b, size):
+            if b == 1:
+                raise DomainError("block 1")
+            ran.append(b)
+            time.sleep(0.01)
+            return (1,)
+
+        with pytest.raises(DomainError, match="block 1"):
+            run_blocks(work, 100 * MC_BLOCK, 2)
+        assert len(ran) < 10
+
+    def test_an_interrupt_stops_every_stride(self, monkeypatch):
+        # SIGINT reaches the main thread while it waits on the pool; each
+        # stride then ends after its current block instead of running on
+        monkeypatch.setattr(numkit.os, "cpu_count", lambda: 2)
+        ran = []
+
+        def work(b, size):
+            if b == 4:  # the main thread is waiting by now
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            ran.append(b)
+            time.sleep(0.01)
+            return (1,)
+
+        with pytest.raises(KeyboardInterrupt):
+            run_blocks(work, 100 * MC_BLOCK, 2)
+        time.sleep(0.2)  # a stride left running would add 20 blocks
+        assert len(ran) < 15
 
     def test_block_errors_propagate(self):
         def work(b, size):

@@ -246,20 +246,28 @@ def sample_pair_counts(
 
 def _minus_counts(model: PairModel, a: UnitVector3, b: UnitVector3, u) -> tuple:
     # (A minus, B minus, both minus) among the pairs drawn from u, an (m, 4)
-    # array of uniforms; its temporaries are freed before the next chunk
+    # array of uniforms; its temporaries are freed before the next chunk, and
+    # each is computed in place with the operations, in the order, of
+    # 2 u0 - 1, sqrt(clip(1 - z^2)), 2 pi u1 and 0.5 (1 -+ sigma.v)
     singlet = model.kind is ModelKind.QM_SINGLET
     axes = (a,) if singlet else (a, b)
     need_x = any(v.x != 0.0 for v in axes)
     need_y = any(v.y != 0.0 for v in axes)
-    z = 2.0 * u[:, 0] - 1.0
+    z = u[:, 0] * 2.0
+    z -= 1.0
     sx = sy = None
     if need_x or need_y:
-        s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-        phi = 2.0 * math.pi * u[:, 1]
+        s = z * z
+        np.subtract(1.0, s, out=s)
+        np.clip(s, 0.0, None, out=s)
+        np.sqrt(s, out=s)
+        phi = u[:, 1] * (2.0 * math.pi)
         if need_x:
-            sx = s * np.cos(phi)
+            sx = np.cos(phi)
+            sx *= s
         if need_y:
-            sy = s * np.sin(phi)
+            sy = np.sin(phi)
+            sy *= s
         # freed before the products: with them alive, a semiclassical chunk's
         # arrays passed the heap's trim threshold, so every chunk refaulted
         del s, phi
@@ -274,14 +282,22 @@ def _minus_counts(model: PairModel, a: UnitVector3, b: UnitVector3, u) -> tuple:
             total += c * w
         return total
 
-    a_minus = u[:, 2] >= 0.5 * (1.0 + sigma_dot(a))
+    threshold = sigma_dot(a)
+    threshold += 1.0
+    threshold *= 0.5
+    a_minus = u[:, 2] >= threshold
+    del threshold
     if singlet:
-        # second packet reduced to point along -r_A a
+        # second packet reduced to point along -r_A a: B is minus at
+        # u3 >= 0.5 (1 + cos_ab) after A minus, at u3 >= 0.5 (1 - cos_ab) after A plus
         cos_ab = float(a.as_array() @ b.as_array())
-        p_b_plus = np.where(a_minus, 0.5 * (1.0 + cos_ab), 0.5 * (1.0 - cos_ab))
-    else:
-        p_b_plus = 0.5 * (1.0 - sigma_dot(b))
-    b_minus = u[:, 3] >= p_b_plus
+        n_mm = int(np.count_nonzero(a_minus & (u[:, 3] >= 0.5 * (1.0 + cos_ab))))
+        n_pm = int(np.count_nonzero(~a_minus & (u[:, 3] >= 0.5 * (1.0 - cos_ab))))
+        return int(np.count_nonzero(a_minus)), n_mm + n_pm, n_mm
+    threshold = sigma_dot(b)
+    np.subtract(1.0, threshold, out=threshold)
+    threshold *= 0.5
+    b_minus = u[:, 3] >= threshold
     return tuple(int(np.count_nonzero(m)) for m in (a_minus, b_minus, a_minus & b_minus))
 
 

@@ -1,9 +1,11 @@
 """Reference implementations that the tests check packetlab's kernels against.
 
 No code in packetlab calls these: an adaptive Simpson quadrature, which
-checks the transition amplitudes, the per-cell occupancy law, which the
-vectorized cavity columns must reproduce, and the pair sampler that draws
-all its pairs at once, which the chunked sampler must reproduce.
+checks the transition amplitudes, the factorization audit summed over the
+whole grid by math.fsum, which the windowed sums must reproduce, the
+per-cell occupancy law, which the vectorized cavity columns must reproduce,
+and the pair sampler that draws all its pairs at once, which the chunked
+sampler must reproduce.
 """
 
 import math
@@ -55,6 +57,42 @@ def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
     return _adaptive_simpson(
         f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1
     ) + _adaptive_simpson(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1)
+
+
+def _moved(values: np.ndarray, cells: int) -> np.ndarray:
+    # values moved `cells` samples along the grid; what leaves it is dropped
+    out = np.zeros_like(values)
+    n = values.size
+    if 0 <= cells < n:
+        out[cells:] = values[: n - cells]
+    elif -n < cells < 0:
+        out[: n + cells] = values[-cells:]
+    return out
+
+
+def full_grid_transition(setup, scatterer, psi_f, cells: int = 0) -> float:
+    """actionprob.first_order_transition with the scatterer and psi_f moved
+    `cells` grid cells, its integrand taken on the whole grid with the same
+    elementwise products and summed exactly by math.fsum."""
+    terms = (np.conj(_moved(psi_f.values, cells))
+             * np.conj(_moved(scatterer.phin.values, cells))
+             * setup.psi_i.values
+             * _moved(scatterer.phi0.values, cells))
+    integral = complex(math.fsum(terms.real), math.fsum(terms.imag))
+    amplitude = scatterer.strength * integral * setup.psi_i.spacing
+    return abs(complex(setup.t - setup.t0) * amplitude) ** 2
+
+
+def full_grid_audit(setup, scatterer, centers, finals) -> tuple:
+    """(kappa, max relative spread) of actionprob.action_ratio_audit on
+    valid input, every sum taken on the whole grid by math.fsum."""
+    ratios = []
+    for x0 in centers:
+        cells = round((x0 - scatterer.center) / setup.psi_i.spacing)
+        w = math.fsum(full_grid_transition(setup, scatterer, f, cells) for f in finals)
+        ratios.append(w / abs(setup.psi_i.value_at(x0)) ** 2)
+    kappa = math.fsum(ratios) / len(ratios)
+    return kappa, max(abs(r - kappa) for r in ratios) / kappa
 
 
 @dataclass(frozen=True, eq=False)

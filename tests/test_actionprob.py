@@ -1,11 +1,16 @@
 """Unit tests for the first-order transition factorization audit."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.special import eval_hermite
 
+import packetlab
 from packetlab.actionprob import (
     ScattererSpec,
     TransitionSetup,
@@ -18,7 +23,7 @@ from packetlab.actionprob import (
 )
 from packetlab.errors import DomainError
 from packetlab.numkit import sampled_gaussian
-from oracles import integrate_1d
+from oracles import full_grid_audit, full_grid_transition, integrate_1d
 
 
 def _grid(start=-30.0, spacing=0.1):
@@ -200,6 +205,73 @@ class TestAudit:
         setup, scatterer, centers, _ = audit_scenario(20.0, 3, 4)
         with pytest.raises(DomainError):
             action_ratio_audit(setup, scatterer, centers, [])
+
+    @pytest.mark.parametrize("ratio", [2.0, 20.0, 100.0, 1000.0])
+    def test_window_sums_against_full_grid_fsum(self, ratio):
+        # at ratio 2 the scatterer's window is the whole 69-point grid, so
+        # every moved probe clips it at a grid edge
+        setup, scatterer, centers, finals = audit_scenario(ratio)
+        kappa, spread = action_ratio_audit(setup, scatterer, centers, finals)
+        kappa_o, spread_o = full_grid_audit(setup, scatterer, centers, finals)
+        assert abs(kappa - kappa_o) <= 1e-15 * kappa_o
+        # the largest |W / |psi_i(x0)|^2 - kappa| over probes, within 1e-15 kappa
+        assert abs(spread * kappa - spread_o * kappa_o) <= 1e-15 * kappa_o
+        w = [first_order_transition(setup, scatterer, f) for f in finals]
+        w_o = [full_grid_transition(setup, scatterer, f) for f in finals]
+        for got, want in zip(w, w_o):
+            assert abs(got - want) <= 1e-15 * sum(w_o)
+
+    def test_probe_that_moves_the_scatterer_off_the_grid(self):
+        # a nearly flat packet on [-8, 8] admits probes out to about 4.6; at
+        # 4.5 the scatterer's tail past 3.5 widths leaves the grid, and with
+        # it more than 1e-8 of each internal state's norm
+        start, spacing, num = _grid(-8.0, 0.125)
+        psi_i = sampled_gaussian(0.0, 20.0, start, spacing, num)
+        h = final_packet_family(0.0, 1.0, start, spacing, num, 2)
+        setup = TransitionSetup(psi_i, 0.0, 1.0)
+        scatterer = ScattererSpec(0.0, h[0], h[1], 1.0)
+        assert action_ratio_audit(setup, scatterer, [-1.0, 1.0], h)[0] > 0.0
+        with pytest.raises(DomainError, match="normalized"):
+            action_ratio_audit(setup, scatterer, [4.5], h)
+        with pytest.raises(DomainError, match="whole number of grid cells"):
+            action_ratio_audit(setup, scatterer, [0.3], h)
+
+    def test_audit_memory_stays_on_the_window(self):
+        # ratio 1e4: 339,412 grid points, 5.4 MB per complex packet, so one
+        # full-grid temporary would show. The first call on a setup also takes
+        # psi_i's position width once (the probes' admitted range), which
+        # needs full-grid float temporaries of its own. A fresh interpreter
+        # holds the 103 MB of inputs, so this process's peak RSS, which the
+        # children it starts later inherit, does not grow
+        src = os.path.dirname(os.path.dirname(packetlab.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        out = subprocess.run(
+            [sys.executable, "-c", _AUDIT_MEMORY_SCRIPT], capture_output=True,
+            text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
+        ).stdout
+        width_peak, first_peak, peak = json.loads(out)
+        assert width_peak > 2**20  # tracemalloc sees numpy's full-grid arrays
+        assert first_peak < width_peak + 2**20
+        assert peak < 2**20
+
+
+_AUDIT_MEMORY_SCRIPT = """
+import json, tracemalloc
+from packetlab.actionprob import action_ratio_audit, audit_scenario
+from packetlab.numkit import position_width
+
+setup, scatterer, centers, finals = audit_scenario(1e4, 9, 16)
+peaks = []
+tracemalloc.start()
+for run in (lambda: position_width(setup.psi_i),
+            lambda: action_ratio_audit(setup, scatterer, centers, finals),
+            lambda: action_ratio_audit(setup, scatterer, centers, finals)):
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    run()
+    peaks.append(tracemalloc.get_traced_memory()[1] - base)
+print(json.dumps(peaks))
+"""
 
 
 class TestEfficiencyDecomposition:

@@ -20,6 +20,12 @@ The argv list comes from the checkout that holds this file:
   an ``lhv`` run that crosses a draw block and many audit blocks, on one
   thread and on two (``--shards 2``);
 - a ``coherence`` and a ``condspace`` grid too small for a sampled function;
+- the action audit at width ratio 2, where the scatterer's window is the
+  whole grid and every moved probe clips it, and at the 10^4 cap with the
+  most final packets;
+- a singlet ``sample`` whose axis a has x, y and z parts and a
+  semiclassical one whose axes between them have all three, so every
+  sigma-component path of the pair sampler is pinned;
 - the argv that each size cap refuses, and a count law that misses its
   own normalization.
 
@@ -49,6 +55,10 @@ EXTRA_ARGVS = [
     ["lhv", "--family", "random", "--models", "3", "--settings", "70000", "--shards", "2"],
     ["coherence", "--points", "5"],
     ["condspace", "--grid", "-8,8,5"],
+    ["actionprob", "--width-ratio", "2"],
+    ["actionprob", "--width-ratio", "10000", "--finals", "16"],
+    ["sample", "--a", "0.48,0.6,0.64", "--b", "0,0.6,0.8", "--n", "100000"],
+    ["sample", "--model", "sc", "--a", "0.6,0.8,0", "--b", "0,0.6,0.8", "--n", "100000"],
 ]
 
 SIZE_CAP_ARGVS = [

@@ -39,7 +39,7 @@ _MAX_FINAL_PACKETS = 16
 # grid points of the audit scenario, checked before its arrays exist: width
 # ratio 1e4 needs 339,412; with the most final packets, `actionprob` there
 # takes about 0.5 s and 149 MB peak RSS as a fresh process (2-core Xeon),
-# nearly all of it the scenario's full-grid packets
+# most of it the scenario's full-grid packets
 _MAX_AUDIT_POINTS = 339_412
 
 

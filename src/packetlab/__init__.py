@@ -24,11 +24,13 @@ function from its module, for example ``from packetlab.spincorr import chsh``.
 
 When packetlab is the first to import numpy, OpenBLAS loads with one
 thread. packetlab's largest BLAS call is a 256 x 256 SVD, so a second BLAS
-thread only busy-waits, and the thread count moves the last bits of that
-SVD; with one thread, records do not depend on the core count. A caller
-who sets OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS keeps
-that count, and the environment is left as it was found. The Monte Carlo
-worker threads are set by ``--shards``.
+thread only busy-waits: the pin saves CPU time. Records do not need it:
+the thread count moves the last bits of that SVD, and the Schmidt residual
+drops singular values at that rounding level, so records are the same
+whoever imports numpy first. A caller who sets OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS or OMP_NUM_THREADS keeps that count, and the environment
+is left as it was found. The Monte Carlo worker threads are set by
+``--shards``.
 """
 
 import os as _os

@@ -222,6 +222,8 @@ def action_ratio_audit(
     mean_x, delta_x = setup._position_width
     ratios = []
     for x0 in centers:
+        if not math.isfinite(x0):
+            raise DomainError(f"probe center {x0} is not finite")
         if abs(x0 - mean_x) > delta_x:
             raise DomainError(
                 f"probe center {x0} outside the central region of psi_i"

@@ -33,6 +33,9 @@ __all__ = [
 _MAX_PARTICLES = 3
 MAX_POINTS = 256
 _SYMMETRIES = ("none", "symmetric", "antisymmetric")
+# numpy sums into a temporary operand of at least this size instead of
+# allocating the result (NPY_MIN_ELIDE_BYTES)
+_ELIDE_BYTES = 256 * 1024
 
 
 def _perm_parity(perm) -> int:
@@ -45,13 +48,28 @@ def _perm_parity(perm) -> int:
     return -1 if inversions % 2 else 1
 
 
+def _sum_abs_sq(t: np.ndarray, out: np.ndarray) -> float:
+    """float(np.sum(np.abs(t) ** 2)) to the bit, with out, a float array in
+    t's layout, as its only scratch."""
+    np.abs(t, out=out)
+    return float(np.sum(np.square(out, out=out)))
+
+
 class ManyBodyWavefunction:
-    """Normalized wavefunction of N <= 3 particles on one uniform grid."""
+    """Normalized wavefunction of N <= 3 particles on one uniform grid.
+
+    The instance keeps a read-only copy of the tensor it is given; the
+    caller's array is left as it was."""
 
     __slots__ = ("start", "spacing", "tensor", "symmetry")
 
     def __init__(self, start: float, spacing: float, tensor, symmetry: str = "none"):
-        t = np.array(tensor, dtype=complex)
+        self._adopt(start, spacing, np.array(tensor, dtype=complex), symmetry)
+
+    def _adopt(self, start, spacing, t: np.ndarray, symmetry: str) -> None:
+        """Check t and keep it, read-only, as the tensor: t must be a complex
+        array that no caller holds. The checks use one scratch array of
+        t's shape."""
         if not 1 <= t.ndim <= _MAX_PARTICLES:
             raise DomainError(f"particle count must be 1..{_MAX_PARTICLES}")
         if len(set(t.shape)) != 1:
@@ -63,17 +81,21 @@ class ManyBodyWavefunction:
         if symmetry not in _SYMMETRIES:
             raise DomainError(f"symmetry must be one of {_SYMMETRIES}")
 
-        norm = float(np.sum(np.abs(t) ** 2)) * spacing**t.ndim
+        scratch = np.empty_like(t)
+        norm = _sum_abs_sq(t, scratch.real) * spacing**t.ndim
         if abs(norm - 1.0) > 1e-8:
             raise DomainError(f"tensor norm {norm!r} must be 1 within 1e-8")
 
         if symmetry != "none" and t.ndim >= 2:
-            want = 1.0 if symmetry == "symmetric" else -1.0
+            # how far t swapped is from +t (symmetric) or -t (antisymmetric);
+            # hypot writes |difference| into the scratch array's real part
+            combine = np.subtract if symmetry == "symmetric" else np.add
             for i in range(t.ndim):
                 for j in range(i + 1, t.ndim):
                     axes = list(range(t.ndim))
                     axes[i], axes[j] = axes[j], axes[i]
-                    dev = float(np.max(np.abs(np.transpose(t, axes) - want * t)))
+                    combine(np.transpose(t, axes), t, out=scratch)
+                    dev = float(np.max(np.hypot(scratch.real, scratch.imag, out=scratch.real)))
                     if dev > 1e-10:
                         raise DomainError(
                             f"tensor violates the {symmetry} tag by {dev:.3e}"
@@ -84,6 +106,13 @@ class ManyBodyWavefunction:
         self.spacing = float(spacing)
         self.tensor = t
         self.symmetry = symmetry
+
+    @classmethod
+    def _owning(cls, start, spacing, t: np.ndarray, symmetry: str = "none"):
+        """An instance that keeps t itself, for a tensor built here."""
+        psi = cls.__new__(cls)
+        psi._adopt(start, spacing, t, symmetry)
+        return psi
 
     @property
     def n_particles(self) -> int:
@@ -108,10 +137,12 @@ class ManyBodyWavefunction:
                 raise DomainError("all factors must share one grid")
         if len(first.values) > MAX_POINTS:  # before the N^2 or N^3 outer product
             raise DomainError(f"grid capped at {MAX_POINTS} points")
-        tensor = factors[0].values
+        if len(factors) == 1:
+            return cls(first.start, first.spacing, first.values)
+        tensor = first.values
         for f in factors[1:]:
             tensor = np.multiply.outer(tensor, f.values)
-        return cls(first.start, first.spacing, tensor)
+        return cls._owning(first.start, first.spacing, tensor)
 
 
 def symmetrize(psi: ManyBodyWavefunction, sign: int = +1) -> ManyBodyWavefunction:
@@ -121,23 +152,38 @@ def symmetrize(psi: ManyBodyWavefunction, sign: int = +1) -> ManyBodyWavefunctio
     Antisymmetrizing a permutation-invariant input annihilates it; that
     case is surfaced as a degenerate-input error, which is the Pauli
     exclusion principle showing up numerically.
+
+    The terms are summed in place into one array, which is normalized in
+    place and kept by the instance without a copy. Its bits and layout are
+    those of the loop ``total = total + factor * transpose``: C order below
+    numpy's temporary-elision size, where that loop made a new array per
+    term, and the last term's order from that size on, where numpy summed
+    into the term. one_particle_density's sums round by layout.
     """
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
     if psi.symmetry != "none":
         raise DomainError("input is already tagged")
-    ndim = psi.tensor.ndim
-    total = np.zeros_like(psi.tensor)
-    for perm in permutations(range(ndim)):
-        factor = 1.0 if sign == 1 else float(_perm_parity(perm))
-        total = total + factor * np.transpose(psi.tensor, perm)
-    norm = math.sqrt(float(np.sum(np.abs(total) ** 2)) * psi.spacing**ndim)
+    t = psi.tensor
+    perms = list(permutations(range(t.ndim)))
+    if t.nbytes >= _ELIDE_BYTES:
+        total = np.zeros_like(np.transpose(t, perms[-1]))
+    else:
+        total = np.zeros(t.shape, dtype=complex)
+    for perm in perms:
+        # subtracting equals adding (-1.0) * term to the bit: the sum is
+        # never -0.0, so the sign of a zero in the term cannot show
+        add = np.add if sign == 1 or _perm_parity(perm) == 1 else np.subtract
+        add(total, np.transpose(t, perm), out=total)
+    norm = math.sqrt(_sum_abs_sq(total, np.empty_like(total, dtype=float))
+                     * psi.spacing**t.ndim)
     if norm < 1e-12:
         raise DomainError(
             "antisymmetrization annihilated the state (Pauli-excluded input)"
         )
+    np.divide(total, norm, out=total)
     tag = "symmetric" if sign == 1 else "antisymmetric"
-    return ManyBodyWavefunction(psi.start, psi.spacing, total / norm, tag)
+    return ManyBodyWavefunction._owning(psi.start, psi.spacing, total, tag)
 
 
 def one_particle_density(psi: ManyBodyWavefunction) -> np.ndarray:
@@ -179,15 +225,22 @@ def product_form_test(psi: ManyBodyWavefunction) -> tuple:
 
     The amplitude matrix is decomposed by SVD; a product state has a
     single singular value, and the residual is the total weight of the
-    rest of the Schmidt spectrum.
+    rest of the Schmidt spectrum. A matrix with no nonzero imaginary part
+    goes through the real SVD, which gives the same singular values in
+    less than half the time. Singular values at or below
+    s[0] max(shape) eps are rounding noise of the decomposition (Golub and
+    Van Loan, Matrix Computations, 2.4 and 5.4), so they add nothing to
+    the residual; a product state's residual is then exactly 0.
     """
     if psi.n_particles != 2:
         raise DomainError("product form test is a two-particle operation")
-    m = psi.tensor * psi.spacing
+    t = psi.tensor
+    m = (t if np.any(t.imag) else t.real) * psi.spacing
     s = np.linalg.svd(m, compute_uv=False)
-    residual = float(np.sum(s[1:] ** 2))
     is_product = bool(s.size < 2 or s[1] < 1e-8)
-    return is_product, residual
+    rest = s[1:]
+    signal = rest[rest > s[0] * max(m.shape) * np.finfo(float).eps]
+    return is_product, float(np.sum(signal**2))
 
 
 @dataclass(frozen=True, eq=False)

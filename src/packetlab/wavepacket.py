@@ -186,8 +186,10 @@ def coherence_profile(psi: SampledFunction1D, shifts) -> tuple:
 
     n = psi.n
     dx = psi.spacing
-    power = np.abs(np.fft.fft(psi.values, 2 * n)) ** 2
-    gamma = np.fft.ifft(power)[:n] * dx
+    power = np.abs(np.fft.fft(psi.values, 2 * n))  # the spectrum is not kept
+    np.square(power, out=power)
+    gamma = np.fft.ifft(power)[:n]
+    gamma *= dx
     requested = np.abs(np.interp(np.abs(shifts) / dx, np.arange(n), gamma)).tolist()
 
     magnitude = np.abs(gamma)

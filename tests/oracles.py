@@ -3,13 +3,17 @@
 No code in packetlab calls these: an adaptive Simpson quadrature, which
 checks the transition amplitudes, the factorization audit summed over the
 whole grid by math.fsum, which the windowed sums must reproduce, the
-per-cell occupancy law, which the vectorized cavity columns must reproduce,
-and the pair sampler that draws all its pairs at once, which the chunked
-sampler must reproduce.
+closed-form Schmidt residual of an (anti)symmetrized packet pair, the
+complex SVD that product_form_test skips for real amplitudes, the
+sum-per-term symmetrization loop, whose tensor the in-place one must
+reproduce bit for bit, the per-cell occupancy law, which the vectorized
+cavity columns must reproduce, and the pair sampler that draws all its
+pairs at once, which the chunked sampler must reproduce.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -93,6 +97,48 @@ def full_grid_audit(setup, scatterer, centers, finals) -> tuple:
         ratios.append(w / abs(setup.psi_i.value_at(x0)) ** 2)
     kappa = math.fsum(ratios) / len(ratios)
     return kappa, max(abs(r - kappa) for r in ratios) / kappa
+
+
+def pair_residual(f, g, sign: int) -> float:
+    """The exact Schmidt residual of the pair f, g (SampledFunction1D on one
+    grid) symmetrized with sign, as product_form_test reports it.
+
+    A fermion pair f ^ g is one Slater determinant of two orthonormal
+    states of span{f, g}: two Schmidt weights of 1/2, so 0.5. A boson pair
+    f g + g f has weights (1 +- |S|)^2 / (2 (1 + |S|^2)), with S the grid
+    overlap of the normalized packets, summed here by math.fsum; the
+    residual is the smaller one."""
+    if sign == -1:
+        return 0.5
+    norm_f, norm_g = (math.fsum(np.abs(h.values) ** 2) for h in (f, g))
+    terms = np.conj(f.values) * g.values
+    overlap = abs(complex(math.fsum(terms.real), math.fsum(terms.imag)))
+    overlap /= math.sqrt(norm_f * norm_g)
+    return (1.0 - overlap) ** 2 / (2.0 * (1.0 + overlap**2))
+
+
+def complex_svd_residual(psi) -> tuple:
+    """(is_product, schmidt_residual) of product_form_test computed by the
+    complex SVD, which it uses only for amplitudes with an imaginary part."""
+    m = psi.tensor * psi.spacing
+    s = np.linalg.svd(m, compute_uv=False)
+    rest = s[1:]
+    return bool(s[1] < 1e-8), float(np.sum(rest[rest > s[0] * max(m.shape) * 2.0**-52] ** 2))
+
+
+def loop_symmetrize(psi, sign: int) -> np.ndarray:
+    """The tensor of configspace.symmetrize(psi, sign) as the loop
+    total = total + factor * transpose built it, a new array per term,
+    normalized, then copied by the constructor."""
+    t = psi.tensor
+    total = np.zeros_like(t)
+    for perm in permutations(range(t.ndim)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(len(perm)) for j in range(i + 1, len(perm)))
+        factor = 1.0 if sign == 1 else float(-1 if inversions % 2 else 1)
+        total = total + factor * np.transpose(t, perm)
+    norm = math.sqrt(float(np.sum(np.abs(total) ** 2)) * psi.spacing**t.ndim)
+    return np.array(total / norm, dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)

@@ -190,6 +190,12 @@ class TestAudit:
         with pytest.raises(DomainError):
             action_ratio_audit(setup, scatterer, [100.0], finals)
 
+    @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+    def test_probe_center_that_is_not_finite(self, x0):
+        setup, scatterer, centers, finals = audit_scenario(20.0, 3, 4)
+        with pytest.raises(DomainError, match=f"^probe center {x0} is not finite$"):
+            action_ratio_audit(setup, scatterer, [centers[0], x0], finals)
+
     def test_scenario_guards(self):
         with pytest.raises(DomainError):
             audit_scenario(1.5)

@@ -108,6 +108,38 @@ def fresh_python(code: str, env=None) -> str:
     return fresh_process("-c", code, env=env).stdout
 
 
+# A child's ru_maxrss, from wait4 or from its own getrusage, starts from
+# the peak of the process that started it: subprocess starts children by
+# vfork, and at exec the kernel carries the shared memory map's high-water
+# mark into the child's figure. VmHWM belongs to the child's own map.
+_OWN_PEAK = """
+import atexit, runpy, sys
+
+def report():
+    try:
+        with open("/proc/self/status") as status:
+            kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    except OSError:  # no /proc: ru_maxrss, which may include the parent's peak
+        import resource
+        kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        kb //= 1024 if sys.platform == "darwin" else 1
+    sys.stderr.write(f"peak_kb {kb}\\n")
+
+atexit.register(report)
+runpy.run_module("packetlab.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def own_peak_run(*argv) -> tuple:
+    """(exit code, stdout, peak RSS in MB) of `packetlab argv` in a fresh
+    process, the peak as the child reads its own at exit."""
+    done = fresh_process("-c", _OWN_PEAK, *argv, check=False)
+    *_, last = done.stderr.splitlines()
+    name, kb = last.split()
+    assert name == "peak_kb", done.stderr
+    return done.returncode, done.stdout, int(kb) / 1024
+
+
 STIRLING_WARNING = (
     "warning: some occupancy classes hold fewer than 10 cells; "
     "the Stirling entropy is degraded\n"
@@ -219,14 +251,8 @@ class TestShards:
     def test_ten_million_pairs_in_bounded_memory(self):
         # fixed blocks of 65,536 pairs; one array of all 4e7 uniforms
         # alone would take 320 MB
-        child = subprocess.Popen(
-            [sys.executable, "-m", "packetlab.cli", "sample", "--n", "10000000"],
-            stdout=subprocess.PIPE, env=_child_env(),
-        )
-        out = child.stdout.read()
-        _, status, usage = os.wait4(child.pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
-        peak_mb = usage.ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10)
+        code, out, peak_mb = own_peak_run("sample", "--n", "10000000")
+        assert code == 0
         assert peak_mb < 200.0
         rec = json.loads(out)
         counts = [rec[k] for k in ("n_pp", "n_pm", "n_mp", "n_mm")]
@@ -1304,9 +1330,9 @@ def _unpinned_env(**extra) -> dict:
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
 class TestBlasThreads:
-    # numpy's OpenBLAS starts one worker per extra core, which busy-waits and
-    # changes the last bits of an SVD; packetlab loads it with one thread
-    # unless the caller chose a count, and leaves the environment as it was
+    # numpy's OpenBLAS starts one worker per extra core, which busy-waits;
+    # packetlab loads it with one thread unless the caller chose a count,
+    # and leaves the environment as it was
 
     def test_import_loads_one_thread_and_leaves_no_variable(self):
         out = fresh_python(
@@ -1335,12 +1361,38 @@ class TestBlasThreads:
         assert out == "True True\n"
 
     def test_records_do_not_depend_on_the_thread_count(self):
-        # the Schmidt residual of this product state is an SVD's last bits
+        # this product state's second singular value is an SVD's last bits,
+        # which the Schmidt residual drops
         default, pinned = (
             fresh_process("-m", "packetlab.cli", "condspace", "--symmetry", "none", env=env).stdout
             for env in (_unpinned_env(), _unpinned_env(OPENBLAS_NUM_THREADS="1"))
         )
         assert default == pinned
+
+
+class TestImportOrder:
+    # numpy imported before packetlab loads OpenBLAS with a thread per
+    # core; the Schmidt residual drops the SVD's rounding noise, so no
+    # record depends on the thread count that the import order picked
+    ARGVS = [["condspace", "--symmetry", symmetry, *extra]
+             for symmetry in ("none", "bose", "fermi")
+             for extra in ([], ["--grid", "-8,8,256"], ["--k0", "0.5,-0.3"])] + [["regress"]]
+    CODE = (
+        "{first}import hashlib, io\n"
+        "from packetlab.cli import run\n"
+        "for argv in {argvs!r}:\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    code = run(argv, stdout=out, stderr=err)\n"
+        "    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest(), repr(err.getvalue()))\n"
+    )
+
+    def test_numpy_imported_first_gives_the_same_bytes(self):
+        numpy_first, packetlab_first = (
+            fresh_python(self.CODE.format(first=first, argvs=self.ARGVS), _unpinned_env())
+            for first in ("import numpy\n", "")
+        )
+        assert len(numpy_first.splitlines()) == len(self.ARGVS)
+        assert numpy_first == packetlab_first
 
 
 class TestColdStart:

@@ -22,12 +22,23 @@ from packetlab.configspace import (
 )
 from packetlab.errors import DomainError
 from packetlab.numkit import RandomStream, sampled_gaussian
+from oracles import complex_svd_residual, loop_symmetrize, pair_residual
 
 START, SPACING, NUM = -8.0, 16.0 / 127, 128
 
 
 def _packet(center, sigma=0.8):
     return sampled_gaussian(center, sigma, START, SPACING, NUM).normalized()
+
+
+def _cli_pair(points, k0=(0.0, 0.0), centers=(-1.0, 1.0)):
+    # condspace's packets: width 0.7 on [-8, 8]
+    spacing = 16.0 / (points - 1)
+    return [sampled_gaussian(c, 0.7, -8.0, spacing, points, k0=k).normalized()
+            for c, k in zip(centers, k0)]
+
+
+REAL, COMPLEX = (0.0, 0.0), (0.5, -0.3)
 
 
 class TestConstruction:
@@ -62,6 +73,32 @@ class TestConstruction:
         t = np.ones((16, 16), dtype=complex)
         with pytest.raises(DomainError):
             ManyBodyWavefunction(0.0, 0.1, t)
+
+    def test_caller_array_is_copied_not_frozen(self):
+        g1, g2 = _packet(-1.0), _packet(1.0)
+        for t, tag in ((np.multiply.outer(g1.values, g2.values), "none"),
+                       (np.multiply.outer(g1.values, g1.values), "symmetric")):
+            before = t.copy()
+            psi = ManyBodyWavefunction(START, SPACING, t, tag)
+            assert t.flags.writeable and not np.shares_memory(t, psi.tensor)
+            assert np.array_equal(t, before)
+            assert not psi.tensor.flags.writeable
+            t[0, 0] = 5.0
+            assert psi.tensor[0, 0] == before[0, 0]
+
+    def test_tag_check(self):
+        g1, g2, g3 = _packet(-1.0), _packet(0.5), _packet(2.0)
+        sym = symmetrize(ManyBodyWavefunction.from_product([g1, g2]), 1)
+        anti = symmetrize(ManyBodyWavefunction.from_product([g1, g2, g3]), -1)
+        assert ManyBodyWavefunction(START, SPACING, sym.tensor, "symmetric").symmetry == "symmetric"
+        assert ManyBodyWavefunction(START, SPACING, anti.tensor, "antisymmetric").n_particles == 3
+        with pytest.raises(DomainError, match="violates the antisymmetric tag by"):
+            ManyBodyWavefunction(START, SPACING, sym.tensor, "antisymmetric")
+        with pytest.raises(DomainError, match="violates the symmetric tag by"):
+            ManyBodyWavefunction(START, SPACING, anti.tensor, "symmetric")
+        product = ManyBodyWavefunction.from_product([g1, g2])
+        with pytest.raises(DomainError, match="violates the symmetric tag by"):
+            ManyBodyWavefunction(START, SPACING, product.tensor, "symmetric")
 
     def test_mismatched_grids(self):
         a = _packet(0.0)
@@ -105,6 +142,35 @@ class TestSymmetrize:
         psi = ManyBodyWavefunction.from_product([_packet(-1.0), _packet(1.0)])
         with pytest.raises(DomainError):
             symmetrize(psi, 2)
+
+    # numpy sums a term in place from 256 KiB on (128 points for two
+    # particles, 26 for three), which gave the loop its layout there
+    @pytest.mark.parametrize("points,centers", [
+        (64, (-1.0, 1.0)), (127, (-1.0, 1.0)), (128, (-1.0, 1.0)), (161, (-1.0, 1.0)),
+        (256, (-1.0, 1.0)), (16, (-2.0, 0.0, 1.5)), (25, (-2.0, 0.0, 1.5)),
+        (26, (-2.0, 0.0, 1.5)),
+    ])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_in_place_sum_is_the_per_term_loop_bit_for_bit(self, points, centers, sign):
+        k0 = (0.4, -0.2, 0.1)[: len(centers)]
+        psi = ManyBodyWavefunction.from_product(_cli_pair(points, k0, centers))
+        want, got = loop_symmetrize(psi, sign), symmetrize(psi, sign).tensor
+        assert got.strides == want.strides
+        assert got.tobytes(order="A") == want.tobytes(order="A")
+
+    def test_fermi_pair_traces_under_4_mib(self):
+        # the library benchmark's configspace call: the product, its
+        # antisymmetrized copy and one scratch array are the large ones
+        tracemalloc.start()
+        try:
+            psi = symmetrize(ManyBodyWavefunction.from_product(_cli_pair(256)), -1)
+            conditional_probability(psi, 0.5)
+            one_particle_density(psi)
+            product_form_test(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestDensities:
@@ -198,6 +264,47 @@ class TestProductForm:
             ManyBodyWavefunction.from_product([_packet(-2.0), _packet(2.0)]), 1
         )
         assert product_form_test(near)[1] < product_form_test(far)[1]
+
+
+class TestSchmidtSpectrum:
+    # closed forms for both SVD paths: real packets (k0 = 0) and packets
+    # with carriers, whose amplitudes are complex
+    @pytest.mark.parametrize("points", [64, 161, 256])
+    @pytest.mark.parametrize("k0", [REAL, COMPLEX], ids=["real", "complex"])
+    def test_fermi_residual_is_one_half(self, points, k0):
+        psi = symmetrize(ManyBodyWavefunction.from_product(_cli_pair(points, k0)), -1)
+        is_product, residual = product_form_test(psi)
+        assert not is_product
+        assert abs(residual - 0.5) <= 4 * math.ulp(0.5)
+
+    @pytest.mark.parametrize("points", [64, 161, 256])
+    @pytest.mark.parametrize("k0", [REAL, COMPLEX], ids=["real", "complex"])
+    def test_bose_residual_against_the_overlap(self, points, k0):
+        f, g = _cli_pair(points, k0)
+        psi = symmetrize(ManyBodyWavefunction.from_product([f, g]), 1)
+        is_product, residual = product_form_test(psi)
+        assert not is_product
+        want = pair_residual(f, g, 1)
+        assert abs(residual - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("points", [64, 161, 256])
+    @pytest.mark.parametrize("k0", [REAL, COMPLEX], ids=["real", "complex"])
+    def test_product_residual_is_exactly_zero(self, points, k0):
+        # a product's second singular value is rounding noise of the SVD
+        psi = ManyBodyWavefunction.from_product(_cli_pair(points, k0))
+        assert product_form_test(psi) == (True, 0.0)
+
+    @pytest.mark.parametrize("points", [64, 161, 256])
+    @pytest.mark.parametrize("sign", [None, 1, -1])
+    def test_real_svd_agrees_with_the_complex_one(self, points, sign):
+        psi = ManyBodyWavefunction.from_product(_cli_pair(points))
+        if sign is not None:
+            psi = symmetrize(psi, sign)
+        assert not np.any(psi.tensor.imag)
+        (is_product, residual), (want_product, want) = (
+            product_form_test(psi), complex_svd_residual(psi))
+        assert is_product == want_product
+        assert abs(residual - want) <= 1e-15
 
 
 class TestReduceExpansion:

@@ -16,6 +16,9 @@ The argv list comes from the checkout that holds this file:
 - ``regress`` at seeds 0 and 12345;
 - records that print values of the isotropic draw, which ``regress``
   does not, and the SVD of ``condspace --symmetry none``;
+- the complex SVD, which ``condspace`` takes only for packets with
+  carriers (``--symmetry bose --k0 0.5,-0.3``), and the largest real SVD
+  (``--symmetry fermi --grid -8,8,256``);
 - count laws whose first support doubles, or that span 10^5 points, and
   an ``lhv`` run that crosses a draw block and many audit blocks, on one
   thread and on two (``--shards 2``);
@@ -49,6 +52,8 @@ EXTRA_ARGVS = [
     ["lhv", "--family", "random", "--models", "20", "--settings", "1000"],
     ["lhv", "--family", "semiclassical", "--settings", "517"],
     ["condspace", "--symmetry", "none"],
+    ["condspace", "--symmetry", "bose", "--k0", "0.5,-0.3"],
+    ["condspace", "--symmetry", "fermi", "--grid", "-8,8,256"],
     ["counts", "--stat", "bose", "--g", "1", "--sbar", "10"],
     ["counts", "--stat", "boltzmann", "--mbar", "100000"],
     ["lhv", "--family", "random", "--models", "3", "--settings", "70000"],

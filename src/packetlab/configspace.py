@@ -33,9 +33,6 @@ __all__ = [
 _MAX_PARTICLES = 3
 MAX_POINTS = 256
 _SYMMETRIES = ("none", "symmetric", "antisymmetric")
-# numpy sums into a temporary operand of at least this size instead of
-# allocating the result (NPY_MIN_ELIDE_BYTES)
-_ELIDE_BYTES = 256 * 1024
 
 
 def _perm_parity(perm) -> int:
@@ -153,24 +150,16 @@ def symmetrize(psi: ManyBodyWavefunction, sign: int = +1) -> ManyBodyWavefunctio
     case is surfaced as a degenerate-input error, which is the Pauli
     exclusion principle showing up numerically.
 
-    The terms are summed in place into one array, which is normalized in
-    place and kept by the instance without a copy. Its bits and layout are
-    those of the loop ``total = total + factor * transpose``: C order below
-    numpy's temporary-elision size, where that loop made a new array per
-    term, and the last term's order from that size on, where numpy summed
-    into the term. one_particle_density's sums round by layout.
+    The terms are summed in place into one C-ordered array, which is
+    normalized in place and kept by the instance without a copy.
     """
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
     if psi.symmetry != "none":
         raise DomainError("input is already tagged")
     t = psi.tensor
-    perms = list(permutations(range(t.ndim)))
-    if t.nbytes >= _ELIDE_BYTES:
-        total = np.zeros_like(np.transpose(t, perms[-1]))
-    else:
-        total = np.zeros(t.shape, dtype=complex)
-    for perm in perms:
+    total = np.zeros(t.shape, dtype=complex)
+    for perm in permutations(range(t.ndim)):
         # subtracting equals adding (-1.0) * term to the bit: the sum is
         # never -0.0, so the sign of a zero in the term cannot show
         add = np.add if sign == 1 or _perm_parity(perm) == 1 else np.subtract

@@ -2,13 +2,15 @@
 
 No code in packetlab calls these: an adaptive Simpson quadrature, which
 checks the transition amplitudes, the factorization audit summed over the
-whole grid by math.fsum, which the windowed sums must reproduce, the
-closed-form Schmidt residual of an (anti)symmetrized packet pair, the
-complex SVD that product_form_test skips for real amplitudes, the
-sum-per-term symmetrization loop, whose tensor the in-place one must
-reproduce bit for bit, the per-cell occupancy law, which the vectorized
-cavity columns must reproduce, and the pair sampler that draws all its
-pairs at once, which the chunked sampler must reproduce.
+whole grid by math.fsum, which the sums on the packets' spans must
+reproduce, the position width and the one-particle density summed by
+math.fsum, the closed-form Schmidt residual of an (anti)symmetrized
+packet pair, the complex SVD that product_form_test skips for real
+amplitudes, the sum-per-term symmetrization loop, whose tensor the
+in-place one must reproduce bit for bit, the per-cell occupancy law,
+which the vectorized cavity columns must reproduce, and the pair sampler
+that draws all its pairs at once, which the chunked sampler must
+reproduce.
 """
 
 import math
@@ -74,14 +76,25 @@ def _moved(values: np.ndarray, cells: int) -> np.ndarray:
     return out
 
 
+def _on_grid(f, psi_i) -> np.ndarray:
+    # f's samples placed at their lattice offset on psi_i's grid, zero
+    # elsewhere; samples off the grid are dropped
+    first = round((f.start - psi_i.start) / psi_i.spacing)
+    out = np.zeros(psi_i.n, dtype=complex)
+    lo, hi = max(first, 0), min(first + f.n, psi_i.n)
+    out[lo:hi] = f.values[lo - first:hi - first]
+    return out
+
+
 def full_grid_transition(setup, scatterer, psi_f, cells: int = 0) -> float:
     """actionprob.first_order_transition with the scatterer and psi_f moved
-    `cells` grid cells, its integrand taken on the whole grid with the same
-    elementwise products and summed exactly by math.fsum."""
-    terms = (np.conj(_moved(psi_f.values, cells))
-             * np.conj(_moved(scatterer.phin.values, cells))
-             * setup.psi_i.values
-             * _moved(scatterer.phi0.values, cells))
+    `cells` grid cells, its integrand taken on the whole grid of psi_i with
+    the same elementwise products and summed exactly by math.fsum."""
+    psi_i = setup.psi_i
+    terms = (np.conj(_moved(_on_grid(psi_f, psi_i), cells))
+             * np.conj(_moved(_on_grid(scatterer.phin, psi_i), cells))
+             * psi_i.values
+             * _moved(_on_grid(scatterer.phi0, psi_i), cells))
     integral = complex(math.fsum(terms.real), math.fsum(terms.imag))
     amplitude = scatterer.strength * integral * setup.psi_i.spacing
     return abs(complex(setup.t - setup.t0) * amplitude) ** 2
@@ -97,6 +110,23 @@ def full_grid_audit(setup, scatterer, centers, finals) -> tuple:
         ratios.append(w / abs(setup.psi_i.value_at(x0)) ** 2)
     kappa = math.fsum(ratios) / len(ratios)
     return kappa, max(abs(r - kappa) for r in ratios) / kappa
+
+
+def fsum_position_width(f) -> float:
+    """numkit.position_width(f)[1], its weighted sums taken by math.fsum."""
+    p = np.abs(f.values) ** 2
+    x = f.grid
+    total = math.fsum(p)
+    mean = math.fsum(p * x) / total
+    return math.sqrt(math.fsum(p * (x - mean) ** 2) / total)
+
+
+def fsum_density(psi) -> np.ndarray:
+    """configspace.one_particle_density(psi), each row of |tensor|^2 summed
+    by math.fsum."""
+    rows = (np.abs(psi.tensor) ** 2).reshape(psi.n_points, -1)
+    ndim = psi.tensor.ndim
+    return np.array([ndim * (math.fsum(r) * psi.spacing ** (ndim - 1)) for r in rows])
 
 
 def pair_residual(f, g, sign: int) -> float:

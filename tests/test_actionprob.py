@@ -22,8 +22,13 @@ from packetlab.actionprob import (
     width_ratio,
 )
 from packetlab.errors import DomainError
-from packetlab.numkit import sampled_gaussian
-from oracles import full_grid_audit, full_grid_transition, integrate_1d
+from packetlab.numkit import SampledFunction1D, sampled_gaussian
+from oracles import (
+    full_grid_audit,
+    full_grid_transition,
+    fsum_position_width,
+    integrate_1d,
+)
 
 
 def _grid(start=-30.0, spacing=0.1):
@@ -82,20 +87,9 @@ class TestScattererSpec:
     def test_norm_guard(self):
         start, spacing, num = _grid(-8.0, 0.125)
         h0, h1 = final_packet_family(0.0, 1.0, start, spacing, num, 2)
-        from packetlab.numkit import SampledFunction1D
-
         bad = SampledFunction1D(h1.start, h1.spacing, 2.0 * h1.values)
         with pytest.raises(DomainError):
             ScattererSpec(0.0, h0, bad, 1.0)
-
-    def test_shift_whole_cells_only(self):
-        start, spacing, num = _grid(-8.0, 0.125)
-        h0, h1 = final_packet_family(0.0, 1.0, start, spacing, num, 2)
-        scat = ScattererSpec(0.0, h0, h1, 1.0)
-        moved = scat.shifted(0.25)
-        assert moved.center == 0.25
-        with pytest.raises(DomainError):
-            scat.shifted(0.3)
 
     def test_time_window_guard(self):
         start, spacing, num = _grid(-8.0, 0.125)
@@ -155,14 +149,52 @@ class TestFirstOrderTransition:
         assert first_order_transition(setup, scat, h[2]) < 1e-25
         assert first_order_transition(setup, scat, h[1]) > 1e-6
 
-    def test_grid_mismatch_guard(self):
+    @pytest.mark.parametrize("start_shift,spacing_scale", [(0.05, 1.0), (0.0, 1.01)])
+    def test_grid_mismatch_guard(self, start_shift, spacing_scale):
+        # a final half a cell off psi_i's lattice, or with another spacing
         start, spacing, num = _grid(-20.0, 0.1)
         psi_i = sampled_gaussian(0.0, 4.0, start, spacing, num)
         h0, h1 = final_packet_family(0.0, 1.0, start, spacing, num, 2)
-        other = sampled_gaussian(0.0, 1.0, start, spacing, num - 1)
+        other = sampled_gaussian(
+            0.0, 1.0, start + start_shift, spacing * spacing_scale, num - 1
+        )
         setup = TransitionSetup(psi_i, 0.0, 1.0)
         with pytest.raises(DomainError):
             first_order_transition(setup, ScattererSpec(0.0, h0, h1, 1.0), other)
+
+    def test_final_cut_to_its_span(self):
+        # the same final on the whole grid and on the samples where it is
+        # nonzero: |u| < 38.6 at width 0.3 is |x - center| < 11.6
+        start, spacing, num = _grid(-20.0, 0.1)
+        psi_i = sampled_gaussian(0.0, 4.0, start, spacing, num)
+        h0, h1 = final_packet_family(0.0, 1.0, start, spacing, num, 2)
+        setup = TransitionSetup(psi_i, 0.0, 1.0)
+        scatterer = ScattererSpec(0.0, h0, h1, 1.0)
+        for center in (0.0, -1.5, 2.0):
+            full = final_packet_family(center, 0.3, start, spacing, num, 4)[-1]
+            cut = _nonzero_span(full)
+            assert cut.n < num
+            want = first_order_transition(setup, scatterer, full)
+            got = first_order_transition(setup, scatterer, cut)
+            assert abs(got - want) <= 1e-15 * want
+
+    def test_final_beside_the_scatterers_span(self):
+        # spans that do not meet leave an empty sum, on either side
+        start, spacing, num = _grid(-20.0, 0.1)
+        psi_i = sampled_gaussian(0.0, 4.0, start, spacing, num)
+        h0, h1 = map(_nonzero_span, final_packet_family(0.0, 0.3, start, spacing, num, 2))
+        setup = TransitionSetup(psi_i, 0.0, 1.0)
+        scatterer = ScattererSpec(0.0, h0, h1, 1.0)
+        for center in (-15.0, 15.0):
+            final = _nonzero_span(final_packet_family(center, 0.05, start, spacing, num, 1)[0])
+            assert first_order_transition(setup, scatterer, final) == 0.0
+
+
+def _nonzero_span(f):
+    # f on the samples from its first nonzero one to its last
+    nonzero = np.flatnonzero(f.values)
+    lo, hi = int(nonzero[0]), int(nonzero[-1]) + 1
+    return SampledFunction1D(f.start + f.spacing * lo, f.spacing, f.values[lo:hi])
 
 
 class TestAudit:
@@ -178,6 +210,25 @@ class TestAudit:
         _, spread_narrow = action_ratio_audit(*narrow[:2], narrow[2], narrow[3])
         _, spread_wide = action_ratio_audit(*wide[:2], wide[2], wide[3])
         assert spread_wide < spread_narrow
+
+    @pytest.mark.parametrize("ratio", [2.0, 100.0, 1e4])
+    def test_scenario_packets_on_their_span(self, ratio):
+        # only psi_i spans the grid; the scatterer's states and the finals
+        # hold the samples where exp(-u^2/2) does not underflow, except at
+        # ratio 2, whose 69-point grid lies wholly inside that span
+        setup, scatterer, _, finals = audit_scenario(ratio, 3, 16)
+        for f in (scatterer.phi0, scatterer.phin, *finals):
+            assert f.values[0] != 0 and f.values[-1] != 0
+            if ratio == 2.0:
+                assert f.same_grid(setup.psi_i) and f.n == 69
+            else:
+                assert f.n <= 310
+
+    @pytest.mark.parametrize("ratio", [2.0, 100.0, 1000.0, 1e4])
+    def test_scatterer_width_against_fsum(self, ratio):
+        _, scatterer, _, _ = audit_scenario(ratio, 3, 1)
+        want = fsum_position_width(scatterer.phi0)
+        assert abs(scatterer.width - want) <= 2 * math.ulp(want)
 
     def test_kappa_positive(self):
         setup, scatterer, centers, finals = audit_scenario(20.0, 3, 4)
@@ -214,7 +265,7 @@ class TestAudit:
 
     @pytest.mark.parametrize("ratio", [2.0, 20.0, 100.0, 1000.0])
     def test_window_sums_against_full_grid_fsum(self, ratio):
-        # at ratio 2 the scatterer's window is the whole 69-point grid, so
+        # at ratio 2 the scatterer's span is the whole 69-point grid, so
         # every moved probe clips it at a grid edge
         setup, scatterer, centers, finals = audit_scenario(ratio)
         kappa, spread = action_ratio_audit(setup, scatterer, centers, finals)
@@ -243,11 +294,11 @@ class TestAudit:
             action_ratio_audit(setup, scatterer, [0.3], h)
 
     def test_audit_memory_stays_on_the_window(self):
-        # ratio 1e4: 339,412 grid points, 5.4 MB per complex packet, so one
-        # full-grid temporary would show. The first call on a setup also takes
-        # psi_i's position width once (the probes' admitted range), which
-        # needs full-grid float temporaries of its own. A fresh interpreter
-        # holds the 103 MB of inputs, so this process's peak RSS, which the
+        # ratio 1e4: 339,412 grid points, 5.4 MB per complex full-grid array,
+        # so one full-grid temporary would show. The first call on a setup
+        # also takes psi_i's position width once (the probes' admitted
+        # range), which needs full-grid float temporaries of its own. A fresh
+        # interpreter holds the inputs, so this process's peak RSS, which the
         # children it starts later inherit, does not grow
         src = os.path.dirname(os.path.dirname(packetlab.__file__))
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

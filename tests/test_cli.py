@@ -1034,6 +1034,18 @@ class TestCommandValues:
         small = traced_peak(2 * numkit.MC_BLOCK)
         assert traced_peak(8 * numkit.MC_BLOCK) - small < 2**20
 
+    def test_actionprob_at_the_cap_in_bounded_memory(self):
+        # README: "`actionprob --width-ratio` is capped at 1e4, whose grids of
+        # 339,412 points take about 0.2 s and peak near 50 MB with
+        # `--finals 16`". Built on the full grid, its 18 packets alone took
+        # 98 MB, and the run 149 MB
+        code, out, peak_mb = own_peak_run(
+            "actionprob", "--width-ratio", "1e4", "--finals", "16"
+        )
+        assert code == 0
+        assert json.loads(out)["finals"] == 16
+        assert peak_mb < 60.0
+
     def test_nosignal_small_run(self):
         rec = record("nosignal", "--trials", "20", "--max-dim", "5")
         assert rec["max_deviation"] < 1e-10

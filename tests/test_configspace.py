@@ -22,7 +22,7 @@ from packetlab.configspace import (
 )
 from packetlab.errors import DomainError
 from packetlab.numkit import RandomStream, sampled_gaussian
-from oracles import complex_svd_residual, loop_symmetrize, pair_residual
+from oracles import complex_svd_residual, fsum_density, loop_symmetrize, pair_residual
 
 START, SPACING, NUM = -8.0, 16.0 / 127, 128
 
@@ -144,7 +144,8 @@ class TestSymmetrize:
             symmetrize(psi, 2)
 
     # numpy sums a term in place from 256 KiB on (128 points for two
-    # particles, 26 for three), which gave the loop its layout there
+    # particles, 26 for three), which gave the loop another layout there;
+    # the values are the same, and the in-place sum is always C-ordered
     @pytest.mark.parametrize("points,centers", [
         (64, (-1.0, 1.0)), (127, (-1.0, 1.0)), (128, (-1.0, 1.0)), (161, (-1.0, 1.0)),
         (256, (-1.0, 1.0)), (16, (-2.0, 0.0, 1.5)), (25, (-2.0, 0.0, 1.5)),
@@ -155,8 +156,8 @@ class TestSymmetrize:
         k0 = (0.4, -0.2, 0.1)[: len(centers)]
         psi = ManyBodyWavefunction.from_product(_cli_pair(points, k0, centers))
         want, got = loop_symmetrize(psi, sign), symmetrize(psi, sign).tensor
-        assert got.strides == want.strides
-        assert got.tobytes(order="A") == want.tobytes(order="A")
+        assert got.flags.c_contiguous
+        assert got.tobytes(order="C") == want.tobytes(order="C")
 
     def test_fermi_pair_traces_under_4_mib(self):
         # the library benchmark's configspace call: the product, its
@@ -185,6 +186,15 @@ class TestDensities:
         )
         rho = one_particle_density(symmetrize(psi, 1))
         assert float(np.sum(rho)) * SPACING == pytest.approx(3.0, abs=1e-8)
+
+    @pytest.mark.parametrize("points", [64, 128, 161, 256])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_density_against_fsum(self, points, sign):
+        # each row summed in C order, pairwise; summed down the columns of
+        # an F-ordered tensor, 161 points read 1.24e-15 off
+        psi = symmetrize(ManyBodyWavefunction.from_product(_cli_pair(points)), sign)
+        got, want = one_particle_density(psi), fsum_density(psi)
+        assert np.all(np.abs(got - want) <= 1e-15 * want)
 
     def test_untagged_rejected(self):
         psi = ManyBodyWavefunction.from_product([_packet(-1.0), _packet(1.0)])

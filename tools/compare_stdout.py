@@ -23,9 +23,10 @@ The argv list comes from the checkout that holds this file:
   an ``lhv`` run that crosses a draw block and many audit blocks, on one
   thread and on two (``--shards 2``);
 - a ``coherence`` and a ``condspace`` grid too small for a sampled function;
-- the action audit at width ratio 2, where the scatterer's window is the
-  whole grid and every moved probe clips it, and at the 10^4 cap with the
-  most final packets;
+- the action audit at width ratio 2, where the scatterer's span is the
+  whole grid and every moved probe clips it, at ratio 1000, whose span of
+  308 samples sits on the lattice otherwise than the 309 of the other
+  ratios, and at the 10^4 cap with the most final packets;
 - a singlet ``sample`` whose axis a has x, y and z parts and a
   semiclassical one whose axes between them have all three, so every
   sigma-component path of the pair sampler is pinned;
@@ -61,6 +62,7 @@ EXTRA_ARGVS = [
     ["coherence", "--points", "5"],
     ["condspace", "--grid", "-8,8,5"],
     ["actionprob", "--width-ratio", "2"],
+    ["actionprob", "--width-ratio", "1000", "--finals", "16", "--probes", "5"],
     ["actionprob", "--width-ratio", "10000", "--finals", "16"],
     ["sample", "--a", "0.48,0.6,0.64", "--b", "0,0.6,0.8", "--n", "100000"],
     ["sample", "--model", "sc", "--a", "0.6,0.8,0", "--b", "0,0.6,0.8", "--n", "100000"],

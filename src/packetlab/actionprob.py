@@ -11,6 +11,9 @@ One spatial dimension, contact interaction, stationary free phases over
 a short time window, hbar = 1 internally. All of these keep the
 verification honest while staying at desk scale: nothing in the
 factorization argument depends on dimension or on the phase bookkeeping.
+As the width ratio grows, the audit's spread falls as 0.109 / ratio^2 and
+kappa tends to 0.1994711255148905 with 16 finals, or with all of them to
+|phi_n phi_0|^2 = 1 / (2 sqrt(2 pi)) = 0.19947114020071634.
 """
 
 from __future__ import annotations
@@ -36,11 +39,6 @@ __all__ = [
 ]
 
 _MAX_FINAL_PACKETS = 16
-# grid points of the audit scenario, checked before its arrays exist: width
-# ratio 1e4 needs 339,412; with the most final packets, `actionprob` there
-# takes about 0.2 s and 47 MB peak RSS as a fresh process (2-core Xeon):
-# 29 MB of it the import, the rest the incident packet and its temporaries
-_MAX_AUDIT_POINTS = 339_412
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +46,7 @@ class ScattererSpec:
     """Localized scatterer: ground and excited internal states, contact strength.
 
     phi0 and phin share one grid, which may be any span of the incident
-    packet's lattice outside which both vanish.
+    packet's lattice outside which both vanish: cut to it, as in audit_scenario.
     """
 
     center: float
@@ -119,7 +117,7 @@ def first_order_transition(
     resonant time-window factor. psi_f and the scatterer's states may hold
     any span of psi_i's lattice (same spacing, a whole number of cells from
     psi_i's start) and are zero outside it; the integral is summed where
-    the spans and psi_i's grid intersect.
+    the spans and psi_i's grid intersect, so callers cut them to that span.
     """
     return _transition_sum(setup, scatterer, [psi_f], 0)
 
@@ -201,27 +199,27 @@ def action_ratio_audit(
 
     For each probe position the scatterer and its admitted final packets
     are moved there together (the outgoing forms live at the scatterer)
-    and the summed transition probability is divided by the local density
-    of the unmoved incident packet. kappa is the mean ratio; the spread
-    measures how far the factorization claim holds. The scatterer's states
-    and the finals may hold any span of psi_i's lattice; a move shifts
-    their first cell, each amplitude is summed where the moved spans and
-    psi_i's grid intersect, and no moved copy of any packet is built.
+    and the summed transition probability is divided by the density of
+    the unmoved incident packet at x0, which must be one of its samples.
+    kappa is the mean ratio; the spread measures how far the factorization
+    claim holds. The scatterer's states and the finals hold their nonzero
+    span of psi_i's lattice; a move shifts their first cell, each amplitude
+    is summed where the moved spans and psi_i's grid intersect, and no
+    moved copy of any packet is built.
     """
     if len(final_set) == 0:
         raise DomainError("need at least one final packet")
     if len(final_set) > _MAX_FINAL_PACKETS:
         raise DomainError(f"final family capped at {_MAX_FINAL_PACKETS} packets")
-    mean_x, delta_x = setup._position_width
+    psi_i, (mean_x, delta_x) = setup.psi_i, setup._position_width
     ratios = []
     for x0 in centers:
         if not math.isfinite(x0):
             raise DomainError(f"probe center {x0} is not finite")
-        if abs(x0 - mean_x) > delta_x:
-            raise DomainError(
-                f"probe center {x0} outside the central region of psi_i"
-            )
-        density = abs(setup.psi_i.value_at(float(x0))) ** 2
+        if abs(x0 - mean_x) > delta_x or not psi_i.start <= x0 <= psi_i.end:
+            raise DomainError(f"probe center {x0} outside the central region of psi_i")
+        at = f"the offset of probe center {x0} from psi_i's start"
+        density = abs(psi_i.values[_whole_cells(x0 - psi_i.start, psi_i.spacing, at)]) ** 2
         if density < 1e-15:
             raise DomainError(f"|psi_i({x0})|^2 below 1e-15, ratio is ill-conditioned")
         cells = _whole_cells(
@@ -244,13 +242,19 @@ def audit_scenario(
     Unit-width scatterer (Hermite-Gaussian ground and first excited
     internal states) under a Gaussian packet width_ratio times wider,
     probed at n_centers grid-aligned positions across the packet's
-    central region. Contact strength and time window are 1. The grid
-    (about 34 points per unit of width_ratio) caps width_ratio at 1e4.
+    central region. Contact strength and time window are 1. The grid,
+    about 6 sigma either side of x = 0 on the scatterer's 0.25 lattice,
+    holds every probe center as a sample and caps width_ratio at 1e4.
     Only psi_i spans the grid; the internal states and the finals hold
     the span of it where they are not exact zeros, at most 309 samples.
     """
-    if width_ratio < 2.0:
-        raise DomainError("audit needs the packet at least twice the scatterer width")
+    # before any grid exists, NaN too. At 1e4 the grid holds 339,413 points;
+    # `actionprob --finals 16` peaks there at 45 MB (2-core Xeon), 29 in import
+    if not 2.0 <= width_ratio <= 1e4:
+        raise DomainError(
+            f"width ratio {width_ratio:g} is refused: the audit needs the packet at "
+            "least twice the scatterer width, and the cap is width ratio 1e4"
+        )
     if n_centers < 1:
         raise DomainError("need at least one probe center")
     w = 1.0
@@ -258,13 +262,10 @@ def audit_scenario(
     # makes the measured width ratio come out at the requested value
     sigma = width_ratio * w / math.sqrt(2.0)
     spacing = 0.25
-    half = 6.0 * sigma
-    num = int(round(2.0 * half / spacing)) + 1
-    if num > _MAX_AUDIT_POINTS:
-        raise DomainError(
-            f"width ratio {width_ratio:g} needs more than the audit's "
-            f"{_MAX_AUDIT_POINTS:,} grid points; the cap is width ratio 1e4"
-        )
+    # about 6 sigma, snapped to the lattice of the scatterer's center, so
+    # that x = 0 and every probe center below are samples of psi_i
+    cells = round(6.0 * sigma / spacing)
+    half, num = spacing * cells, 2 * cells + 1
     psi_i = sampled_gaussian(0.0, sigma, -half, spacing, num)
     # the Hermite-Gaussians are exact zeros where exp(-u^2/2) underflows,
     # |u| > 38.6: they are built only on the span inside that, found among
@@ -281,10 +282,7 @@ def audit_scenario(
     scatterer = ScattererSpec(0.0, internal[0], internal[1], 1.0)
     finals = final_packet_family(0.0, w, start, spacing, count, n_finals)
     setup = TransitionSetup(psi_i, 0.0, 1.0)
-    if n_centers == 1:
-        offsets = [0.0]
-    else:
-        offsets = np.linspace(-0.5 * sigma, 0.5 * sigma, n_centers)
+    offsets = np.linspace(-0.5 * sigma, 0.5 * sigma, n_centers) if n_centers > 1 else [0.0]
     centers = [round(o / spacing) * spacing for o in offsets]
     return setup, scatterer, centers, finals
 

@@ -821,6 +821,7 @@ _BALANCE = ("balance",
             {"trials": 200, "temperatures": [300.0], "frequencies": [1e13]})
 _BOSE_G1 = ("counts", {"stat": "bose", "g": 1, "sbar": 1.0})
 _ENTROPY = ("cavity", {"temperature": 1000.0, "entropy": True})
+_ACTION_16 = ("actionprob", {"finals": 16})
 
 
 def _geometric_gap(fields) -> float:
@@ -872,6 +873,14 @@ _REGRESSION_CHECKS = [
      ("condspace", {}), "conditional_integral"),
     ("condspace_product_residual", 0.0, 1e-8, "le",
      ("condspace", {"symmetry": "none"}), "schmidt_residual"),
+    # continuum values from Gaussian moments at 40 digits. An amplitude sums
+    # 309 four-factor products, whose moduli add to 1.18 times it, pairwise:
+    # 3 roundings and at most 14 additions per product, so its square is
+    # within 2 * 17 * 1.18 * 2^-53 = 4.5e-15, a ratio W / |psi_i|^2 within
+    # 6e-15, kappa (their mean) 1e-14 and the spread 2e-14 absolute
+    ("actionprob_kappa", 0.1994577194163703, 1e-14, "rel", _ACTION_16, "kappa"),
+    ("actionprob_spread", 1.0849742954699548e-05, 2e-14, "abs",
+     _ACTION_16, "max_relative_spread"),
     ("accumulation_time_s", 997927160605.7142, 1e-12, "rel", _ACCUM, "t_accumulate_s"),
     ("accumulation_vs_paper_1e12", 1.0e12, 0.05, "rel", _ACCUM, "t_accumulate_s"),
     ("proton_spread_m", 0.023, 0.1, "rel", ("packet spread", {}), "final_width"),

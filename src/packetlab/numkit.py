@@ -302,15 +302,6 @@ class SampledFunction1D:
             raise DomainError("cannot normalize a zero function")
         return SampledFunction1D(self.start, self.spacing, self.values / math.sqrt(nsq))
 
-    def value_at(self, x: float) -> complex:
-        """Linear interpolation between grid samples."""
-        if x < self.start or x > self.end:
-            raise DomainError(f"x={x} lies outside the sampled grid")
-        t = (x - self.start) / self.spacing
-        i = min(int(t), self.values.size - 2)
-        frac = t - i
-        return complex((1.0 - frac) * self.values[i] + frac * self.values[i + 1])
-
     def same_grid(self, other: "SampledFunction1D") -> bool:
         return (
             self.values.size == other.values.size
@@ -337,7 +328,8 @@ def sampled_gaussian(
     env = (2.0 * math.pi * sigma * sigma) ** -0.25 * np.exp(
         -((x - center) ** 2) / (4.0 * sigma * sigma)
     )
-    return SampledFunction1D(start, spacing, env * np.exp(1j * k0 * x))
+    # the constructor casts a real envelope to complex
+    return SampledFunction1D(start, spacing, env * np.exp(1j * k0 * x) if k0 else env)
 
 
 def position_width(psi: SampledFunction1D) -> tuple:

@@ -3,7 +3,8 @@
 No code in packetlab calls these: an adaptive Simpson quadrature, which
 checks the transition amplitudes, the factorization audit summed over the
 whole grid by math.fsum, which the sums on the packets' spans must
-reproduce, the position width and the one-particle density summed by
+reproduce, the same audit in the continuum from Gaussian moments in
+mpmath, which the grid sums must reproduce to rounding, the position width and the one-particle density summed by
 math.fsum, the closed-form Schmidt residual of an (anti)symmetrized
 packet pair, the complex SVD that product_form_test skips for real
 amplitudes, the sum-per-term symmetrization loop, whose tensor the
@@ -107,9 +108,64 @@ def full_grid_audit(setup, scatterer, centers, finals) -> tuple:
     for x0 in centers:
         cells = round((x0 - scatterer.center) / setup.psi_i.spacing)
         w = math.fsum(full_grid_transition(setup, scatterer, f, cells) for f in finals)
-        ratios.append(w / abs(setup.psi_i.value_at(x0)) ** 2)
+        i0 = round((x0 - setup.psi_i.start) / setup.psi_i.spacing)
+        ratios.append(w / abs(setup.psi_i.values[i0]) ** 2)
     kappa = math.fsum(ratios) / len(ratios)
     return kappa, max(abs(r - kappa) for r in ratios) / kappa
+
+
+def _hermite_coefficients(k: int) -> list:
+    # the coefficients of H_k in powers of u, by H_(k+1) = 2u H_k - 2k H_(k-1)
+    h, previous = [1], [0]
+    for j in range(k):
+        following = [0] + [2 * c for c in h]
+        for i, c in enumerate(previous):
+            following[i] -= 2 * j * c
+        h, previous = following, h
+    return h
+
+
+def moment_audit(sigma: float, centers, n_finals: int, digits: int = 40) -> tuple:
+    """(kappa, max relative spread) of action_ratio_audit on audit_scenario's
+    packets in the continuum, exact to `digits` digits, as two floats.
+
+    At a probe x0, u = x - x0, the unit-width scatterer and final k give
+    the amplitude c_k c_1 c_0 C integral of H_k(u) H_1(u) exp(-3u^2/2
+    - (u + x0)^2 / (4 sigma^2)) du, with C = (2 pi sigma^2)^(-1/4) and c_k
+    = (2^k k! sqrt(pi))^(-1/2). Completing the square in the exponent and
+    expanding the polynomial about its center leaves a finite sum of
+    Gaussian moments, integral v^(2j) exp(-a v^2) dv = Gamma(j + 1/2) /
+    a^(j + 1/2). The ratio divides by psi_i(x0)^2 = C^2 exp(-x0^2 / (2
+    sigma^2)). sigma and the centers are taken as the floats they are."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        s, half = mpmath.mpf(sigma), mpmath.mpf(1) / 2
+        a = 3 * half + 1 / (4 * s * s)
+        c = [1 / mpmath.sqrt(2**k * mpmath.factorial(k) * mpmath.sqrt(mpmath.pi))
+             for k in range(max(n_finals, 2))]
+        # H_k H_1 = 2u H_k, in powers of u
+        polys = [[0] + [2 * h for h in _hermite_coefficients(k)] for k in range(n_finals)]
+        moments = [mpmath.gamma(j + half) / a ** (j + half) for j in range(n_finals // 2 + 1)]
+        ratios = []
+        for x0 in map(mpmath.mpf, centers):
+            # -a u^2 - x0 u / (2 sigma^2) - x0^2 / (4 sigma^2) = -a (u + m)^2 + e
+            m = x0 / (4 * a * s * s)
+            e = a * m * m - x0 * x0 / (4 * s * s)
+            # with v = u + m, only the even powers of v in sum_n p_n (v - m)^n
+            # have a nonzero moment
+            amplitudes = [
+                c[k] * c[1] * c[0] * mpmath.exp(e) * mpmath.fsum(
+                    p * mpmath.binomial(n, r) * (-m) ** (n - r) * moments[r // 2]
+                    for n, p in enumerate(poly) for r in range(0, n + 1, 2))
+                for k, poly in enumerate(polys)
+            ]
+            # the C^2 of each squared amplitude cancels the C^2 of the density
+            ratios.append(mpmath.fsum(w * w for w in amplitudes)
+                          / mpmath.exp(-x0 * x0 / (2 * s * s)))
+        kappa = mpmath.fsum(ratios) / len(ratios)
+        spread = max(abs(r - kappa) for r in ratios) / kappa
+        return float(kappa), float(spread)
 
 
 def fsum_position_width(f) -> float:

@@ -28,6 +28,7 @@ from oracles import (
     full_grid_transition,
     fsum_position_width,
     integrate_1d,
+    moment_audit,
 )
 
 
@@ -252,11 +253,43 @@ class TestAudit:
             audit_scenario(1.5)
         with pytest.raises(DomainError):
             audit_scenario(20.0, 0)
-        # 1e4 needs 339,412 grid points, the cap; one more is refused before
-        # any grid is built
-        for ratio in (10000.01, 1e300):
+        # 1e4, 339,413 grid points, is the cap; any larger ratio, and a
+        # ratio that is not a number, is refused before any grid is built
+        for ratio in (10000.01, 1e300, math.inf, math.nan):
             with pytest.raises(DomainError, match="the cap is width ratio 1e4"):
                 audit_scenario(ratio)
+
+    @pytest.mark.parametrize("ratio,num", [(2.0, 69), (100.0, 3395), (1e4, 339_413)])
+    def test_probe_centers_are_samples_of_psi_i(self, ratio, num):
+        # the grid is snapped to the scatterer's lattice: x = 0 is its middle
+        # sample, and each probe center a whole number of cells from its start
+        setup, scatterer, centers, _ = audit_scenario(ratio, 9, 1)
+        psi_i = setup.psi_i
+        assert psi_i.n == num
+        assert psi_i.start + psi_i.spacing * (num // 2) == scatterer.center == 0.0
+        for x0 in centers:
+            cells = (x0 - psi_i.start) / psi_i.spacing
+            assert cells == round(cells)
+
+    @pytest.mark.parametrize("ratio", [2.0, 100.0, 1000.0, 1e4])
+    def test_audit_against_the_moment_oracle(self, ratio):
+        # the continuum kappa and spread, from Gaussian moments at 40 digits.
+        # Each amplitude sums terms of the size of the all-finals amplitude,
+        # whose kappa is |phi_n phi_0|^2 = 1 / (2 sqrt(2 pi)); its rounding,
+        # relative to a smaller kappa, grows as sqrt(that over kappa). That
+        # factor is 1.0 to 1.2 from two finals on, and up to 7e4 with one
+        # final, whose even ground state couples only through psi_i's slope.
+        # An error in any ratio r moves the spread's |r - kappa| by as much;
+        # the largest r is (1 + spread) kappa
+        limit = 1.0 / (2.0 * math.sqrt(2.0 * math.pi))
+        sigma = ratio / math.sqrt(2.0)
+        for n_finals in (1, 2, 8, 16):
+            setup, scatterer, centers, finals = audit_scenario(ratio, 9, n_finals)
+            kappa, spread = action_ratio_audit(setup, scatterer, centers, finals)
+            kappa_o, spread_o = moment_audit(sigma, centers, n_finals)
+            tol = 1e-15 * math.sqrt(limit / kappa_o) * kappa_o
+            assert abs(kappa - kappa_o) <= tol, n_finals
+            assert abs(spread * kappa - spread_o * kappa_o) <= tol * (1.0 + spread_o), n_finals
 
     def test_empty_finals(self):
         setup, scatterer, centers, _ = audit_scenario(20.0, 3, 4)
@@ -293,8 +326,35 @@ class TestAudit:
         with pytest.raises(DomainError, match="whole number of grid cells"):
             action_ratio_audit(setup, scatterer, [0.3], h)
 
+    def test_probe_between_the_samples_of_psi_i(self):
+        # psi_i half a cell off the scatterer's lattice: a whole-cell move
+        # of the scatterer lands between psi_i's samples, which the audit
+        # does not interpolate
+        start, spacing, num = _grid(-8.0, 0.125)
+        psi_i = sampled_gaussian(0.0, 20.0, start - 0.5 * spacing, spacing, num + 1)
+        h = final_packet_family(0.0, 1.0, start - 0.5 * spacing, spacing, num + 1, 2)
+        setup = TransitionSetup(psi_i, 0.0, 1.0)
+        scatterer = ScattererSpec(0.0, h[0], h[1], 1.0)
+        with pytest.raises(DomainError, match="^the offset of probe center 1.0 from "
+                                              "psi_i's start must be a whole number"):
+            action_ratio_audit(setup, scatterer, [1.0], h)
+
+    def test_probe_inside_the_central_region_but_off_the_grid(self):
+        # most of |psi_i|^2 on its first sample and the rest on its last: the
+        # mean lies near the start, and one standard deviation reaches past
+        # it, where a negative sample index would wrap around to the end
+        start, spacing, num = _grid(-8.0, 0.125)
+        values = np.zeros(num)
+        values[0], values[-1] = 1.0, 0.3
+        setup = TransitionSetup(SampledFunction1D(start, spacing, values), 0.0, 1.0)
+        h = final_packet_family(0.0, 1.0, start, spacing, num, 2)
+        scatterer = ScattererSpec(0.0, h[0], h[1], 1.0)
+        central = "^probe center -9.0 outside the central region of psi_i$"
+        with pytest.raises(DomainError, match=central):
+            action_ratio_audit(setup, scatterer, [-9.0], h)
+
     def test_audit_memory_stays_on_the_window(self):
-        # ratio 1e4: 339,412 grid points, 5.4 MB per complex full-grid array,
+        # ratio 1e4: 339,413 grid points, 5.4 MB per complex full-grid array,
         # so one full-grid temporary would show. The first call on a setup
         # also takes psi_i's position width once (the probes' admitted
         # range), which needs full-grid float temporaries of its own. A fresh

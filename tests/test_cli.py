@@ -47,6 +47,8 @@ REGRESS_TABLE = [
     ("reduce_pick_certain", 0.0, 0.0, "abs"),
     ("condspace_conditional_norm", 1.0, 1e-9, "abs"),
     ("condspace_product_residual", 0.0, 1e-8, "le"),
+    ("actionprob_kappa", 0.1994577194163703, 1e-14, "rel"),
+    ("actionprob_spread", 1.0849742954699548e-05, 2e-14, "abs"),
     ("accumulation_time_s", 997927160605.7142, 1e-12, "rel"),
     ("accumulation_vs_paper_1e12", 1e12, 0.05, "rel"),
     ("proton_spread_m", 0.023, 0.1, "rel"),
@@ -628,7 +630,7 @@ class TestExitCodes:
         assert not path.exists()
 
     def test_width_ratio_cap_precedes_the_audit_grids(self):
-        # ratio 1e6 would need grids of 33,941,126 points, gigabytes in all;
+        # ratio 1e6 would need grids of 33,941,127 points, gigabytes in all;
         # under a 1 GiB address-space limit a regression fails here instead
         # of exhausting the machine's memory
         import resource
@@ -643,8 +645,8 @@ class TestExitCodes:
         )
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == (
-            "error: width ratio 1e+06 needs more than the audit's 339,412 grid "
-            "points; the cap is width ratio 1e4\n"
+            "error: width ratio 1e+06 is refused: the audit needs the packet at least "
+            "twice the scatterer width, and the cap is width ratio 1e4\n"
         )
 
     def test_support_over_the_cap_exits_two(self):
@@ -1036,7 +1038,7 @@ class TestCommandValues:
 
     def test_actionprob_at_the_cap_in_bounded_memory(self):
         # README: "`actionprob --width-ratio` is capped at 1e4, whose grids of
-        # 339,412 points take about 0.2 s and peak near 50 MB with
+        # 339,413 points take about 0.2 s and peak near 50 MB with
         # `--finals 16`". Built on the full grid, its 18 packets alone took
         # 98 MB, and the run 149 MB
         code, out, peak_mb = own_peak_run(
@@ -1296,9 +1298,9 @@ class TestRegress:
         # a dropped, reordered or edited row changes what regress certifies
         assert [row[:4] for row in cli._REGRESSION_CHECKS] == REGRESS_TABLE
 
-    def test_thirty_checks_read_a_subcommand_record(self):
+    def test_thirty_two_checks_read_a_subcommand_record(self):
         invoked = [row[4] for row in cli._REGRESSION_CHECKS if row[4] is not None]
-        assert len(invoked) == 30
+        assert len(invoked) == 32
         assert all(key in cli._COMMANDS and key != "regress" for key, _ in invoked)
         assert [row[0] for row in cli._REGRESSION_CHECKS if row[4] is None] == [
             "marginal_half", "triplet_m0_expectation", "triplet_m1_expectation",
@@ -1312,6 +1314,8 @@ class TestRegress:
          lambda rec: rec["stefan_boltzmann_ratio"]),
         ("counts_fermi_g1_w0", ("counts", "--stat", "fermi", "--g", "1", "--sbar", "0.3"),
          lambda rec: rec["w"][0]),
+        ("actionprob_spread", ("actionprob", "--finals", "16"),
+         lambda rec: rec["max_relative_spread"]),
     ])
     def test_value_is_the_subcommand_field(self, name, argv, value):
         checks = record("regress", "--seed", "3")["checks"]

@@ -511,15 +511,6 @@ class TestSampledFunction1D:
         assert f.norm_sq() == pytest.approx(20.0)
         assert f.normalized().norm_sq() == pytest.approx(1.0, abs=1e-14)
 
-    def test_value_at_interpolates(self):
-        f = SampledFunction1D(0.0, 1.0, np.arange(10, dtype=float))
-        assert f.value_at(3.25) == pytest.approx(3.25)
-
-    def test_value_at_domain(self):
-        f = SampledFunction1D(0.0, 1.0, np.arange(10, dtype=float))
-        with pytest.raises(DomainError):
-            f.value_at(-0.01)
-
     def test_grid_and_end(self):
         f = SampledFunction1D(-2.0, 0.5, np.zeros(9))
         assert f.end == pytest.approx(2.0)
@@ -580,6 +571,15 @@ class TestGaussianWidths:
     def test_gaussian_norm(self):
         g = sampled_gaussian(0.0, 1.0, -10.0, 20.0 / 511, 512)
         assert g.norm_sq() == pytest.approx(1.0, abs=1e-10)
+
+    def test_no_carrier_is_the_envelope_bit_for_bit(self):
+        # k0 = 0 skips the carrier array of exact ones; on negative x its
+        # phase is -0.0, so the product's bytes are checked, signs of zero too
+        start, spacing, num = -10.0, 20.0 / 511, 512
+        x = start + spacing * np.arange(num)
+        env = (2.0 * math.pi) ** -0.25 * np.exp(-(x**2) / 4.0)
+        g = sampled_gaussian(0.0, 1.0, start, spacing, num)
+        assert g.values.tobytes() == (env * np.exp(1j * 0.0 * x)).tobytes()
 
     def test_position_width(self):
         g = sampled_gaussian(1.5, 0.8, -8.0, 18.0 / 511, 512)

@@ -4,7 +4,7 @@ The package groups five experiment families behind one CLI:
 
 - spincorr: spin-pair correlations, CHSH combinations, hidden-variable
   audits and no-signaling checks for bipartite expansions;
-- configspace: few-particle configuration-space wavefunctions, exchange
+- configspace: two-particle configuration-space wavefunctions, exchange
   symmetry, conditional densities and expansion reductions;
 - actionprob: first-order transition probabilities of a broad packet on
   a localized scatterer and the factorization audit W = kappa |psi|^2;

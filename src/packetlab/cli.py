@@ -475,6 +475,8 @@ def _cmd_condspace(p: dict):
     if not stop > start:
         raise DomainError("parameter grid: stop must exceed start")
     spacing = (stop - start) / (num - 1)
+    if not math.isfinite(spacing):
+        raise DomainError("parameter grid: stop - start overflows double precision")
 
     factors = [
         numkit.sampled_gaussian(center, sigma, start, spacing, num, k0=k0).normalized()
@@ -484,19 +486,16 @@ def _cmd_condspace(p: dict):
     convention = "marginal" if p["symmetry"] == "none" else "exchange"
     if convention == "exchange":
         psi = configspace.symmetrize(psi, +1 if p["symmetry"] == "bose" else -1)
-        density = configspace.one_particle_density(psi)
-    else:
-        density = np.sum(np.abs(psi.tensor) ** 2, axis=1) * spacing
+    density = configspace.one_particle_density(psi)
     conditional = configspace.conditional_probability(psi, p["x2"])
     is_product, residual = configspace.product_form_test(psi)
 
-    i2 = min(max(int(round((p["x2"] - start) / spacing)), 0), num - 1)
     fields = {
         "symmetry": p["symmetry"],
         "grid_start": start,
         "grid_spacing": spacing,
         "points": num,
-        "x2_snapped": float(psi.grid[i2]),
+        "x2_snapped": float(psi.grid[psi.nearest_index(p["x2"])]),
         "conditional_integral": float(np.sum(conditional) * spacing),
         "product_form": is_product,
         "schmidt_residual": residual,

@@ -1,19 +1,18 @@
-"""Discretized many-particle wavefunctions on a shared 1-D grid.
+"""Discretized two-particle wavefunctions on a shared 1-D grid.
 
 Symmetrization, the one-particle density, conditional action
 probabilities, entanglement detection through the Schmidt spectrum, and
 the reduction (projection) of an expansion, either onto a window or down
 to a single eigenfunction.
 
-Tensors are capped at 3 particles and 256 grid points; every claim in
-scope is demonstrable at that size.
+A wavefunction is the amplitude matrix of two particles on at most 256
+grid points; every claim in scope is demonstrable at that size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -30,19 +29,8 @@ __all__ = [
     "reduce_expansion",
 ]
 
-_MAX_PARTICLES = 3
 MAX_POINTS = 256
 _SYMMETRIES = ("none", "symmetric", "antisymmetric")
-
-
-def _perm_parity(perm) -> int:
-    inversions = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return -1 if inversions % 2 else 1
 
 
 def _sum_abs_sq(t: np.ndarray, out: np.ndarray) -> float:
@@ -53,9 +41,10 @@ def _sum_abs_sq(t: np.ndarray, out: np.ndarray) -> float:
 
 
 class ManyBodyWavefunction:
-    """Normalized wavefunction of N <= 3 particles on one uniform grid.
+    """Normalized two-particle wavefunction on one uniform grid: the n x n
+    amplitude matrix tensor[i, j] = Psi(x_i, x_j), n <= 256.
 
-    The instance keeps a read-only copy of the tensor it is given; the
+    The instance keeps a read-only copy of the matrix it is given; the
     caller's array is left as it was."""
 
     __slots__ = ("start", "spacing", "tensor", "symmetry")
@@ -66,11 +55,9 @@ class ManyBodyWavefunction:
     def _adopt(self, start, spacing, t: np.ndarray, symmetry: str) -> None:
         """Check t and keep it, read-only, as the tensor: t must be a complex
         array that no caller holds. The checks use one scratch array of
-        t's shape."""
-        if not 1 <= t.ndim <= _MAX_PARTICLES:
-            raise DomainError(f"particle count must be 1..{_MAX_PARTICLES}")
-        if len(set(t.shape)) != 1:
-            raise DomainError("all tensor axes must share the same grid")
+        t's shape; each is written so that a NaN fails it."""
+        if t.ndim != 2 or t.shape[0] != t.shape[1]:
+            raise DomainError("tensor must be an n x n two-particle amplitude matrix")
         if t.shape[0] > MAX_POINTS:
             raise DomainError(f"grid capped at {MAX_POINTS} points")
         if not spacing > 0:
@@ -79,24 +66,19 @@ class ManyBodyWavefunction:
             raise DomainError(f"symmetry must be one of {_SYMMETRIES}")
 
         scratch = np.empty_like(t)
-        norm = _sum_abs_sq(t, scratch.real) * spacing**t.ndim
-        if abs(norm - 1.0) > 1e-8:
+        norm = _sum_abs_sq(t, scratch.real) * spacing**2
+        if not abs(norm - 1.0) <= 1e-8:
             raise DomainError(f"tensor norm {norm!r} must be 1 within 1e-8")
 
-        if symmetry != "none" and t.ndim >= 2:
-            # how far t swapped is from +t (symmetric) or -t (antisymmetric);
-            # hypot writes |difference| into the scratch array's real part
+        if symmetry != "none":
+            # how far the transpose is from +t (symmetric) or -t
+            # (antisymmetric); hypot writes |difference| into the scratch
+            # array's real part
             combine = np.subtract if symmetry == "symmetric" else np.add
-            for i in range(t.ndim):
-                for j in range(i + 1, t.ndim):
-                    axes = list(range(t.ndim))
-                    axes[i], axes[j] = axes[j], axes[i]
-                    combine(np.transpose(t, axes), t, out=scratch)
-                    dev = float(np.max(np.hypot(scratch.real, scratch.imag, out=scratch.real)))
-                    if dev > 1e-10:
-                        raise DomainError(
-                            f"tensor violates the {symmetry} tag by {dev:.3e}"
-                        )
+            combine(t.T, t, out=scratch)
+            dev = float(np.max(np.hypot(scratch.real, scratch.imag, out=scratch.real)))
+            if not dev <= 1e-10:
+                raise DomainError(f"tensor violates the {symmetry} tag by {dev:.3e}")
 
         t.setflags(write=False)
         self.start = float(start)
@@ -106,14 +88,10 @@ class ManyBodyWavefunction:
 
     @classmethod
     def _owning(cls, start, spacing, t: np.ndarray, symmetry: str = "none"):
-        """An instance that keeps t itself, for a tensor built here."""
+        """An instance that keeps t itself, for a matrix built here."""
         psi = cls.__new__(cls)
         psi._adopt(start, spacing, t, symmetry)
         return psi
-
-    @property
-    def n_particles(self) -> int:
-        return self.tensor.ndim
 
     @property
     def n_points(self) -> int:
@@ -123,50 +101,45 @@ class ManyBodyWavefunction:
     def grid(self) -> np.ndarray:
         return self.start + self.spacing * np.arange(self.n_points)
 
+    def nearest_index(self, x: float) -> int:
+        """Index of the grid point nearest x, clamped to the grid; a tie
+        half a cell between two points goes to the even index, as
+        Python's round does."""
+        return min(max(int(round((x - self.start) / self.spacing)), 0), self.n_points - 1)
+
     @classmethod
     def from_product(cls, factors) -> "ManyBodyWavefunction":
-        """Product state from normalized single-particle SampledFunction1D factors."""
-        if not 1 <= len(factors) <= _MAX_PARTICLES:
-            raise DomainError(f"need 1..{_MAX_PARTICLES} factors")
-        first = factors[0]
-        for f in factors[1:]:
-            if not first.same_grid(f):
-                raise DomainError("all factors must share one grid")
-        if len(first.values) > MAX_POINTS:  # before the N^2 or N^3 outer product
+        """Product state f(x1) g(x2) of two normalized SampledFunction1D
+        factors [f, g] on one grid."""
+        if len(factors) != 2:
+            raise DomainError("need exactly two factors")
+        f, g = factors
+        if not f.same_grid(g):
+            raise DomainError("both factors must share one grid")
+        if len(f.values) > MAX_POINTS:  # before the n^2 outer product
             raise DomainError(f"grid capped at {MAX_POINTS} points")
-        if len(factors) == 1:
-            return cls(first.start, first.spacing, first.values)
-        tensor = first.values
-        for f in factors[1:]:
-            tensor = np.multiply.outer(tensor, f.values)
-        return cls._owning(first.start, first.spacing, tensor)
+        return cls._owning(f.start, f.spacing, np.multiply.outer(f.values, g.values))
 
 
 def symmetrize(psi: ManyBodyWavefunction, sign: int = +1) -> ManyBodyWavefunction:
-    """Sum over particle permutations, renormalized, with the tag set.
+    """t + t^T (sign +1) or t - t^T (sign -1), renormalized, with the tag set.
 
-    sign +1 builds the symmetric combination, -1 the antisymmetric one.
-    Antisymmetrizing a permutation-invariant input annihilates it; that
+    Antisymmetrizing an exchange-symmetric input annihilates it; that
     case is surfaced as a degenerate-input error, which is the Pauli
     exclusion principle showing up numerically.
 
-    The terms are summed in place into one C-ordered array, which is
-    normalized in place and kept by the instance without a copy.
+    The sum is written into one C-ordered array, which is normalized in
+    place and kept by the instance without a copy.
     """
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
     if psi.symmetry != "none":
         raise DomainError("input is already tagged")
     t = psi.tensor
-    total = np.zeros(t.shape, dtype=complex)
-    for perm in permutations(range(t.ndim)):
-        # subtracting equals adding (-1.0) * term to the bit: the sum is
-        # never -0.0, so the sign of a zero in the term cannot show
-        add = np.add if sign == 1 or _perm_parity(perm) == 1 else np.subtract
-        add(total, np.transpose(t, perm), out=total)
-    norm = math.sqrt(_sum_abs_sq(total, np.empty_like(total, dtype=float))
-                     * psi.spacing**t.ndim)
-    if norm < 1e-12:
+    total = np.empty(t.shape, dtype=complex)
+    (np.add if sign == 1 else np.subtract)(t, t.T, out=total)
+    norm = math.sqrt(_sum_abs_sq(total, np.empty_like(total, dtype=float)) * psi.spacing**2)
+    if not norm >= 1e-12:
         raise DomainError(
             "antisymmetrization annihilated the state (Pauli-excluded input)"
         )
@@ -176,41 +149,36 @@ def symmetrize(psi: ManyBodyWavefunction, sign: int = +1) -> ManyBodyWavefunctio
 
 
 def one_particle_density(psi: ManyBodyWavefunction) -> np.ndarray:
-    """Density rho(x) = N integral |Psi(x, x2, ..)|^2 dx2.. on the grid.
+    """Density on the grid, from rho(x_i) = sum_j |Psi(x_i, x_j)|^2 h.
 
-    Only defined for exchange-(anti)symmetric functions, where the N
-    single-particle terms coincide; integrates to the particle count.
+    For an untagged pair that is the first particle's marginal, which
+    integrates to 1. For an exchange-(anti)symmetric pair both particles'
+    marginals coincide, and the density is twice it, integrating to the
+    particle count 2.
     """
-    if psi.symmetry == "none":
-        raise DomainError("density needs a symmetric or antisymmetric tag")
-    ndim = psi.tensor.ndim
-    rest = tuple(range(1, ndim))
-    rho = np.sum(np.abs(psi.tensor) ** 2, axis=rest) * psi.spacing ** (ndim - 1)
-    return ndim * rho
+    rho = np.sum(np.abs(psi.tensor) ** 2, axis=1) * psi.spacing
+    return rho if psi.symmetry == "none" else 2 * rho
 
 
 def conditional_probability(psi: ManyBodyWavefunction, x2: float) -> np.ndarray:
-    """P(x1 | x2) on the grid for a two-particle function.
+    """P(x1 | x2) on the grid.
 
-    x2 snaps to the nearest grid point; conditioning on a point where the
-    partner density vanishes is a domain error.
+    x2 snaps to the nearest grid point (ManyBodyWavefunction.nearest_index);
+    conditioning on a point where the partner density vanishes is a domain
+    error.
     """
-    if psi.n_particles != 2:
-        raise DomainError("conditional probability is a two-particle operation")
     grid = psi.grid
-    if x2 < grid[0] - 0.5 * psi.spacing or x2 > grid[-1] + 0.5 * psi.spacing:
+    if not grid[0] - 0.5 * psi.spacing <= x2 <= grid[-1] + 0.5 * psi.spacing:
         raise DomainError(f"x2={x2} lies outside the grid")
-    i2 = int(round((x2 - psi.start) / psi.spacing))
-    i2 = min(max(i2, 0), psi.n_points - 1)
-    column = np.abs(psi.tensor[:, i2]) ** 2
+    column = np.abs(psi.tensor[:, psi.nearest_index(x2)]) ** 2
     denom = float(column.sum()) * psi.spacing
-    if denom <= 1e-12:
+    if not denom > 1e-12:
         raise DomainError("conditioning point carries no probability density")
     return column / denom
 
 
 def product_form_test(psi: ManyBodyWavefunction) -> tuple:
-    """(is_product, schmidt_residual) for a two-particle function.
+    """(is_product, schmidt_residual) of the pair.
 
     The amplitude matrix is decomposed by SVD; a product state has a
     single singular value, and the residual is the total weight of the
@@ -221,8 +189,6 @@ def product_form_test(psi: ManyBodyWavefunction) -> tuple:
     Van Loan, Matrix Computations, 2.4 and 5.4), so they add nothing to
     the residual; a product state's residual is then exactly 0.
     """
-    if psi.n_particles != 2:
-        raise DomainError("product form test is a two-particle operation")
     t = psi.tensor
     m = (t if np.any(t.imag) else t.real) * psi.spacing
     s = np.linalg.svd(m, compute_uv=False)
@@ -243,7 +209,7 @@ class ExpansionCoefficients:
         if v.ndim != 1 or v.size == 0:
             raise DomainError("coefficients must be a nonempty sequence")
         total = float(np.sum(np.abs(v) ** 2))
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise DomainError(f"sum |c|^2 = {total!r}, must be 1 within 1e-10")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)

@@ -16,7 +16,6 @@ reproduce.
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -179,10 +178,10 @@ def fsum_position_width(f) -> float:
 
 def fsum_density(psi) -> np.ndarray:
     """configspace.one_particle_density(psi), each row of |tensor|^2 summed
-    by math.fsum."""
-    rows = (np.abs(psi.tensor) ** 2).reshape(psi.n_points, -1)
-    ndim = psi.tensor.ndim
-    return np.array([ndim * (math.fsum(r) * psi.spacing ** (ndim - 1)) for r in rows])
+    by math.fsum: the first particle's marginal for an untagged pair, twice
+    it for a tagged one."""
+    factor = 1 if psi.symmetry == "none" else 2
+    return np.array([factor * (math.fsum(r) * psi.spacing) for r in np.abs(psi.tensor) ** 2])
 
 
 def pair_residual(f, g, sign: int) -> float:
@@ -218,12 +217,9 @@ def loop_symmetrize(psi, sign: int) -> np.ndarray:
     normalized, then copied by the constructor."""
     t = psi.tensor
     total = np.zeros_like(t)
-    for perm in permutations(range(t.ndim)):
-        inversions = sum(perm[i] > perm[j]
-                         for i in range(len(perm)) for j in range(i + 1, len(perm)))
-        factor = 1.0 if sign == 1 else float(-1 if inversions % 2 else 1)
-        total = total + factor * np.transpose(t, perm)
-    norm = math.sqrt(float(np.sum(np.abs(total) ** 2)) * psi.spacing**t.ndim)
+    for factor, term in ((1.0, t), (float(sign), t.T)):
+        total = total + factor * term
+    norm = math.sqrt(float(np.sum(np.abs(total) ** 2)) * psi.spacing**2)
     return np.array(total / norm, dtype=complex)
 
 

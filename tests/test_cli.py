@@ -496,6 +496,8 @@ class TestExitCodes:
             (("reduce", "--coeffs", "0.6,0.8", "--window", "99999999999999999999"), 1),
             (("reduce", "--coeffs", "0.6,0.8", "--window=-99999999999999999999"), 1),
             (("reduce", "--coeffs", "0.6,0.8", "--config", str(window_cfg)), 1),
+            # so is a grid whose span overflows, before any sample is taken
+            (("condspace", "--grid", "-1e308,1e308,161"), 1),
             # a NumericalError is a numerical failure
             (("counts", "--mbar", "1e12"), 2),
             # so is valid input whose law misses its own normalization
@@ -1230,6 +1232,14 @@ class TestFloatRangeEdges:
         code, out, err = (_run_strict if strict else run_cli)(*argv)
         assert (code, err) == (0, "")
         assert _strict_json(out)["command"] == argv[0]
+
+    def test_subnormal_grid_is_refused_by_the_norm_guard(self):
+        # spacing**2 underflows, so the pair's norm is inf * 0 = NaN; the
+        # guard refuses it instead of passing a NaN matrix on to the SVD
+        code, out, err = run_cli("condspace", "--grid", "0,1e-320,161", "--x2", "0")
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("error: tensor norm nan ")
 
     @pytest.mark.parametrize("strict", [False, True])
     @pytest.mark.parametrize("argv, error", [

@@ -44,13 +44,29 @@ REAL, COMPLEX = (0.0, 0.0), (0.5, -0.3)
 class TestConstruction:
     def test_from_product_norm(self):
         psi = ManyBodyWavefunction.from_product([_packet(-1.0), _packet(1.5)])
-        assert psi.n_particles == 2
+        assert psi.tensor.shape == (NUM, NUM)
         total = float(np.sum(np.abs(psi.tensor) ** 2)) * psi.spacing**2
         assert total == pytest.approx(1.0, abs=1e-8)
 
-    def test_particle_cap(self):
-        with pytest.raises(DomainError):
-            ManyBodyWavefunction.from_product([_packet(0.0)] * 4)
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_from_product_needs_two_factors(self, count):
+        with pytest.raises(DomainError, match="need exactly two factors"):
+            ManyBodyWavefunction.from_product([_packet(0.0)] * count)
+
+    @pytest.mark.parametrize("shape, spacing, symmetry, match", [
+        ((4,), 0.5, "none", "n x n two-particle amplitude matrix"),
+        ((2, 2, 2), 0.5, "none", "n x n two-particle amplitude matrix"),
+        ((4, 3), 0.5, "none", "n x n two-particle amplitude matrix"),
+        ((257, 257), 0.5, "none", "grid capped at 256 points"),
+        ((4, 4), 0.0, "none", "spacing must be positive"),
+        ((4, 4), math.nan, "none", "spacing must be positive"),
+        ((4, 4), 0.5, "bose", "symmetry must be one of"),
+    ], ids=["1-d", "3-d", "non-square", "257-points", "spacing-0", "spacing-nan",
+            "unknown-symmetry"])
+    def test_constructor_guards(self, shape, spacing, symmetry, match):
+        # these guards come before the norm check, so the zeros never reach it
+        with pytest.raises(DomainError, match=match):
+            ManyBodyWavefunction(0.0, spacing, np.zeros(shape), symmetry)
 
     def test_point_cap(self):
         big = sampled_gaussian(0.0, 1.0, -10.0, 20.0 / 299, 300).normalized()
@@ -87,11 +103,12 @@ class TestConstruction:
             assert psi.tensor[0, 0] == before[0, 0]
 
     def test_tag_check(self):
-        g1, g2, g3 = _packet(-1.0), _packet(0.5), _packet(2.0)
+        g1, g2 = _packet(-1.0), _packet(0.5)
         sym = symmetrize(ManyBodyWavefunction.from_product([g1, g2]), 1)
-        anti = symmetrize(ManyBodyWavefunction.from_product([g1, g2, g3]), -1)
+        anti = symmetrize(ManyBodyWavefunction.from_product([g1, g2]), -1)
         assert ManyBodyWavefunction(START, SPACING, sym.tensor, "symmetric").symmetry == "symmetric"
-        assert ManyBodyWavefunction(START, SPACING, anti.tensor, "antisymmetric").n_particles == 3
+        assert (ManyBodyWavefunction(START, SPACING, anti.tensor, "antisymmetric").symmetry
+                == "antisymmetric")
         with pytest.raises(DomainError, match="violates the antisymmetric tag by"):
             ManyBodyWavefunction(START, SPACING, sym.tensor, "antisymmetric")
         with pytest.raises(DomainError, match="violates the symmetric tag by"):
@@ -143,18 +160,13 @@ class TestSymmetrize:
         with pytest.raises(DomainError):
             symmetrize(psi, 2)
 
-    # numpy sums a term in place from 256 KiB on (128 points for two
-    # particles, 26 for three), which gave the loop another layout there;
-    # the values are the same, and the in-place sum is always C-ordered
-    @pytest.mark.parametrize("points,centers", [
-        (64, (-1.0, 1.0)), (127, (-1.0, 1.0)), (128, (-1.0, 1.0)), (161, (-1.0, 1.0)),
-        (256, (-1.0, 1.0)), (16, (-2.0, 0.0, 1.5)), (25, (-2.0, 0.0, 1.5)),
-        (26, (-2.0, 0.0, 1.5)),
-    ])
+    # numpy sums a term in place from 256 KiB on (128 points), which gave
+    # the loop another layout there; the values are the same, and the
+    # in-place sum is always C-ordered
+    @pytest.mark.parametrize("points", [64, 127, 128, 161, 256])
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_in_place_sum_is_the_per_term_loop_bit_for_bit(self, points, centers, sign):
-        k0 = (0.4, -0.2, 0.1)[: len(centers)]
-        psi = ManyBodyWavefunction.from_product(_cli_pair(points, k0, centers))
+    def test_in_place_sum_is_the_per_term_loop_bit_for_bit(self, points, sign):
+        psi = ManyBodyWavefunction.from_product(_cli_pair(points, (0.4, -0.2)))
         want, got = loop_symmetrize(psi, sign), symmetrize(psi, sign).tensor
         assert got.flags.c_contiguous
         assert got.tobytes(order="C") == want.tobytes(order="C")
@@ -180,13 +192,6 @@ class TestDensities:
         rho = one_particle_density(symmetrize(psi, 1))
         assert float(np.sum(rho)) * SPACING == pytest.approx(2.0, abs=1e-8)
 
-    def test_three_particles(self):
-        psi = ManyBodyWavefunction.from_product(
-            [_packet(-2.5), _packet(0.0), _packet(2.5)]
-        )
-        rho = one_particle_density(symmetrize(psi, 1))
-        assert float(np.sum(rho)) * SPACING == pytest.approx(3.0, abs=1e-8)
-
     @pytest.mark.parametrize("points", [64, 128, 161, 256])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_density_against_fsum(self, points, sign):
@@ -196,10 +201,17 @@ class TestDensities:
         got, want = one_particle_density(psi), fsum_density(psi)
         assert np.all(np.abs(got - want) <= 1e-15 * want)
 
-    def test_untagged_rejected(self):
-        psi = ManyBodyWavefunction.from_product([_packet(-1.0), _packet(1.0)])
-        with pytest.raises(DomainError):
-            one_particle_density(psi)
+    @pytest.mark.parametrize("points", [64, 128, 161, 256])
+    @pytest.mark.parametrize("k0", [REAL, COMPLEX], ids=["real", "complex"])
+    def test_untagged_density_is_the_first_marginal(self, points, k0):
+        # an untagged pair's density is the first particle's marginal,
+        # which integrates to 1 and, for a product, is |f|^2
+        f, g = _cli_pair(points, k0)
+        psi = ManyBodyWavefunction.from_product([f, g])
+        got, want = one_particle_density(psi), fsum_density(psi)
+        assert np.all(np.abs(got - want) <= 1e-15 * want)
+        assert float(np.sum(got)) * psi.spacing == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(got - np.abs(f.values) ** 2)) < 1e-12
 
     def test_well_separated_packets_stack(self):
         # far apart, exchange terms vanish and the density is just the sum
@@ -236,18 +248,22 @@ class TestConditional:
 
     def test_outside_grid(self):
         psi = ManyBodyWavefunction.from_product([_packet(0.0), _packet(0.0)])
-        with pytest.raises(DomainError):
-            conditional_probability(psi, 99.0)
+        for x2 in (99.0, math.nan):
+            with pytest.raises(DomainError, match="lies outside the grid"):
+                conditional_probability(psi, x2)
 
     def test_zero_density_point(self):
         psi = ManyBodyWavefunction.from_product([_packet(0.0, 0.2), _packet(0.0, 0.2)])
         with pytest.raises(DomainError):
             conditional_probability(psi, -7.9)
 
-    def test_needs_two_particles(self):
-        psi = ManyBodyWavefunction.from_product([_packet(0.0)])
-        with pytest.raises(DomainError):
-            conditional_probability(psi, 0.0)
+    def test_half_cell_ties_snap_to_the_even_index(self):
+        # x2 half a cell past points 4 and 5 lands on 4 and 6, as round
+        # does; on this grid every x below is exact
+        psi = ManyBodyWavefunction(1.0, 0.5, np.full((16, 16), 0.125))
+        assert [psi.nearest_index(1.0 + (i + 0.5) * 0.5) for i in (4, 5)] == [4, 6]
+        assert psi.nearest_index(1.0 - 0.25) == 0
+        assert psi.nearest_index(1.0 + 15.75 * 0.5) == 15
 
 
 class TestProductForm:
@@ -374,4 +390,10 @@ class TestReduceExpansion:
     def test_norm_guard(self):
         with pytest.raises(DomainError):
             ExpansionCoefficients(np.array([0.6, 0.9]))
+
+    @pytest.mark.parametrize("values", [[], [[0.6, 0.8]], [math.nan]],
+                             ids=["empty", "2-d", "nan"])
+    def test_coefficient_guards(self, values):
+        with pytest.raises(DomainError):
+            ExpansionCoefficients(np.array(values))
 

@@ -16,6 +16,9 @@ The argv list comes from the checkout that holds this file:
 - ``regress`` at seeds 0 and 12345;
 - records that print values of the isotropic draw, which ``regress``
   does not, and the SVD of ``condspace --symmetry none``;
+- the untagged density of a pair with carriers (``condspace --symmetry
+  none --k0 0.5,-0.3``), and an ``--x2`` half a cell between two samples
+  (``--x2 0.05``, index 80.5), which pins the snap's round-half-even;
 - the complex SVD, which ``condspace`` takes only for packets with
   carriers (``--symmetry bose --k0 0.5,-0.3``), and the largest real SVD
   (``--symmetry fermi --grid -8,8,256``);
@@ -53,6 +56,8 @@ EXTRA_ARGVS = [
     ["lhv", "--family", "random", "--models", "20", "--settings", "1000"],
     ["lhv", "--family", "semiclassical", "--settings", "517"],
     ["condspace", "--symmetry", "none"],
+    ["condspace", "--symmetry", "none", "--k0", "0.5,-0.3"],
+    ["condspace", "--x2", "0.05"],
     ["condspace", "--symmetry", "bose", "--k0", "0.5,-0.3"],
     ["condspace", "--symmetry", "fermi", "--grid", "-8,8,256"],
     ["counts", "--stat", "bose", "--g", "1", "--sbar", "10"],

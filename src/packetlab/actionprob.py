@@ -22,10 +22,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .errors import DomainError
-from .numkit import SampledFunction1D, position_width, sampled_gaussian
+from .numkit import SampledFunction1D, np, position_width, sampled_gaussian
 
 __all__ = [
     "ScattererSpec",

@@ -23,11 +23,9 @@ import math
 import sys
 import warnings
 
-import numpy as np
-
 from . import actionprob, configspace, numkit, quantstat, spincorr, wavepacket
 from .errors import AccuracyWarning, DomainError, NumericalError, PacketLabError
-from .numkit import E_CHARGE, H_PLANCK, K_BOLTZMANN, M_PROTON
+from .numkit import E_CHARGE, H_PLANCK, K_BOLTZMANN, M_PROTON, np
 
 __all__ = ["main", "run"]
 
@@ -61,17 +59,15 @@ def _render_json(value) -> str:
     """Deterministic JSON: 17 significant digits, insertion-ordered keys."""
     if value is None:
         return "null"
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):  # numpy's float64 is one
         return _fmt_float(float(value))
     if isinstance(value, str):
         return json.dumps(value)
-    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "biuf":
-        return "[" + ", ".join(_render_array(value)) + "]"
-    if isinstance(value, (list, tuple, np.ndarray)):
+    if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_render_json(x) for x in value) + "]"
     if isinstance(value, dict):
         items = (
@@ -79,6 +75,11 @@ def _render_json(value) -> str:
             for k, v in value.items()
         )
         return "{" + ", ".join(items) + "}"
+    # numpy's types come last, so that a record of plain values loads no numpy
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "biuf":
+        return "[" + ", ".join(_render_array(value)) + "]"
+    if isinstance(value, (np.ndarray, np.generic)):  # as Python lists and scalars
+        return _render_json(value.tolist())
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -284,8 +285,8 @@ def _cmd_bell(p: dict):
     a, b = _settings_from(p, ("a", "b"), (0.0, 45.0))
     table = spincorr.joint_table(model, a, b)
     return {
-        "a": list(a.as_array()),
-        "b": list(b.as_array()),
+        "a": [a.x, a.y, a.z],
+        "b": [b.x, b.y, b.z],
         "joint": {"pp": table.pp, "pm": table.pm, "mp": table.mp, "mm": table.mm},
         "expectation": table.expectation,
         "marginal_b_plus": spincorr.marginal(model, a, b, +1),
@@ -307,7 +308,7 @@ def _cmd_chsh(p: dict):
     model = _PAIR_MODELS[p["model"]]()
     settings = _settings_from(p, ("a", "b", "a2", "b2"), _CANONICAL_DEG)
     fields = {
-        "settings": [list(v.as_array()) for v in settings],
+        "settings": [[v.x, v.y, v.z] for v in settings],
         "K": spincorr.chsh(model, *settings),
     }
     n = p["mc"]
@@ -477,6 +478,8 @@ def _cmd_condspace(p: dict):
     spacing = (stop - start) / (num - 1)
     if not math.isfinite(spacing):
         raise DomainError("parameter grid: stop - start overflows double precision")
+    if spacing**2 < sys.float_info.min:  # the tensor's norm weighs each cell by it
+        raise DomainError("parameter grid: the squared spacing underflows double precision")
 
     factors = [
         numkit.sampled_gaussian(center, sigma, start, spacing, num, k0=k0).normalized()
@@ -605,6 +608,8 @@ def _cmd_packet_coherence(p: dict):
     ("area", _posflt, 1e-18, "absorbing cross-section (m^2)"),
 )
 def _cmd_packet_accum(p: dict):
+    if p["flux"] * p["area"] == 0.0:
+        raise DomainError("parameters flux and area: their product underflows to 0")
     t = wavepacket.accumulation_time(
         p["threshold-ev"] * E_CHARGE, p["flux"], p["area"]
     )
@@ -766,6 +771,8 @@ def _cmd_balance(p: dict):
 
     einstein = [quantstat.einstein_balance(t, nu, 1.0, 1e9)
                 for t in p["temperatures"] for nu in p["frequencies"]]
+    if any(lhs == 0.0 < a_over_b for lhs, _, a_over_b in einstein):
+        raise DomainError("parameter temperatures: too low, the Planck density underflows to 0")
     einstein_max = max([0.0] + [abs(lhs - rhs) / lhs for lhs, rhs, _ in einstein])
     a_over_b = [
         [nu, quantstat.einstein_balance(300.0, nu, 1.0, 1e9)[2]]
@@ -801,6 +808,8 @@ def _cmd_vonlaue(p: dict):
         p["packet-dnu"],
         p["r"],
     )
+    if math.isinf(n1) and p["packet-dnu"] is None:
+        raise DomainError("parameter r: too small, dnu over the packet's spectral width overflows")
     return {
         "field_dof": f_count,
         "n_spectral": n1,

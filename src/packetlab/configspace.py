@@ -14,10 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
-from .numkit import RandomStream
+from .numkit import RandomStream, np
 
 __all__ = [
     "ManyBodyWavefunction",

@@ -14,15 +14,45 @@ numpy's FFT.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import itertools
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
+
+
+class _PinnedLoader:
+    """numpy's own loader, run with one OpenBLAS thread unless the caller set
+    a count: OpenBLAS reads the variable once, as numpy loads it, so it is set
+    for that load only and the environment is left as it was found."""
+
+    def __init__(self, loader):
+        self.loader = loader
+
+    def exec_module(self, module):
+        module.__spec__.loader = module.__loader__ = self.loader
+        pin = not any(v in os.environ for v in
+                      ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+        if pin:
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            self.loader.exec_module(module)
+        finally:
+            if pin:
+                del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+# packetlab's one numpy import: numpy as loaded, else a module in its place
+# that loads it on first attribute access or on a plain `import numpy`
+np = sys.modules.get("numpy")
+if np is None:
+    _spec = importlib.util.find_spec("numpy")
+    np = sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
+    importlib.util.LazyLoader(_PinnedLoader(_spec.loader)).exec_module(np)
 
 __all__ = [
     "UnitVector3",
@@ -51,7 +81,7 @@ M_PROTON = 1.67262192595e-27  # kg
 
 _UNIT_TOL = 1e-12
 # below this 2-norm the sum of squares is subnormal and has lost digits
-_TINY_NORM = math.sqrt(np.finfo(float).tiny)
+_TINY_NORM = math.sqrt(sys.float_info.min)
 MIN_SAMPLES = 8  # fewest grid points a SampledFunction1D holds
 
 
@@ -120,19 +150,17 @@ class RandomStream:
         if position < 0:
             raise DomainError("position must be nonnegative")
         self.seed, self.stream_id, self.position = seed, stream_id, position
-        # only once a stream is made
-        from numpy.random import PCG64, Generator, SeedSequence
-
-        bits = PCG64(SeedSequence(seed, spawn_key=(stream_id,)))
-        self._gen = Generator(bits.advance(position))
+        # numpy.random loads with the first stream
+        bits = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream_id,)))
+        self._gen = np.random.Generator(bits.advance(position))
 
     def split(self, stream_id: int) -> "RandomStream":
         """Independent stream with the same seed and a new stream id."""
         return RandomStream(self.seed, stream_id)
 
-    def uniform(self, size=None):
-        """Standard uniforms in [0, 1)."""
-        out = self._gen.random(size)
+    def uniform(self, size=None, out=None):
+        """Standard uniforms in [0, 1), written into out if it is given."""
+        out = self._gen.random(size, out=out)
         self.position += 1 if size is None else int(np.prod(size))
         return out
 
@@ -219,6 +247,7 @@ def run_blocks(work, n: int, workers: int = 1, combine=lambda x, y: tuple(map(su
     if threads == 1:
         return part(0)
     from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait  # only with threads
+    np.ndarray  # a lazy numpy loads here, as its load is not thread-safe
 
     with ThreadPoolExecutor(threads) as pool:
         try:

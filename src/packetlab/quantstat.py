@@ -23,11 +23,9 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from . import numkit
 from .errors import AccuracyWarning, DomainError, NumericalError
-from .numkit import C_LIGHT, H_PLANCK, K_BOLTZMANN, log_binomial
+from .numkit import C_LIGHT, H_PLANCK, K_BOLTZMANN, log_binomial, np
 
 __all__ = [
     "RADIATION_CONSTANT",
@@ -301,7 +299,8 @@ def einstein_balance(
     """
     if temperature <= 0 or nu <= 0 or volume <= 0 or dnu <= 0:
         raise DomainError("all inputs must be positive")
-    x = H_PLANCK * nu / (K_BOLTZMANN * temperature)
+    kt = K_BOLTZMANN * temperature
+    x = H_PLANCK * nu / kt if kt else math.inf  # k T underflows: no thermal photons
     a_over_b = 4.0 * math.pi * H_PLANCK * nu**3 / C_LIGHT**3
     g = photon_mode_count(volume, nu, dnu)
     n_planck = g * math.exp(-x) if x > 700.0 else g / math.expm1(x)

@@ -18,10 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 from .errors import DomainError
-from .numkit import MC_BLOCK, RandomStream, UnitVector3, run_blocks
+from .numkit import MC_BLOCK, RandomStream, UnitVector3, np, run_blocks
 from .numkit import sample_isotropic_directions
 
 __all__ = [
@@ -222,7 +220,8 @@ def sample_pair_counts(
     uniforms of the stream, and the chunks' counts are summed as Python
     ints. Each pair's arithmetic does not depend on its chunk, so the
     counts equal one draw of all n pairs, and the memory stays under 1 MiB
-    at any n.
+    at any n. The chunks share one uniform buffer: a fresh draw per chunk put
+    a chunk's arrays at the heap's trim threshold, refaulting every chunk.
 
     sigma.axis is summed over the axis components that are nonzero only,
     for the axes the model reads (a alone for the singlet, a and b for the
@@ -237,9 +236,10 @@ def sample_pair_counts(
     if n <= 0:
         raise DomainError("n must be positive")
     n_am = n_bm = n_mm = 0
+    u = np.empty((min(_PAIR_CHUNK, n), 4))  # every chunk's uniforms, drawn in place
     for done in range(0, n, _PAIR_CHUNK):
         m = min(_PAIR_CHUNK, n - done)
-        am, bm, mm = _minus_counts(model, a, b, rng.uniform(size=4 * m).reshape(m, 4))
+        am, bm, mm = _minus_counts(model, a, b, rng.uniform((m, 4), out=u[:m]))
         n_am, n_bm, n_mm = n_am + am, n_bm + bm, n_mm + mm
     return n - n_am - n_bm + n_mm, n_bm - n_mm, n_am - n_mm, n_mm
 

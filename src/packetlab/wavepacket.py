@@ -15,10 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
-from .numkit import C_LIGHT, E_CHARGE, HBAR, M_ELECTRON, SampledFunction1D
+from .numkit import C_LIGHT, E_CHARGE, HBAR, M_ELECTRON, SampledFunction1D, np
 
 __all__ = [
     "Dispersion",

@@ -498,15 +498,18 @@ class TestExitCodes:
             (("reduce", "--coeffs", "0.6,0.8", "--config", str(window_cfg)), 1),
             # so is a grid whose span overflows, before any sample is taken
             (("condspace", "--grid", "-1e308,1e308,161"), 1),
+            # and a product, quotient or exponent that leaves the float range
+            # at an input that one flag can move back into it
+            (("accum", "--flux", "1e-320"), 1),
+            (("balance", "--temperatures", "1e-300"), 1),
+            (("vonlaue", "--r", "1e-320"), 1),
             # a NumericalError is a numerical failure
             (("counts", "--mbar", "1e12"), 2),
             # so is valid input whose law misses its own normalization
             (("counts", "--stat", "bose", "--g", "10000000", "--sbar", "1e-6"), 2),
             # so is an arithmetic fault: a division by zero or an overflow
-            (("accum", "--flux", "1e-320"), 2),
             (("coherence", "--sigma", "1e-300"), 2),
             (("condspace", "--sigmas", "1e-300,1"), 2),
-            (("balance", "--temperatures", "1e-300"), 2),
             (("balance", "--frequencies", "1e-300"), 2),
             (("balance", "--frequencies", "1e300"), 2),
             # tau2 is infinite, so the record would not be strict JSON
@@ -537,6 +540,21 @@ class TestExitCodes:
     ])
     def test_small_grids_name_their_flag(self, argv, want):
         # a sampled function holds at least numkit.MIN_SAMPLES points
+        assert run_cli(*argv) == (1, "", want)
+
+    @pytest.mark.parametrize("argv, want", [
+        (("accum", "--flux", "1e-320"),
+         "error: parameters flux and area: their product underflows to 0\n"),
+        (("balance", "--temperatures", "1e-300"),
+         "error: parameter temperatures: too low, the Planck density underflows to 0\n"),
+        # k T itself underflows to 0 here
+        (("balance", "--temperatures", "1e-320"),
+         "error: parameter temperatures: too low, the Planck density underflows to 0\n"),
+        (("vonlaue", "--r", "1e-320"),
+         "error: parameter r: too small, dnu over the packet's spectral width overflows\n"),
+    ])
+    def test_float_range_faults_name_their_flag(self, argv, want):
+        # these ended in a division by zero or an infinite record, exit 2
         assert run_cli(*argv) == (1, "", want)
 
     def test_bad_flag_value_exits_one(self):
@@ -1234,12 +1252,14 @@ class TestFloatRangeEdges:
         assert _strict_json(out)["command"] == argv[0]
 
     def test_subnormal_grid_is_refused_by_the_norm_guard(self):
-        # spacing**2 underflows, so the pair's norm is inf * 0 = NaN; the
-        # guard refuses it instead of passing a NaN matrix on to the SVD
+        # spacing**2 underflows, which made the pair's norm inf * 0 = NaN
+        # after a raw numpy overflow warning; the grid is refused before any
+        # sample is taken, by the flag that set it
         code, out, err = run_cli("condspace", "--grid", "0,1e-320,161", "--x2", "0")
         assert (code, out) == (1, "")
         assert "Traceback" not in err
-        assert err.splitlines()[-1].startswith("error: tensor norm nan ")
+        assert not any(line.startswith("warning:") for line in err.splitlines())
+        assert err == "error: parameter grid: the squared spacing underflows double precision\n"
 
     @pytest.mark.parametrize("strict", [False, True])
     @pytest.mark.parametrize("argv, error", [
@@ -1360,9 +1380,28 @@ class TestBlasThreads:
     # packetlab loads it with one thread unless the caller chose a count,
     # and leaves the environment as it was
 
+    # packetlab loads numpy on first use, so each case loads it through a run
+    FIRST_LOAD = "from packetlab.cli import run; run({argv!r}, io.StringIO())\n"
+
     def test_import_loads_one_thread_and_leaves_no_variable(self):
         out = fresh_python(
-            f"import os, packetlab; print({TASKS}, 'OPENBLAS_NUM_THREADS' in os.environ)",
+            "import io, os\n" + self.FIRST_LOAD.format(argv=["sample", "--n", "1000"])
+            + f"print({TASKS}, 'OPENBLAS_NUM_THREADS' in os.environ)",
+            _unpinned_env(),
+        )
+        assert out.split() == ["1", "False"]
+
+    def test_a_first_load_in_a_sharded_run_loads_one_thread(self):
+        # numpy loads on the calling thread before the workers start, since
+        # its lazy load is not thread-safe. A joined worker's task outlives
+        # the join for a moment, so the count is read once the workers are
+        # gone; OpenBLAS's own threads would stay
+        out = fresh_python(
+            "import io, os, time\n"
+            + self.FIRST_LOAD.format(argv=["sample", "--n", "200000", "--shards", "2"])
+            + f"deadline = time.monotonic() + 5\nwhile {TASKS} > 1 and time.monotonic() < deadline:\n"
+            "    time.sleep(0.01)\n"
+            f"print({TASKS}, 'OPENBLAS_NUM_THREADS' in os.environ)",
             _unpinned_env(),
         )
         assert out.split() == ["1", "False"]
@@ -1371,8 +1410,9 @@ class TestBlasThreads:
     @pytest.mark.parametrize("var", BLAS_THREAD_VARS)
     def test_a_caller_count_is_kept(self, var):
         out = fresh_python(
-            "import os; before = dict(os.environ); import packetlab\n"
-            f"print({TASKS}, dict(os.environ) == before, "
+            "import io, os; before = dict(os.environ)\n"
+            + self.FIRST_LOAD.format(argv=["sample", "--n", "1000"])
+            + f"print({TASKS}, dict(os.environ) == before, "
             "[v for v in os.environ if v.endswith('_NUM_THREADS')])",
             _unpinned_env(**{var: "2"}),
         )
@@ -1421,9 +1461,52 @@ class TestImportOrder:
         assert numpy_first == packetlab_first
 
 
+# numpy's modules that have run; until packetlab's first use of numpy,
+# sys.modules holds numpy as a module that has not loaded (a LazyLoader's)
+NUMPY_LOADED = (
+    "import sys, types; print([m for m, mod in list(sys.modules.items())"
+    " if m.split('.')[0] == 'numpy' and type(mod) is types.ModuleType])"
+)
+
+
 class TestColdStart:
     # every subcommand runs as a fresh process, so what the import pulls in
-    # is paid on every call; scipy must stay off that path
+    # is paid on every call; scipy must stay off that path, and numpy off
+    # the path of a command whose kernels use only math
+
+    @pytest.mark.parametrize("code", ["import packetlab", "import packetlab.cli"])
+    def test_import_loads_no_numpy(self, code):
+        assert fresh_python(f"{code}; {NUMPY_LOADED}") == "[]\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["chsh", "--bogus"], ["bell"], ["chsh"], ["packet", "spread"],
+        ["packet", "accum"], ["packet", "sterngerlach"], ["vonlaue"],
+    ])
+    def test_help_argv_errors_and_math_only_commands_load_no_numpy(self, argv):
+        out = fresh_python(
+            "import io\nfrom packetlab.cli import run\n"
+            f"code = run({argv!r}, io.StringIO(), io.StringIO())\n{NUMPY_LOADED}; print(code)"
+        )
+        assert out == f"[]\n{1 if argv[1:] == ['--bogus'] else 0}\n"
+
+    def test_a_command_that_needs_numpy_loads_it(self):
+        # the check above sees a load: a run that builds an array has one
+        out = fresh_python(
+            "import io\nfrom packetlab.cli import run\n"
+            f"run(['coherence'], io.StringIO())\n{NUMPY_LOADED}"
+        )
+        assert "'numpy'" in out
+
+    def test_cli_import_loads_every_layer_module(self):
+        # the benchmark's tracer wraps each layer's functions right after
+        # `import packetlab.cli`, so the module graph stays eager
+        layers = ["numkit", "spincorr", "configspace", "actionprob", "wavepacket",
+                  "quantstat", "cli"]
+        out = fresh_python(
+            "import sys, packetlab.cli\n"
+            f"print([n for n in {layers!r} if 'packetlab.' + n not in sys.modules])"
+        )
+        assert out == "[]\n"
 
     def test_cli_import_loads_no_scipy(self):
         out = fresh_python("import packetlab.cli; " + SCIPY_MODULES)

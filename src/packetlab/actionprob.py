@@ -247,7 +247,7 @@ def audit_scenario(
     the span of it where they are not exact zeros, at most 309 samples.
     """
     # before any grid exists, NaN too. At 1e4 the grid holds 339,413 points;
-    # `actionprob --finals 16` peaks there at 45 MB (2-core Xeon), 29 in import
+    # `actionprob --finals 16` peaks there at 40 MB (2-core Xeon), 29 in import
     if not 2.0 <= width_ratio <= 1e4:
         raise DomainError(
             f"width ratio {width_ratio:g} is refused: the audit needs the packet at "

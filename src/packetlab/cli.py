@@ -771,8 +771,10 @@ def _cmd_balance(p: dict):
 
     einstein = [quantstat.einstein_balance(t, nu, 1.0, 1e9)
                 for t in p["temperatures"] for nu in p["frequencies"]]
-    if any(lhs == 0.0 < a_over_b for lhs, _, a_over_b in einstein):
-        raise DomainError("parameter temperatures: too low, the Planck density underflows to 0")
+    for lhs, _, a_over_b in einstein:
+        if lhs == 0.0:  # A/B underflows to 0 only at a frequency too low
+            flag = "temperatures" if a_over_b else "frequencies"
+            raise DomainError(f"parameter {flag}: too low, the Planck density underflows to 0")
     einstein_max = max([0.0] + [abs(lhs - rhs) / lhs for lhs, rhs, _ in einstein])
     a_over_b = [
         [nu, quantstat.einstein_balance(300.0, nu, 1.0, 1e9)[2]]
@@ -808,8 +810,10 @@ def _cmd_vonlaue(p: dict):
         p["packet-dnu"],
         p["r"],
     )
-    if math.isinf(n1) and p["packet-dnu"] is None:
-        raise DomainError("parameter r: too small, dnu over the packet's spectral width overflows")
+    if math.isinf(n1):
+        flag = "r" if p["packet-dnu"] is None else "packet-dnu"
+        raise DomainError(
+            f"parameter {flag}: too small, dnu over the packet's spectral width overflows")
     return {
         "field_dof": f_count,
         "n_spectral": n1,

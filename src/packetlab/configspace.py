@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .numkit import RandomStream, np
+from .numkit import RandomStream, np, sample_array
 
 __all__ = [
     "ManyBodyWavefunction",
@@ -32,8 +32,8 @@ _SYMMETRIES = ("none", "symmetric", "antisymmetric")
 
 
 def _sum_abs_sq(t: np.ndarray, out: np.ndarray) -> float:
-    """float(np.sum(np.abs(t) ** 2)) to the bit, with out, a float array in
-    t's layout, as its only scratch."""
+    """float(np.sum(np.abs(t) ** 2)) to the bit, for a real or complex t,
+    with out, a float array of t's shape other than t, as its only scratch."""
     np.abs(t, out=out)
     return float(np.sum(np.square(out, out=out)))
 
@@ -42,18 +42,18 @@ class ManyBodyWavefunction:
     """Normalized two-particle wavefunction on one uniform grid: the n x n
     amplitude matrix tensor[i, j] = Psi(x_i, x_j), n <= 256.
 
-    The instance keeps a read-only copy of the matrix it is given; the
-    caller's array is left as it was."""
+    The instance keeps a read-only copy of the matrix it is given, real
+    if its values are; the caller's array is left as it was."""
 
     __slots__ = ("start", "spacing", "tensor", "symmetry")
 
     def __init__(self, start: float, spacing: float, tensor, symmetry: str = "none"):
-        self._adopt(start, spacing, np.array(tensor, dtype=complex), symmetry)
+        self._adopt(start, spacing, sample_array(tensor), symmetry)
 
     def _adopt(self, start, spacing, t: np.ndarray, symmetry: str) -> None:
-        """Check t and keep it, read-only, as the tensor: t must be a complex
-        array that no caller holds. The checks use one scratch array of
-        t's shape; each is written so that a NaN fails it."""
+        """Check t and keep it, read-only, as the tensor: t must be a float64 or
+        complex128 array that no caller holds. The checks use one scratch
+        array like t; each is written so that a NaN fails it."""
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise DomainError("tensor must be an n x n two-particle amplitude matrix")
         if t.shape[0] > MAX_POINTS:
@@ -71,7 +71,7 @@ class ManyBodyWavefunction:
         if symmetry != "none":
             # how far the transpose is from +t (symmetric) or -t
             # (antisymmetric); hypot writes |difference| into the scratch
-            # array's real part
+            # array's real part, which is the array itself if it is real
             combine = np.subtract if symmetry == "symmetric" else np.add
             combine(t.T, t, out=scratch)
             dev = float(np.max(np.hypot(scratch.real, scratch.imag, out=scratch.real)))
@@ -134,14 +134,14 @@ def symmetrize(psi: ManyBodyWavefunction, sign: int = +1) -> ManyBodyWavefunctio
     if psi.symmetry != "none":
         raise DomainError("input is already tagged")
     t = psi.tensor
-    total = np.empty(t.shape, dtype=complex)
-    (np.add if sign == 1 else np.subtract)(t, t.T, out=total)
+    total = (np.add if sign == 1 else np.subtract)(t, t.T, order="C")
     norm = math.sqrt(_sum_abs_sq(total, np.empty_like(total, dtype=float)) * psi.spacing**2)
     if not norm >= 1e-12:
         raise DomainError(
             "antisymmetrization annihilated the state (Pauli-excluded input)"
         )
-    np.divide(total, norm, out=total)
+    # times the reciprocal, as numpy divides a complex array by a real norm
+    np.multiply(total, 1.0 / norm, out=total)
     tag = "symmetric" if sign == 1 else "antisymmetric"
     return ManyBodyWavefunction._owning(psi.start, psi.spacing, total, tag)
 
@@ -180,15 +180,14 @@ def product_form_test(psi: ManyBodyWavefunction) -> tuple:
 
     The amplitude matrix is decomposed by SVD; a product state has a
     single singular value, and the residual is the total weight of the
-    rest of the Schmidt spectrum. A matrix with no nonzero imaginary part
-    goes through the real SVD, which gives the same singular values in
-    less than half the time. Singular values at or below
-    s[0] max(shape) eps are rounding noise of the decomposition (Golub and
-    Van Loan, Matrix Computations, 2.4 and 5.4), so they add nothing to
-    the residual; a product state's residual is then exactly 0.
+    rest of the Schmidt spectrum. numpy takes the real SVD for a real
+    matrix, in less than half the time of the complex one. Singular
+    values at or below s[0] max(shape) eps are rounding noise of the
+    decomposition (Golub and Van Loan, Matrix Computations, 2.4 and 5.4),
+    so they add nothing to the residual; a product state's residual is
+    then exactly 0.
     """
-    t = psi.tensor
-    m = (t if np.any(t.imag) else t.real) * psi.spacing
+    m = psi.tensor * psi.spacing
     s = np.linalg.svd(m, compute_uv=False)
     is_product = bool(s.size < 2 or s[1] < 1e-8)
     rest = s[1:]
@@ -198,12 +197,12 @@ def product_form_test(psi: ManyBodyWavefunction) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class ExpansionCoefficients:
-    """Eigenfunction expansion coefficients c(n), normalized to 1."""
+    """Real or complex eigenfunction expansion coefficients c(n), normalized to 1."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=complex)
+        v = sample_array(self.values)
         if v.ndim != 1 or v.size == 0:
             raise DomainError("coefficients must be a nonempty sequence")
         total = float(np.sum(np.abs(v) ** 2))
@@ -247,15 +246,15 @@ def reduce_expansion(
     if mass <= 1e-12:
         raise DomainError("window carries no probability mass")
 
+    out = np.zeros(size, dtype=c.values.dtype)
     if rng is None:
-        out = np.zeros(size, dtype=complex)
-        out[idx] = c.values[idx] / math.sqrt(mass)
+        # times the reciprocal, as numpy divides complex values by a real norm
+        out[idx] = c.values[idx] * (1.0 / math.sqrt(mass))
         return ExpansionCoefficients(out)
 
     u = float(rng.uniform())
     pos = int(np.searchsorted(np.cumsum(probs / mass), u, side="right"))
     pick = idx[min(pos, idx.size - 1)]
-    out = np.zeros(size, dtype=complex)
     # keep the phase of the picked coefficient, renormalized to unit weight
     out[pick] = c.values[pick] / abs(c.values[pick])
     return ExpansionCoefficients(out)

@@ -292,13 +292,18 @@ def log_binomial(n, k):
     return out
 
 
+def sample_array(values) -> np.ndarray:
+    """A new array of values, complex128 if they are complex, else float64."""
+    return np.array(values, dtype=complex if np.iscomplexobj(values) else float)
+
+
 class SampledFunction1D:
-    """Complex function sampled on a uniform 1-D grid."""
+    """Real or complex function sampled on a uniform 1-D grid."""
 
     __slots__ = ("start", "spacing", "values")
 
     def __init__(self, start: float, spacing: float, values):
-        vals = np.array(values, dtype=complex)
+        vals = sample_array(values)
         if vals.ndim != 1:
             raise DomainError("values must be a one dimensional sequence")
         if vals.size < MIN_SAMPLES:
@@ -329,7 +334,8 @@ class SampledFunction1D:
         nsq = self.norm_sq()
         if nsq <= 0.0:
             raise DomainError("cannot normalize a zero function")
-        return SampledFunction1D(self.start, self.spacing, self.values / math.sqrt(nsq))
+        # times the reciprocal, as numpy divides complex samples by a real norm
+        return SampledFunction1D(self.start, self.spacing, self.values * (1.0 / math.sqrt(nsq)))
 
     def same_grid(self, other: "SampledFunction1D") -> bool:
         return (
@@ -357,7 +363,6 @@ def sampled_gaussian(
     env = (2.0 * math.pi * sigma * sigma) ** -0.25 * np.exp(
         -((x - center) ** 2) / (4.0 * sigma * sigma)
     )
-    # the constructor casts a real envelope to complex
     return SampledFunction1D(start, spacing, env * np.exp(1j * k0 * x) if k0 else env)
 
 

@@ -159,8 +159,6 @@ def _law_on_support(log_weight, ratio_after, mean: float, variance: float) -> np
 
 
 def _poisson_weights(lam: float) -> np.ndarray:
-    if lam == 0.0:
-        return np.array([1.0])
     return _law_on_support(lambda s: s * math.log(lam) - lam - numkit.gammaln(s + 1.0),
                            lambda m: lam / (m + 1.0), lam, lam)
 
@@ -303,7 +301,8 @@ def einstein_balance(
     x = H_PLANCK * nu / kt if kt else math.inf  # k T underflows: no thermal photons
     a_over_b = 4.0 * math.pi * H_PLANCK * nu**3 / C_LIGHT**3
     g = photon_mode_count(volume, nu, dnu)
-    n_planck = g * math.exp(-x) if x > 700.0 else g / math.expm1(x)
+    # no modes, no photons: g is 0 where h nu / k T may underflow to 0 too
+    n_planck = g * math.exp(-x) if x > 700.0 or not g else g / math.expm1(x)
     rho = H_PLANCK * nu * n_planck / (volume * dnu)
     lhs = rho
     rhs = math.exp(-x) * (rho + a_over_b)

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 from .errors import DomainError
 from .numkit import MC_BLOCK, RandomStream, UnitVector3, np, run_blocks
-from .numkit import sample_isotropic_directions
+from .numkit import sample_array, sample_isotropic_directions
 
 __all__ = [
     "ModelKind",
@@ -535,14 +535,14 @@ class BipartiteCoefficients:
 
     C is the overall normalization constant; the convention here is
     C^2 sum |a_lk|^2 = 1, which makes C^2 |a_mn|^2 the joint detection
-    probability directly.
+    probability directly. A real matrix stays real.
     """
 
     a: np.ndarray
     C: float
 
     def __post_init__(self):
-        a = np.array(self.a, dtype=complex)
+        a = sample_array(self.a)
         if a.ndim != 2:
             raise DomainError("coefficients must form a matrix")
         if a.shape[0] > MAX_BIPARTITE_DIM or a.shape[1] > MAX_BIPARTITE_DIM:
@@ -559,7 +559,7 @@ class BipartiteCoefficients:
 
     @classmethod
     def normalized(cls, matrix) -> "BipartiteCoefficients":
-        m = np.array(matrix, dtype=complex)
+        m = sample_array(matrix)
         total = float(np.sum(np.abs(m) ** 2))
         if total <= 0:
             raise DomainError("cannot normalize a zero coefficient matrix")

@@ -196,8 +196,6 @@ def coherence_profile(psi: SampledFunction1D, shifts) -> tuple:
         return requested, None
     j = int(below[0]) + 1
     prev, cur = float(magnitude[j - 1]), float(magnitude[j])
-    if prev == cur:
-        return requested, j * dx
     # linear interpolation between the straddling cells
     return requested, (j - 1) * dx + dx * (prev - _COHERENCE_LEVEL) / (prev - cur)
 

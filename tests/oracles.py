@@ -204,8 +204,8 @@ def pair_residual(f, g, sign: int) -> float:
 
 def complex_svd_residual(psi) -> tuple:
     """(is_product, schmidt_residual) of product_form_test computed by the
-    complex SVD, which it uses only for amplitudes with an imaginary part."""
-    m = psi.tensor * psi.spacing
+    complex SVD, with the amplitudes cast to complex."""
+    m = psi.tensor.astype(complex) * psi.spacing
     s = np.linalg.svd(m, compute_uv=False)
     rest = s[1:]
     return bool(s[1] < 1e-8), float(np.sum(rest[rest > s[0] * max(m.shape) * 2.0**-52] ** 2))

@@ -117,6 +117,22 @@ class TestConstruction:
         with pytest.raises(DomainError, match="violates the symmetric tag by"):
             ManyBodyWavefunction(START, SPACING, product.tensor, "symmetric")
 
+    @pytest.mark.parametrize("k0, coeffs, dtype", [
+        (REAL, [0.6, 0.0, 0.8], np.float64),
+        (COMPLEX, [0.6, 0.0, 0.8j], np.complex128),
+    ], ids=["real", "complex"])
+    def test_samples_keep_the_dtype_of_their_values(self, k0, coeffs, dtype):
+        # real values stay float64 from packet to pair to expansion, and
+        # only a carrier or a complex coefficient makes them complex128
+        f, g = _cli_pair(NUM, k0)
+        psi = ManyBodyWavefunction.from_product([f, g])
+        c = ExpansionCoefficients(coeffs)
+        arrays = [sampled_gaussian(0.0, 0.7, START, SPACING, NUM, k0=k0[0]).values, f.values,
+                  psi.tensor, symmetrize(psi, 1).tensor, symmetrize(psi, -1).tensor, c.values,
+                  reduce_expansion(c, window=[0, 2]).values,
+                  reduce_expansion(c, rng=RandomStream(1)).values]
+        assert [a.dtype for a in arrays] == [np.dtype(dtype)] * len(arrays)
+
     def test_mismatched_grids(self):
         a = _packet(0.0)
         b = sampled_gaussian(0.0, 0.8, START, SPACING * 1.5, NUM).normalized()
@@ -326,11 +342,15 @@ class TestSchmidtSpectrum:
         psi = ManyBodyWavefunction.from_product(_cli_pair(points))
         if sign is not None:
             psi = symmetrize(psi, sign)
-        assert not np.any(psi.tensor.imag)
-        (is_product, residual), (want_product, want) = (
-            product_form_test(psi), complex_svd_residual(psi))
-        assert is_product == want_product
-        assert abs(residual - want) <= 1e-15
+        # numpy's SVD takes the routine of the dtype: the real one here, and
+        # the complex one for the same matrix cast to complex
+        cast = ManyBodyWavefunction(psi.start, psi.spacing, psi.tensor.astype(complex),
+                                    psi.symmetry)
+        assert (psi.tensor.dtype, cast.tensor.dtype) == (np.float64, np.complex128)
+        is_product, residual = product_form_test(psi)
+        for want_product, want in (product_form_test(cast), complex_svd_residual(psi)):
+            assert is_product == want_product
+            assert abs(residual - want) <= 1e-15
 
 
 class TestReduceExpansion:

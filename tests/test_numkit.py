@@ -573,13 +573,14 @@ class TestGaussianWidths:
         assert g.norm_sq() == pytest.approx(1.0, abs=1e-10)
 
     def test_no_carrier_is_the_envelope_bit_for_bit(self):
-        # k0 = 0 skips the carrier array of exact ones; on negative x its
-        # phase is -0.0, so the product's bytes are checked, signs of zero too
+        # k0 = 0 skips the carrier array of exact ones, so the samples are
+        # the real envelope itself, in its dtype and to the bit
         start, spacing, num = -10.0, 20.0 / 511, 512
         x = start + spacing * np.arange(num)
         env = (2.0 * math.pi) ** -0.25 * np.exp(-(x**2) / 4.0)
         g = sampled_gaussian(0.0, 1.0, start, spacing, num)
-        assert g.values.tobytes() == (env * np.exp(1j * 0.0 * x)).tobytes()
+        assert g.values.dtype == np.float64
+        assert g.values.tobytes() == env.tobytes()
 
     def test_position_width(self):
         g = sampled_gaussian(1.5, 0.8, -8.0, 18.0 / 511, 512)

@@ -368,6 +368,11 @@ class TestEinsteinBalance:
         _, _, r2 = einstein_balance(5800.0, 1.0e14, 2.5, 3.0e10)
         assert r1 == r2
 
+    def test_no_modes_hold_no_photons(self):
+        # at 1e-300 Hz the mode count and h nu / k T both underflow to 0,
+        # which was the division 0 / expm1(0)
+        assert einstein_balance(300.0, 1e-300, 1.0, 1.0e9) == (0.0, 0.0, 0.0)
+
     def test_guards(self):
         with pytest.raises(DomainError):
             einstein_balance(0.0, 1.0e14, 1.0, 1.0e9)

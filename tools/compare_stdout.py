@@ -6,7 +6,11 @@ Each argv below runs as a fresh ``python -m packetlab.cli`` process with
 ``PYTHONPATH=<checkout>/src``, once per checkout. One row per argv gives
 the stdout sha256 and the exit code of each side and whether stderr
 matches; a row where any of the three differs is marked MOVED, and the
-exit status is 1 if any row moved.
+exit status is 1 if any row moved. Under a MOVED row whose two stdouts
+are each one JSON record, a leaf report follows: how many leaves moved,
+the largest relative move among the numeric ones, and each moved leaf's
+path with its old and new text. A list item that has a "name" is
+addressed by it, as ``checks[actionprob_spread].value``.
 
 The argv list comes from the checkout that holds this file:
 
@@ -43,7 +47,9 @@ both checkouts are left as they were.
 
 from __future__ import annotations
 
+import decimal
 import hashlib
+import json
 import os
 import pathlib
 import re
@@ -113,11 +119,54 @@ def argvs() -> list:
 
 
 def run(checkout: pathlib.Path, argv: list) -> tuple:
-    """(stdout sha256, exit code, stderr) of one fresh process."""
+    """(stdout, exit code, stderr) of one fresh process."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-m", "packetlab.cli", *argv], cwd=checkout,
                           env=env, stdin=subprocess.DEVNULL, capture_output=True)
-    return hashlib.sha256(proc.stdout).hexdigest(), proc.returncode, proc.stderr
+    return proc.stdout, proc.returncode, proc.stderr
+
+
+class Number(str):
+    """A JSON number's text, as the record wrote it."""
+
+
+def leaves(node, path: str = ""):
+    """(path, value) of each scalar in a parsed record."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            label = value.get("name", i) if isinstance(value, dict) else i
+            yield from leaves(value, f"{path}[{label}]")
+    else:
+        yield path, node
+
+
+def leaf_report(old: bytes, new: bytes) -> list:
+    """The report's lines for two stdouts, or [] unless each is one JSON record.
+
+    A number keeps the text the record wrote; relative moves are taken in
+    28-digit decimal arithmetic.
+    """
+    try:
+        old_leaves, new_leaves = (dict(leaves(json.loads(out, parse_float=Number)))
+                                  for out in (old, new))
+    except ValueError:
+        return []
+    absent = "(absent)"
+    moved = [(k, old_leaves.get(k, absent), new_leaves.get(k, absent))
+             for k in {**old_leaves, **new_leaves}
+             if old_leaves.get(k, absent) != new_leaves.get(k, absent)]
+
+    def number(v):
+        return isinstance(v, (int, Number)) and not isinstance(v, bool)
+
+    relative = [abs(decimal.Decimal(b) / decimal.Decimal(a) - 1) for _, a, b in moved
+                if number(a) and number(b) and decimal.Decimal(a)]
+    largest = f"{float(max(relative)):.2g}" if relative else "none"
+    return ([f"{len(moved)} leaves moved, largest relative move {largest}"]
+            + [f"{k}: {a} -> {b}" for k, a, b in moved])
 
 
 def main(args: list) -> int:
@@ -131,11 +180,15 @@ def main(args: list) -> int:
     moved = 0
     print("mark   old stdout sha256, exit | new stdout sha256, exit | stderr | argv")
     for argv in rows:
-        (old_sha, old_rc, old_err), (new_sha, new_rc, new_err) = run(old, argv), run(new, argv)
-        same = (old_sha, old_rc, old_err) == (new_sha, new_rc, new_err)
+        (old_out, old_rc, old_err), (new_out, new_rc, new_err) = run(old, argv), run(new, argv)
+        same = (old_out, old_rc, old_err) == (new_out, new_rc, new_err)
         moved += not same
+        old_sha, new_sha = (hashlib.sha256(out).hexdigest() for out in (old_out, new_out))
         print(f"{'same ' if same else 'MOVED'}  {old_sha} {old_rc} | {new_sha} {new_rc} | "
               f"{'same' if old_err == new_err else 'DIFF'} | {' '.join(argv)}", flush=True)
+        if old_out != new_out:
+            for line in leaf_report(old_out, new_out):
+                print(f"       {line}")
     print(f"{moved} of {len(rows)} rows moved")
     return 1 if moved else 0
 

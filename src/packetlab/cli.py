@@ -25,7 +25,7 @@ import warnings
 
 from . import actionprob, configspace, numkit, quantstat, spincorr, wavepacket
 from .errors import AccuracyWarning, DomainError, NumericalError, PacketLabError
-from .numkit import E_CHARGE, H_PLANCK, K_BOLTZMANN, M_PROTON, np
+from .numkit import C_LIGHT, E_CHARGE, H_PLANCK, K_BOLTZMANN, M_PROTON, np
 
 __all__ = ["main", "run"]
 
@@ -91,112 +91,91 @@ def _render_csv(columns: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# flag value converters; each takes the raw CLI/config value plus the flag
-# name and either returns the typed value or raises DomainError naming the flag
+# flag value converters, each the one statement of the values its flag takes.
+# A converter takes the raw CLI/config value plus the flag name and returns
+# the typed value, or raises DomainError naming the flag and that domain;
+# its domain is the text --help prints, and its parse returns None to refuse
 
 
-def _as_int(raw, name: str) -> int:
-    if isinstance(raw, bool):
-        raise DomainError(f"parameter {name}: expected an integer, got a boolean")
-    if isinstance(raw, int):
-        return raw
-    if isinstance(raw, float):
-        if not raw.is_integer():  # also false for inf and nan
-            raise DomainError(f"parameter {name}: expected an integer, got {raw!r}")
-        return int(raw)
-    try:
-        return int(str(raw).strip(), 10)
-    except ValueError:
-        raise DomainError(f"parameter {name}: {raw!r} is not an integer") from None
+def _converter(domain: str, parse):
+    def conv(raw, name: str):
+        value = parse(raw)
+        if value is None:
+            raise DomainError(f"parameter {name}: {raw!r} is not {domain}")
+        return value
 
-
-def _u64(raw, name: str) -> int:
-    value = _as_int(raw, name)
-    if not 0 <= value < 2**64:
-        raise DomainError(f"parameter {name}: must fit in an unsigned 64-bit integer")
-    return value
-
-
-def _posint(raw, name: str) -> int:
-    value = _as_int(raw, name)
-    if value < 1:
-        raise DomainError(f"parameter {name}: must be a positive integer")
-    if value > 2**53:  # floats hold every integer up to here; quantstat caps g alike
-        raise DomainError(f"parameter {name}: must be at most 2**53")
-    return value
-
-
-def _flt(raw, name: str) -> float:
-    if isinstance(raw, bool):
-        raise DomainError(f"parameter {name}: expected a number, got a boolean")
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise DomainError(f"parameter {name}: {raw!r} is not a number") from None
-    if not math.isfinite(value):
-        raise DomainError(f"parameter {name}: {raw!r} is not a finite number")
-    return value
-
-
-def _posflt(raw, name: str) -> float:
-    value = _flt(raw, name)
-    if not value > 0:
-        raise DomainError(f"parameter {name}: must be positive")
-    return value
-
-
-def _boolean(raw, name: str) -> bool:
-    if isinstance(raw, bool):
-        return raw
-    text = str(raw).strip().lower()
-    if text in ("true", "1", "yes"):
-        return True
-    if text in ("false", "0", "no"):
-        return False
-    raise DomainError(f"parameter {name}: {raw!r} is not a boolean")
-
-
-def _text(raw, name: str) -> str:
-    if not isinstance(raw, str):
-        raise DomainError(f"parameter {name}: expected a string")
-    return raw
-
-
-def _split_items(raw, name: str) -> list:
-    if isinstance(raw, (list, tuple)):
-        return list(raw)
-    if isinstance(raw, str):
-        items = [p.strip() for p in raw.split(",")]
-        if any(p == "" for p in items):
-            raise DomainError(f"parameter {name}: empty entry in the list")
-        return items
-    raise DomainError(f"parameter {name}: expected a comma-separated list")
-
-
-def _float_list(count: int = None):
-    def conv(raw, name: str) -> list:
-        vals = [_flt(x, name) for x in _split_items(raw, name)]
-        if count is not None and len(vals) != count:
-            raise DomainError(f"parameter {name}: expected exactly {count} values")
-        return vals
-
+    conv.domain, conv.parse = domain, parse
     return conv
 
 
-def _int_list(raw, name: str) -> list:
-    return [_as_int(x, name) for x in _split_items(raw, name)]
+def _number(kind: str, to_number, lo, hi, ends: str):
+    """Numbers from lo to hi; ends holds [ or ( for a closed or open lo, ] or ) for hi."""
+    def parse(raw):
+        if isinstance(raw, bool):  # a JSON true is not 1
+            return None
+        try:
+            value = to_number(raw)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        above = lo < value if ends[0] == "(" else lo <= value  # both false for NaN
+        below = value < hi if ends[1] == ")" else value <= hi
+        return value if above and below else None
+
+    lo_text, hi_text = ({2**53: "2**53", 2**64 - 1: "2**64 - 1"}.get(v, f"{v:g}")
+                        for v in (lo, hi))
+    interval = f"{ends[0]}{lo_text}, {hi_text}{ends[1]}"
+    article = "an" if kind == "integer" else "a"
+    conv = _converter(f"{article} {kind} in {interval}", parse)
+    conv.kind, conv.interval, conv.lo, conv.hi, conv.ends = kind, interval, lo, hi, ends
+    return conv
+
+
+def _integer(lo: int, hi: int):
+    """Integers in [lo, hi]; a whole float, as JSON may write one, is one."""
+    def whole(raw) -> int:
+        if isinstance(raw, float) and raw.is_integer():
+            return int(raw)
+        return raw if isinstance(raw, int) else int(str(raw), 10)
+
+    return _number("integer", whole, lo, hi, "[]")
+
+
+def _real(lo: float = -math.inf, hi: float = math.inf, ends: str = "()"):
+    """Floats from lo to hi; an infinite end stays open, so each value is finite."""
+    return _number("number", float, lo, hi, ends)
+
+
+def _list(item, count: int = None):
+    """A comma-separated list, or a config array, of count items (any number if None)."""
+    def parse(raw):
+        items = raw.split(",") if isinstance(raw, str) else raw
+        if not isinstance(items, (list, tuple)) or count not in (None, len(items)):
+            return None
+        values = [item.parse(x) for x in items]
+        return None if None in values else values
+
+    size = "" if count is None else f"{count} "
+    conv = _converter(f"a list of {size}{item.kind}s in {item.interval}", parse)
+    conv.item, conv.count = item, count
+    return conv
 
 
 def _choice(*options: str):
-    def conv(raw, name: str) -> str:
+    def parse(raw):
         text = str(raw).strip().lower()
-        if text not in options:
-            raise DomainError(
-                f"parameter {name}: {raw!r} is not one of {', '.join(options)}"
-            )
-        return text
+        return text if text in options else None
 
-    return conv
+    return _converter(f"one of {', '.join(options)}", parse)
+
+
+_BOOLEAN_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_boolean = _converter("a boolean", lambda raw: raw if isinstance(raw, bool)
+                      else _BOOLEAN_WORDS.get(str(raw).strip().lower()))
+_text = _converter("a string", lambda raw: raw if isinstance(raw, str) else None)
+
+_COUNT = _integer(1, 2**53)  # floats hold every integer up to here; quantstat caps g alike
+_POSITIVE = _real(0.0)
+_FINITE = _real()
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +189,8 @@ _Command = collections.namedtuple("_Command", "help flags handler table")
 _COMMANDS = {}  # key -> _Command, in --help order
 
 _GLOBAL_FLAGS = (
-    ("seed", _u64, 0, "base RNG seed (unsigned 64-bit)"),
-    ("shards", _posint, 1,
+    ("seed", _integer(0, 2**64 - 1), 0, "base RNG seed"),
+    ("shards", _COUNT, 1,
      "Monte Carlo worker threads, capped at the CPU count; results do not depend on N"),
     ("out", _text, None, "write the record to this path instead of stdout"),
     ("format", _choice("json", "csv"), "json", "output format"),
@@ -230,9 +209,9 @@ def _command(key: str, help_text: str, *flags, table: bool = False):
 
 _PAIR_FLAGS = (
     ("model", _choice("qm", "sc"), "qm", "pair model"),
-    ("angles-deg", _float_list(2), None, "coplanar analyser angles a,b"),
-    ("a", _float_list(3), None, "analyser direction a as x,y,z"),
-    ("b", _float_list(3), None, "analyser direction b as x,y,z"),
+    ("angles-deg", _list(_FINITE, 2), None, "coplanar analyser angles a,b"),
+    ("a", _list(_FINITE, 3), None, "analyser direction a as x,y,z"),
+    ("b", _list(_FINITE, 3), None, "analyser direction b as x,y,z"),
 )
 
 # ---------------------------------------------------------------------------
@@ -297,12 +276,12 @@ def _cmd_bell(p: dict):
 @_command(
     "chsh", "CHSH combination K, closed form and optionally Monte Carlo",
     ("model", _choice("qm", "sc"), "qm", "pair model"),
-    ("angles-deg", _float_list(4), None, "coplanar angles a,b,a',b'"),
-    ("a", _float_list(3), None, "direction a as x,y,z"),
-    ("b", _float_list(3), None, "direction b as x,y,z"),
-    ("a2", _float_list(3), None, "direction a' as x,y,z"),
-    ("b2", _float_list(3), None, "direction b' as x,y,z"),
-    ("mc", _posint, None, "also estimate K from this many pairs per setting"),
+    ("angles-deg", _list(_FINITE, 4), None, "coplanar angles a,b,a',b'"),
+    ("a", _list(_FINITE, 3), None, "direction a as x,y,z"),
+    ("b", _list(_FINITE, 3), None, "direction b as x,y,z"),
+    ("a2", _list(_FINITE, 3), None, "direction a' as x,y,z"),
+    ("b2", _list(_FINITE, 3), None, "direction b' as x,y,z"),
+    ("mc", _COUNT, None, "also estimate K from this many pairs per setting"),
 )
 def _cmd_chsh(p: dict):
     model = _PAIR_MODELS[p["model"]]()
@@ -326,7 +305,7 @@ def _cmd_chsh(p: dict):
 @_command(
     "sample", "simulate coincidence counts for one pair of settings",
     *_PAIR_FLAGS,
-    ("n", _posint, 100000, "number of simulated pairs"),
+    ("n", _COUNT, 100000, "number of simulated pairs"),
 )
 def _cmd_sample(p: dict):
     model = _PAIR_MODELS[p["model"]]()
@@ -347,9 +326,9 @@ def _cmd_sample(p: dict):
     "lhv", "audit hidden-variable model families against the CHSH bound",
     ("family", _choice("random", "semiclassical", "sign"), "random",
      "hidden-variable model family"),
-    ("models", _posint, None, "models to draw (random and sign families; default 100)"),
-    ("settings", _posint, 100, "setting quadruples per model"),
-    ("n-lambda", _posint, None, "hidden-variable grid size per drawn model (default 16)"),
+    ("models", _COUNT, None, "models to draw (random and sign families; default 100)"),
+    ("settings", _COUNT, 100, "setting quadruples per model"),
+    ("n-lambda", _COUNT, None, "hidden-variable grid size per drawn model (default 16)"),
 )
 def _cmd_lhv(p: dict):
     family = p["family"]
@@ -390,15 +369,12 @@ def _cmd_lhv(p: dict):
 
 @_command(
     "nosignal", "remote-measurement invariance of one-side probabilities",
-    ("trials", _posint, 200, "random state/apparatus trials"),
-    ("max-dim", _posint, 8, "largest expansion dimension per side"),
+    ("trials", _COUNT, 200, "random state/apparatus trials"),
+    ("max-dim", _integer(2, spincorr.MAX_BIPARTITE_DIM), 8,
+     "largest expansion dimension per side"),
 )
 def _cmd_nosignal(p: dict):
     max_dim = p["max-dim"]
-    if max_dim < 2:
-        raise DomainError("parameter max-dim: need at least 2")
-    if max_dim > spincorr.MAX_BIPARTITE_DIM:  # before any matrix is drawn
-        raise DomainError(f"dimensions capped at {spincorr.MAX_BIPARTITE_DIM}")
     # each trial draws, in this order, the row and column counts, the
     # coefficient matrix, the apparatus unitary and the probed column
     rng = numkit.RandomStream(p["seed"], 0)
@@ -425,9 +401,9 @@ def _cmd_nosignal(p: dict):
 
 @_command(
     "reduce", "reduce an eigenfunction expansion (window or single pick)",
-    ("coeffs", _float_list(), None, "expansion coefficients (normalized)"),
+    ("coeffs", _list(_FINITE), None, "expansion coefficients (normalized)"),
     ("mode", _choice("window", "pick"), "window", "reduction mode"),
-    ("window", _int_list, None, "indices kept by the reduction"),
+    ("window", _list(_integer(0, 2**53)), None, "indices kept by the reduction"),
 )
 def _cmd_reduce(p: dict):
     if p["coeffs"] is None:
@@ -458,17 +434,19 @@ def _cmd_reduce(p: dict):
 
 @_command(
     "condspace", "two-particle configuration-space conditional density",
-    ("centers", _float_list(2), [-1.0, 1.0], "packet centers"),
-    ("sigmas", _float_list(2), [0.7, 0.7], "packet widths"),
-    ("k0", _float_list(2), [0.0, 0.0], "packet carrier wavenumbers"),
-    ("grid", _float_list(3), [-8.0, 8.0, 161], "grid as start,stop,points"),
-    ("x2", _flt, 1.0, "conditioning position of the second particle"),
+    ("centers", _list(_FINITE, 2), [-1.0, 1.0], "packet centers"),
+    ("sigmas", _list(_POSITIVE, 2), [0.7, 0.7], "packet widths"),
+    ("k0", _list(_FINITE, 2), [0.0, 0.0], "packet carrier wavenumbers"),
+    ("grid", _list(_FINITE, 3), [-8.0, 8.0, 161], "grid as start,stop,points"),
+    ("x2", _FINITE, 1.0, "conditioning position of the second particle"),
     ("symmetry", _choice("none", "bose", "fermi"), "bose", "exchange symmetry"),
     table=True,
 )
 def _cmd_condspace(p: dict):
-    start, stop, num_raw = p["grid"]
-    num = _as_int(num_raw, "grid")
+    start, stop, num = p["grid"]
+    if num % 1:
+        raise DomainError(f"parameter grid: {num!r} points is not an integer")
+    num = int(num)
     if num < numkit.MIN_SAMPLES:
         raise DomainError(f"parameter grid: need at least {numkit.MIN_SAMPLES} points")
     if num > configspace.MAX_POINTS:  # before the grid is sampled
@@ -478,8 +456,9 @@ def _cmd_condspace(p: dict):
     spacing = (stop - start) / (num - 1)
     if not math.isfinite(spacing):
         raise DomainError("parameter grid: stop - start overflows double precision")
-    if spacing**2 < sys.float_info.min:  # the tensor's norm weighs each cell by it
-        raise DomainError("parameter grid: the squared spacing underflows double precision")
+    if not sys.float_info.min <= spacing * spacing < math.inf:  # the norm weighs cells by it
+        flow = "underflows" if spacing < 1.0 else "overflows"
+        raise DomainError(f"parameter grid: the squared spacing {flow} double precision")
 
     factors = [
         numkit.sampled_gaussian(center, sigma, start, spacing, num, k0=k0).normalized()
@@ -511,9 +490,11 @@ def _cmd_condspace(p: dict):
 
 @_command(
     "actionprob", "factorization audit of first-order transition probabilities",
-    ("width-ratio", _posflt, 100.0, "packet width over scatterer width, at most 1e4"),
-    ("probes", _posint, 9, "scatterer positions probed across the packet"),
-    ("finals", _posint, 8, "final packets summed per probe"),
+    # actionprob's own ranges: the packet at least twice the scatterer and at
+    # most the 1e4 whose grids peak near 40 MB, and its final family's cap
+    ("width-ratio", _real(2.0, 1e4, "[]"), 100.0, "packet width over scatterer width"),
+    ("probes", _COUNT, 9, "scatterer positions probed across the packet"),
+    ("finals", _integer(1, 16), 8, "final packets summed per probe"),
 )
 def _cmd_actionprob(p: dict):
     setup, scatterer, centers, finals = actionprob.audit_scenario(
@@ -540,11 +521,11 @@ def _cmd_actionprob(p: dict):
 
 @_command(
     "packet spread", "relativistic wavepacket spreading over a flight",
-    ("mass-kg", _posflt, M_PROTON, "particle mass"),
-    ("kinetic-mev", _posflt, 6.0, "kinetic energy"),
-    ("width0", _posflt, None, "initial standard-deviation width (m)"),
-    ("full-length", _posflt, None, "initial full length 2*width0 (m)"),
-    ("distance", _posflt, 0.05, "flight distance (m)"),
+    ("mass-kg", _POSITIVE, M_PROTON, "particle mass"),
+    ("kinetic-mev", _POSITIVE, 6.0, "kinetic energy"),
+    ("width0", _POSITIVE, None, "initial standard-deviation width (m)"),
+    ("full-length", _POSITIVE, None, "initial full length 2*width0 (m)"),
+    ("distance", _POSITIVE, 0.05, "flight distance (m)"),
     ("direction", _choice("longitudinal", "transverse"), "longitudinal",
      "spreading direction relative to the motion"),
 )
@@ -574,16 +555,14 @@ def _cmd_packet_spread(p: dict):
 
 @_command(
     "packet coherence", "autocorrelation profile and coherence length",
-    ("sigma", _posflt, 1.0, "Gaussian width"),
-    ("points", _posint, 2048, "grid points"),
-    ("span-sigmas", _posflt, 8.0, "half grid span in units of sigma"),
-    ("shifts", _float_list(), None, "probe shifts (default 0.5, 1, 2 sigma)"),
+    ("sigma", _POSITIVE, 1.0, "Gaussian width"),
+    ("points", _integer(numkit.MIN_SAMPLES, 2**53), 2048, "grid points"),
+    ("span-sigmas", _POSITIVE, 8.0, "half grid span in units of sigma"),
+    ("shifts", _list(_FINITE), None, "probe shifts (default 0.5, 1, 2 sigma)"),
 )
 def _cmd_packet_coherence(p: dict):
     sigma = p["sigma"]
     num = p["points"]
-    if num < numkit.MIN_SAMPLES:
-        raise DomainError(f"parameter points: need at least {numkit.MIN_SAMPLES}")
     half = p["span-sigmas"] * sigma
     spacing = 2.0 * half / (num - 1)
     psi = numkit.sampled_gaussian(0.0, sigma, -half, spacing, num).normalized()
@@ -603,9 +582,9 @@ def _cmd_packet_coherence(p: dict):
 
 @_command(
     "packet accum", "classical energy-accumulation time at an absorber",
-    ("threshold-ev", _posflt, 2.18, "energy the site must soak up"),
-    ("flux", _posflt, 3.5e-13, "incident energy flux (W/m^2)"),
-    ("area", _posflt, 1e-18, "absorbing cross-section (m^2)"),
+    ("threshold-ev", _POSITIVE, 2.18, "energy the site must soak up"),
+    ("flux", _POSITIVE, 3.5e-13, "incident energy flux (W/m^2)"),
+    ("area", _POSITIVE, 1e-18, "absorbing cross-section (m^2)"),
 )
 def _cmd_packet_accum(p: dict):
     if p["flux"] * p["area"] == 0.0:
@@ -624,10 +603,10 @@ def _cmd_packet_accum(p: dict):
 
 @_command(
     "packet sterngerlach", "deflection angle in a field gradient",
-    ("mu-z", _flt, wavepacket.BOHR_MAGNETON, "magnetic moment component (J/T)"),
-    ("grad-b", _flt, 1e3, "field gradient (T/m)"),
-    ("dt", _posflt, 7e-5, "transit time through the gradient (s)"),
-    ("p-y", _posflt, 8.96e-23, "forward momentum (kg m/s)"),
+    ("mu-z", _FINITE, wavepacket.BOHR_MAGNETON, "magnetic moment component (J/T)"),
+    ("grad-b", _FINITE, 1e3, "field gradient (T/m)"),
+    ("dt", _POSITIVE, 7e-5, "transit time through the gradient (s)"),
+    ("p-y", _POSITIVE, 8.96e-23, "forward momentum (kg m/s)"),
 )
 def _cmd_packet_sterngerlach(p: dict):
     alpha = wavepacket.stern_gerlach_deflection(
@@ -646,21 +625,19 @@ def _cmd_packet_sterngerlach(p: dict):
 
 @_command(
     "cavity", "thermal mode occupation spectrum of a cavity",
-    ("temperature", _posflt, 5800.0, "cavity temperature (K)"),
-    ("volume", _posflt, 1.0, "cavity volume (m^3)"),
+    ("temperature", _POSITIVE, 5800.0, "cavity temperature (K)"),
+    ("volume", _POSITIVE, 1.0, "cavity volume (m^3)"),
     ("statistics", _choice("bose", "fermi", "boltzmann"), "bose",
      "occupancy statistics"),
-    ("mu", _flt, 0.0, "chemical potential (J)"),
-    ("bins", _posint, 200, "log-spaced frequency bins"),
-    ("x-lo", _posflt, 1e-3, "lowest h nu / k T"),
-    ("x-hi", _posflt, 40.0, "highest h nu / k T"),
-    ("polarizations", _posint, 2, "polarizations per mode (1 or 2)"),
+    ("mu", _FINITE, 0.0, "chemical potential (J)"),
+    ("bins", _COUNT, 200, "log-spaced frequency bins"),
+    ("x-lo", _POSITIVE, 1e-3, "lowest h nu / k T"),
+    ("x-hi", _POSITIVE, 40.0, "highest h nu / k T"),
+    ("polarizations", _integer(1, 2), 2, "polarizations per mode"),
     ("entropy", _boolean, False, "also report entropy and its derivatives"),
     table=True,
 )
 def _cmd_cavity(p: dict):
-    if p["polarizations"] not in (1, 2):
-        raise DomainError("parameter polarizations: must be 1 or 2")
     statistics = quantstat.Statistics(p["statistics"])
     temperature, volume = p["temperature"], p["volume"]
     photon = statistics is quantstat.Statistics.BOSE and p["mu"] == 0.0
@@ -702,12 +679,12 @@ def _cmd_cavity(p: dict):
     "counts", "detector count distribution from g cells",
     ("stat", _choice("bose", "fermi", "boltzmann"), "bose",
      "occupancy statistics"),
-    ("g", _posint, 1, "cells per packet"),
-    ("mbar", _posflt, None, "mean detector count (g eta s_bar)"),
-    ("sbar", _posflt, None, "mean occupancy per cell"),
-    ("eta", _posflt, 1.0, "detection efficiency in (0, 1]"),
-    ("mmax", _posint, None, "truncate the reported distribution at this count"),
-    ("mc", _posint, None, "also sample this many Monte Carlo counts"),
+    ("g", _COUNT, 1, "cells per packet"),
+    ("mbar", _POSITIVE, None, "mean detector count (g eta s_bar)"),
+    ("sbar", _POSITIVE, None, "mean occupancy per cell"),
+    ("eta", _real(0.0, 1.0, "(]"), 1.0, "detection efficiency"),
+    ("mmax", _COUNT, None, "truncate the reported distribution at this count"),
+    ("mc", _integer(2, 2**53), None, "also sample this many Monte Carlo counts"),
     table=True,
 )
 def _cmd_counts(p: dict):
@@ -732,8 +709,6 @@ def _cmd_counts(p: dict):
     }
     n = p["mc"]
     if n is not None:
-        if n < 2:
-            raise DomainError("parameter mc: need at least 2 samples")
         rng = numkit.RandomStream(p["seed"], 0)
         s1, s2 = quantstat.sample_count_moments(statistics, g, s_bar, eta, n, rng,
                                                 workers=p["shards"])
@@ -750,11 +725,11 @@ def _cmd_counts(p: dict):
 
 @_command(
     "balance", "detailed-balance and Einstein-coefficient identities",
-    ("trials", _posint, 1000, "random detailed-balance parameter sets"),
-    ("broken-trials", _posint, 100, "trials with a mismatched second constant"),
-    ("temperatures", _float_list(), [250.0, 300.0, 1000.0, 5800.0],
+    ("trials", _COUNT, 1000, "random detailed-balance parameter sets"),
+    ("broken-trials", _COUNT, 100, "trials with a mismatched second constant"),
+    ("temperatures", _list(_POSITIVE), [250.0, 300.0, 1000.0, 5800.0],
      "Einstein-balance temperatures (K)"),
-    ("frequencies", _float_list(), [1e12, 1e13, 1e14, 1e15],
+    ("frequencies", _list(_POSITIVE), [1e12, 1e13, 1e14, 1e15],
      "Einstein-balance frequencies (Hz)"),
 )
 def _cmd_balance(p: dict):
@@ -792,15 +767,21 @@ def _cmd_balance(p: dict):
 
 @_command(
     "vonlaue", "degree-of-freedom count of a bounded ray bundle",
-    ("area", _posflt, 1e-4, "bundle cross-section (m^2)"),
-    ("length", _posflt, 1.0, "bundle length (m)"),
-    ("dnu", _posflt, 1e9, "bundle spectral width (Hz)"),
-    ("focal-area", _posflt, 1e-8, "focal spot area (m^2)"),
-    ("packet-dy", _posflt, 1e-3, "packet length (m)"),
-    ("packet-dnu", _posflt, None, "packet spectral width (Hz)"),
-    ("r", _posflt, 2.0 * math.pi, "extension convention Dy Dnu = r c / 4 pi"),
+    ("area", _POSITIVE, 1e-4, "bundle cross-section (m^2)"),
+    ("length", _POSITIVE, 1.0, "bundle length (m)"),
+    ("dnu", _POSITIVE, 1e9, "bundle spectral width (Hz)"),
+    ("focal-area", _POSITIVE, 1e-8, "focal spot area (m^2)"),
+    ("packet-dy", _POSITIVE, 1e-3, "packet length (m)"),
+    ("packet-dnu", _POSITIVE, None, "packet spectral width (Hz)"),
+    ("r", _POSITIVE, 2.0 * math.pi, "extension convention Dy Dnu = r c / 4 pi"),
 )
 def _cmd_vonlaue(p: dict):
+    # the field count A l dnu / (a c), formed as vonlaue_dof forms it and divides by it
+    field = p["area"] * p["length"] * p["dnu"] / (p["focal-area"] * C_LIGHT)
+    if not 0.0 < field < math.inf:
+        raise DomainError(
+            "parameters area, length, dnu and focal-area: the field count A l dnu / (a c) "
+            + ("overflows" if field else "underflows to 0"))
     f_count, n1, n2, n3, ratio = quantstat.vonlaue_dof(
         p["area"],
         p["length"],
@@ -1042,7 +1023,7 @@ def _parse_argv(argv) -> tuple:
 
 
 def _usage(key) -> str:
-    """The --help text: every command, or one command's flags and defaults."""
+    """The --help text: every command, or one command's flags, domains and defaults."""
     if key is None:
         head = ("COMMAND [--FLAG V ...]\n\nCOMMAND --help lists its flags; "
                 "the packet commands may drop the word packet")
@@ -1054,8 +1035,9 @@ def _usage(key) -> str:
             if isinstance(default, list):
                 default = ",".join(map(str, default))
             flag = f"--{name}" if conv is _boolean else f"--{name} V"
+            domain = "" if conv in (_boolean, _text) else f"; {conv.domain}"
             shown = "" if default is None or conv is _boolean else f" (default: {default})"
-            rows.append((flag, text + shown))
+            rows.append((flag, text + domain + shown))
     return f"usage: packetlab {head}\n\n" + "".join(f"  {a:<20} {b}\n" for a, b in rows)
 
 

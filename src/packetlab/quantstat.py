@@ -301,8 +301,12 @@ def einstein_balance(
     x = H_PLANCK * nu / kt if kt else math.inf  # k T underflows: no thermal photons
     a_over_b = 4.0 * math.pi * H_PLANCK * nu**3 / C_LIGHT**3
     g = photon_mode_count(volume, nu, dnu)
-    # no modes, no photons: g is 0 where h nu / k T may underflow to 0 too
-    n_planck = g * math.exp(-x) if x > 700.0 or not g else g / math.expm1(x)
+    if x > 700.0 or not g:  # no modes, no photons: g is 0 where x may underflow too
+        n_planck = g * math.exp(-x)
+    elif x:
+        n_planck = g / math.expm1(x)
+    else:  # h nu / k T underflows to 0: the Rayleigh-Jeans limit, which stays finite
+        n_planck = g * kt / (H_PLANCK * nu)
     rho = H_PLANCK * nu * n_planck / (volume * dnu)
     lhs = rho
     rhs = math.exp(-x) * (rho + a_over_b)

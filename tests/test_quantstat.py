@@ -373,6 +373,16 @@ class TestEinsteinBalance:
         # which was the division 0 / expm1(0)
         assert einstein_balance(300.0, 1e-300, 1.0, 1.0e9) == (0.0, 0.0, 0.0)
 
+    def test_underflowing_x_takes_the_rayleigh_jeans_occupancy(self):
+        # h nu / k T underflows to 0 here while the mode count does not, which
+        # was the division g / expm1(0); the occupancy is g k T / (h nu)
+        t, nu, dnu = 1e308, 1e-10, 1.0e9
+        assert H_PLANCK * nu / (K_BOLTZMANN * t) == 0.0
+        lhs, rhs, a_over_b = einstein_balance(t, nu, 1.0, dnu)
+        g = photon_mode_count(1.0, nu, dnu)
+        assert lhs == pytest.approx(g * K_BOLTZMANN * t / dnu, rel=1e-15)
+        assert rhs == lhs + a_over_b and math.isfinite(rhs)
+
     def test_guards(self):
         with pytest.raises(DomainError):
             einstein_balance(0.0, 1.0e14, 1.0, 1.0e9)

@@ -6,7 +6,8 @@ Each argv below runs as a fresh ``python -m packetlab.cli`` process with
 ``PYTHONPATH=<checkout>/src``, once per checkout. One row per argv gives
 the stdout sha256 and the exit code of each side and whether stderr
 matches; a row where any of the three differs is marked MOVED, and the
-exit status is 1 if any row moved. Under a MOVED row whose two stdouts
+exit status is 1 if any row moved. Under a row whose stderr differs, each
+side's stderr lines follow. Under a MOVED row whose two stdouts
 are each one JSON record, a leaf report follows: how many leaves moved,
 the largest relative move among the numeric ones, and each moved leaf's
 path with its old and new text. A list item that has a "name" is
@@ -38,7 +39,10 @@ The argv list comes from the checkout that holds this file:
   semiclassical one whose axes between them have all three, so every
   sigma-component path of the pair sampler is pinned;
 - the argv that each size cap refuses, and a count law that misses its
-  own normalization.
+  own normalization;
+- one argv outside each range that a flag's declared domain took over
+  from a handler or from the library, and the argv at the float range's
+  edges whose exit a range or product check decides.
 
 Standard library only. This is not a test: the bytes hold only on one
 machine with one numpy build (README). The children write no bytecode, so
@@ -89,6 +93,19 @@ SIZE_CAP_ARGVS = [
 ]
 
 
+DOMAIN_ARGVS = [
+    ["nosignal", "--max-dim", "1"],
+    ["cavity", "--polarizations", "3"],
+    ["counts", "--mbar", "1", "--mc", "1"],
+    ["actionprob", "--finals", "17"],
+    ["counts", "--mbar", "1", "--eta", "2"],
+    ["condspace", "--sigmas", "0,1"],
+    ["vonlaue", "--area", "1e300", "--length", "1e300", "--dnu", "1e300"],
+    ["vonlaue", "--area", "1e300", "--length", "1e300"],
+    ["balance", "--temperatures", "1e308", "--frequencies", "1e-10"],
+]
+
+
 def readme_argvs() -> list:
     """The packetlab lines of the first README sh block that has any."""
     argvs, inside = [], False
@@ -115,7 +132,7 @@ def montecarlo_argvs() -> list:
 def argvs() -> list:
     return (readme_argvs() + montecarlo_argvs()
             + [["regress", "--seed", "0"], ["regress", "--seed", "12345"]]
-            + EXTRA_ARGVS + SIZE_CAP_ARGVS)
+            + EXTRA_ARGVS + SIZE_CAP_ARGVS + DOMAIN_ARGVS)
 
 
 def run(checkout: pathlib.Path, argv: list) -> tuple:
@@ -186,6 +203,10 @@ def main(args: list) -> int:
         old_sha, new_sha = (hashlib.sha256(out).hexdigest() for out in (old_out, new_out))
         print(f"{'same ' if same else 'MOVED'}  {old_sha} {old_rc} | {new_sha} {new_rc} | "
               f"{'same' if old_err == new_err else 'DIFF'} | {' '.join(argv)}", flush=True)
+        if old_err != new_err:
+            for side, err in (("old", old_err), ("new", new_err)):
+                for line in err.decode(errors="replace").splitlines():
+                    print(f"       {side} stderr: {line}")
         if old_out != new_out:
             for line in leaf_report(old_out, new_out):
                 print(f"       {line}")

@@ -171,21 +171,23 @@ def _reduced_energy(bins, temperature: float, mu: float) -> np.ndarray:
 
 def _mean_occupancy(statistics: Statistics, y: np.ndarray) -> np.ndarray:
     """Mean quanta per cell at y = (eps - mu)/kT; past y = 700 every law
-    is the bare exponential, which keeps exp and expm1 from overflowing."""
+    is the bare exponential, which keeps exp and expm1 from overflowing.
+    y may be complex: every branch and clamp is decided on y.real."""
     if statistics is Statistics.BOLTZMANN:
-        if np.any(y < -700.0):
+        if np.any(y.real < -700.0):
             raise NumericalError("Boltzmann weight overflows double precision")
         return np.exp(-y)
-    tail = np.exp(-np.maximum(y, 700.0))
-    core = np.minimum(y, 700.0)
+    far = y.real > 700.0
+    tail = np.exp(-np.where(far, y, 700.0))
+    core = np.where(far, 700.0, y)
     if statistics is Statistics.FERMI:
-        return np.where(y > 700.0, tail, 1.0 / (np.exp(core) + 1.0))
-    poles = np.flatnonzero(y <= 0)
+        return np.where(far, tail, 1.0 / (np.exp(core) + 1.0))
+    poles = np.flatnonzero(y.real <= 0)
     if poles.size:
         raise DomainError(
             f"Bose pole in bin {poles[0]}: epsilon <= mu makes the occupancy diverge"
         )
-    return np.where(y > 700.0, tail, 1.0 / np.expm1(core))
+    return np.where(far, tail, 1.0 / np.expm1(core))
 
 
 def spectral_distribution(cavity: CavitySpec, bins) -> np.ndarray:
@@ -316,27 +318,29 @@ def einstein_balance(
 def _cell_entropy(statistics: Statistics, y: np.ndarray, s_bar: np.ndarray) -> tuple:
     """(H, q_light) per bin, the entropy per cell and the Stirling guard's
     share: BOSE and FERMI H = -sum_s q_s ln q_s and the least likely class
-    with q_s > _GUARD_MASS (NaN if none); BOLTZMANN H = s_bar (1 + y), s_bar."""
+    with q_s > _GUARD_MASS (NaN if none); BOLTZMANN H = s_bar (1 + y), s_bar.
+    y may be complex, as in _mean_occupancy; q_light reads real parts."""
     if statistics is Statistics.BOSE:
-        y = np.minimum(y, 800.0)  # exp(-800) is 0: the vacuum alone, H = 0
+        y = np.where(y.real > 800.0, 800.0, y)  # exp(-800) is 0: the vacuum alone, H = 0
+        r = y.real
         # ln q_0 = ln(1 - x), x = exp(-y), each form where it keeps its digits
         log_q0 = np.where(
-            y < _LN2,
-            np.log(-np.expm1(-np.minimum(y, _LN2))),
-            np.log1p(-np.exp(-np.maximum(y, _LN2))),
+            r < _LN2,
+            np.log(-np.expm1(-np.where(r > _LN2, _LN2, y))),
+            np.log1p(-np.exp(-np.where(r < _LN2, _LN2, y))),
         )
         # q_s = (1 - x) x^s falls with s; the last s with q_s > _GUARD_MASS
-        last = np.ceil((log_q0 - math.log(_GUARD_MASS)) / y) - 1.0
-        q_light = np.where(last >= 0, np.exp(log_q0 - y * last), np.nan)
+        last = np.ceil((log_q0.real - math.log(_GUARD_MASS)) / r) - 1.0
+        q_light = np.where(last >= 0, np.exp(log_q0.real - r * last), np.nan)
         return y * s_bar - log_q0, q_light
     if statistics is Statistics.FERMI:
-        a = np.minimum(np.abs(y), 800.0)
+        a = np.where(abs(y.real) > 800.0, 800.0, np.where(y.real < 0, -y, y))
         e = np.exp(-a)
         q_rare = e / (1.0 + e)  # min(q_0, q_1)
-        q_light = np.where(q_rare > _GUARD_MASS, q_rare, 1.0 - q_rare)
+        q_light = np.where(q_rare.real > _GUARD_MASS, q_rare.real, 1.0 - q_rare.real)
         return np.log1p(e) + a * q_rare, q_light
     # past y = 800 s_bar is 0, and the clamp keeps 0 * inf out
-    return s_bar * (1.0 + np.minimum(y, 800.0)), s_bar
+    return s_bar * (1.0 + np.where(y.real > 800.0, 800.0, y)), s_bar
 
 
 def _entropy_energy_number(
@@ -367,15 +371,14 @@ def entropy_and_derivatives(cavity: CavitySpec, bins) -> tuple:
     hold 10 quanta; the count is negative, outside its range, in a bin
     with more than e quanta per cell (s_bar > e, so y < -1). An
     AccuracyWarning says when either rule fails.
-    The derivatives come from centered finite differences over T and mu
-    with the bins held fixed, solved as a 2x2 system; at equilibrium
-    they return 1/T and -mu/T.
+    The derivatives solve the 2x2 system of the (T, mu) responses of (S,
+    E, N), bins held fixed, taken to rounding from one complex step in y
+    (Squire and Trapp, SIAM Review 40, 1998); at equilibrium they return
+    1/T and -mu/T. One bin, where E = eps N, cannot tell them apart.
     """
-    if len(bins) == 0:
-        raise DomainError("need at least one bin")
-    temperature, mu = cavity.temperature, cavity.mu
-    stats = cavity.statistics
-
+    if len(bins) < 2:
+        raise DomainError("need at least two bins to separate dS/dE from dS/dN")
+    temperature, mu, stats = cavity.temperature, cavity.mu, cavity.statistics
     s0, _, _, q_light = _entropy_energy_number(stats, bins, temperature, mu)
     if np.any(bins.g * q_light < _STIRLING_MIN):
         sparse = ("bins hold fewer than 10 quanta" if stats is Statistics.BOLTZMANN
@@ -389,20 +392,16 @@ def entropy_and_derivatives(cavity: CavitySpec, bins) -> tuple:
             "some bins hold more than e quanta per cell; the classical count "
             "ln(g^N/N!) is negative there", AccuracyWarning, stacklevel=2,
         )
-    dt = 1e-4 * temperature
-    dmu = 1e-4 * max(abs(mu), K_BOLTZMANN * temperature)
-    if stats is Statistics.BOSE:
-        # the mu stencil must stay below the pole at the lowest bin energy
-        dmu = min(dmu, 0.5 * (float(np.min(bins.epsilon)) - mu))
-
-    def sen(t, m):
-        return _entropy_energy_number(stats, bins, t, m)[:3]
-
-    # centered differences of (S, E, N): one row over T, one over mu
-    diff = np.array([
-        np.subtract(sen(temperature + dt, mu), sen(temperature - dt, mu)) / (2 * dt),
-        np.subtract(sen(temperature, mu + dmu), sen(temperature, mu - dmu)) / (2 * dmu),
-    ])
+    # S, E, N depend on (T, mu) only through y; f(y + i d) = f(y) + i d f'(y)
+    # + O(d^2) cancels nothing. Im alone is read: complex log1p rounds Re
+    z = _reduced_energy(bins, temperature, mu) + 1e-200j
+    s_bar = _mean_occupancy(stats, z)
+    dh, ds_bar = _cell_entropy(stats, z, s_bar)[0].imag / 1e-200, s_bar.imag / 1e-200
+    per_bin = bins.g * np.array([K_BOLTZMANN * dh, ds_bar * bins.epsilon, ds_bar])
+    # dy/dT = -y/T and dy/dmu = -1/kT, each row scaled by its sign and its
+    # divisor; a bin at y = +-inf is empty or full all around, and adds 0
+    y = np.where(np.isinf(z.real), 0.0, z.real)
+    diff = np.array([y, np.ones_like(y)]) @ per_bin.T  # rows T, mu; columns S, E, N
     try:
         ds_de, ds_dn = np.linalg.solve(diff[:, 1:], diff[:, 0])
     except np.linalg.LinAlgError as exc:

@@ -396,9 +396,9 @@ class TestEntropy:
         bins = photon_bins(1.0, 300.0, 200)
         s, ds_de, ds_dn = entropy_and_derivatives(cavity, bins)
         assert s > 0.0
-        assert ds_de * 300.0 == pytest.approx(1.0, rel=1e-2)
+        assert ds_de * 300.0 == pytest.approx(1.0, abs=1e-13)
         # photon gas sits at mu = 0, so dS/dN vanishes against dS/dE scale
-        assert abs(ds_dn) < 1e-2 * abs(ds_de) * K_BOLTZMANN * 300.0 / K_BOLTZMANN
+        assert abs(ds_dn) < 1e-13 * abs(ds_de) * K_BOLTZMANN * 300.0 / K_BOLTZMANN
 
     def test_massive_gas_recovers_minus_mu_over_t(self):
         t = 300.0
@@ -406,8 +406,8 @@ class TestEntropy:
         cavity = CavitySpec(1.0, t, mu, Statistics.FERMI)
         bins = photon_bins(1.0, t, 150, polarizations=1)
         _, ds_de, ds_dn = entropy_and_derivatives(cavity, bins)
-        assert ds_de == pytest.approx(1.0 / t, rel=1e-2)
-        assert ds_dn == pytest.approx(-mu / t, rel=1e-2)
+        assert ds_de == pytest.approx(1.0 / t, rel=1e-13)
+        assert ds_dn == pytest.approx(-mu / t, rel=1e-12)
 
     def test_sparse_cells_warn(self):
         cavity = CavitySpec.photon_gas(1.0e-40, 300.0)
@@ -427,22 +427,35 @@ class TestEntropy:
         with pytest.raises(DomainError):
             entropy_and_derivatives(CavitySpec.photon_gas(1.0, 300.0), [])
 
+    def test_one_bin_rejected_before_any_evaluation(self):
+        # one bin has E = eps N, so dS/dE and dS/dN cannot be separated; a
+        # Bose pole in that bin would raise its own DomainError if evaluated
+        bins = photon_bins(1.0, 300.0, 1)
+        cavity = CavitySpec(1.0, 300.0, float(bins.epsilon[0]), Statistics.BOSE)
+        with pytest.raises(DomainError, match="need at least two bins"):
+            entropy_and_derivatives(cavity, bins)
+
     @pytest.mark.parametrize("statistics, mu_over_kt", [
         (Statistics.BOSE, 0.0), (Statistics.BOSE, -0.5), (Statistics.BOSE, -3.0),
         (Statistics.FERMI, 0.0), (Statistics.FERMI, 2.0), (Statistics.FERMI, -3.0),
-        (Statistics.FERMI, 10.0),
+        (Statistics.FERMI, 10.0), (Statistics.FERMI, -2.0), (Statistics.FERMI, 3.0),
         (Statistics.BOLTZMANN, 0.0), (Statistics.BOLTZMANN, 3.0),
         (Statistics.BOLTZMANN, -3.0), (Statistics.BOLTZMANN, 12.0),
     ])
     @pytest.mark.parametrize("t", [300.0, 5800.0])
     def test_equilibrium_identities(self, statistics, mu_over_kt, t):
-        # dS/dE = 1/T and dS/dN = -mu/T for every law, mu measured in kT
+        # dS/dE = 1/T and dS/dN = -mu/T for every law, mu measured in kT.
+        # The complex step has no truncation error (its d^2 term is 1e-400
+        # relative) and no difference to cancel, so only rounding is left: a
+        # few u = 1.1e-16 in each entry of the 2x2 solve, times its condition
+        # number after column scaling, under 150 on this grid (146 for
+        # Boltzmann at mu = 12 kT): 150 * 6u is 1e-13
         mu = mu_over_kt * K_BOLTZMANN * t
         _, ds_de, ds_dn = entropy_and_derivatives(
             CavitySpec(1.0, t, mu, statistics), photon_bins(1.0, t, 200)
         )
-        assert ds_de * t == pytest.approx(1.0, abs=1e-6)
-        assert ds_dn * t / (K_BOLTZMANN * t) == pytest.approx(-mu_over_kt, abs=1e-6)
+        assert ds_de * t == pytest.approx(1.0, abs=1e-13)
+        assert ds_dn * t / (K_BOLTZMANN * t) == pytest.approx(-mu_over_kt, abs=1e-13)
 
     @pytest.mark.parametrize("quanta, warns", [(10.5, False), (9.5, True)])
     def test_boltzmann_guard_counts_quanta(self, quanta, warns):
@@ -666,8 +679,25 @@ class TestAgainstPerBinCode:
         # the old 1 - q_1 of a Fermi cell is off by 1e-16 absolute, which is
         # 1e-7 relative at the 1e-9 mass threshold
         warns, near = _old_guard(statistics, rows, t, mu, margin=1e-6)
-        if not near:
-            assert _sparse_warning(cavity, bins) == warns
+        if n_bins == 1:
+            # one bin, where E = eps N, cannot separate dS/dE from dS/dN
+            with pytest.raises(DomainError, match="need at least two bins"):
+                entropy_and_derivatives(cavity, bins)
+        elif not near:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    entropy_and_derivatives(cavity, bins)
+                except NumericalError as exc:
+                    # a refusal is right only where one bin's response is all
+                    # that rounding keeps: the next holds under 1e-12 of its
+                    # dN/dy, which is -g s_bar (1 + s_bar), (1 - s_bar) or 1
+                    assert "degenerate (T, mu) response" in str(exc)
+                    sign = {Statistics.BOSE: 1.0, Statistics.FERMI: -1.0}
+                    mean = old_counts / bins.g
+                    slope = np.sort(old_counts * (1.0 + sign.get(statistics, 0.0) * mean))
+                    assert slope[-2] < 1e-12 * slope[-1]
+            assert any("Stirling" in str(w.message) for w in caught) == warns
 
 
 class TestCellEntropy:
@@ -714,17 +744,18 @@ class TestCellEntropy:
         s, ds_de, ds_dn = entropy_and_derivatives(cavity, photon_bins(1.0, 5800.0, 20))
         # most quanta sit in bins with N > e g, where ln(g^N / N!) < 0
         assert math.isfinite(s) and s < 0.0
-        assert ds_de * 5800.0 == pytest.approx(1.0, abs=1e-6)
-        assert ds_dn * 5800.0 == pytest.approx(-1e-18, rel=1e-6)
+        # rounding only, as in test_equilibrium_identities
+        assert ds_de * 5800.0 == pytest.approx(1.0, abs=1e-13)
+        assert ds_dn * 5800.0 == pytest.approx(-1e-18, rel=1e-13)
 
     def test_near_pole_window_has_an_entropy(self):
         # x_lo = 1e-7 once needed a 3e8-point geometric support per cell; the
-        # mu stencil now stays below the pole at the lowest bin
+        # complex step in y never leaves the real point, so no bin nears the pole
         cavity = CavitySpec.photon_gas(1.0, 5800.0)
         _, ds_de, _ = entropy_and_derivatives(
             cavity, photon_bins(1.0, 5800.0, 200, x_lo=1e-7)
         )
-        assert ds_de * 5800.0 == pytest.approx(1.0, abs=1e-3)
+        assert ds_de * 5800.0 == pytest.approx(1.0, abs=1e-13)
 
 
 class TestVonLaue:

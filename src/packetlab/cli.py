@@ -904,11 +904,11 @@ _REGRESSION_CHECKS = [
     ("bohr_magneton", 9.2740100783e-24, 1e-6, "rel",
      ("packet sterngerlach", {}), "bohr_magneton"),
     # the complex step leaves only rounding: a few u = 1.1e-16 in each entry
-    # of the 2x2 solve, times its condition number, 13 after column scaling
-    # at these 200 Bose bins, is about 1e-14; 1e-13 keeps a tenfold margin
+    # of the 2x2 solve, times its condition number, 1.6 after column scaling
+    # at these 200 Bose bins, is about 1e-15; 1e-13 keeps a wide margin
     ("entropy_ds_de_times_t", 1.0, 1e-13, "abs", _ENTROPY, "ds_de_times_t"),
     # the same rounding; the solve carries it into dS/dN against dS/dE times
-    # the mean energy per quantum, 2.7 kT here, and 13 * 6u * 2.7 < 1e-13
+    # the mean energy per quantum, 2.7 kT here, and 1.6 * 6u * 2.7 < 1e-14
     ("entropy_ds_dn_over_k", 0.0, 1e-13, "le",
      _ENTROPY, lambda f: abs(f["ds_dn"]) / K_BOLTZMANN),
     ("stefan_boltzmann_ratio", 1.0, 0.005, "abs",

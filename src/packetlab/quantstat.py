@@ -350,12 +350,9 @@ def _entropy_energy_number(
     y = _reduced_energy(bins, temperature, mu)
     s_bar = _mean_occupancy(statistics, y)
     h, q_light = _cell_entropy(statistics, y, s_bar)
-    return (
-        K_BOLTZMANN * float(np.sum(bins.g * h)),
-        float(np.sum(bins.g * s_bar * bins.epsilon)),
-        float(np.sum(bins.g * s_bar)),
-        q_light,
-    )
+    g = bins.g
+    return (K_BOLTZMANN * float(np.sum(g * h)), float(np.sum(g * s_bar * bins.epsilon)),
+            float(np.sum(g * s_bar)), q_light)
 
 
 def entropy_and_derivatives(cavity: CavitySpec, bins) -> tuple:
@@ -366,15 +363,14 @@ def entropy_and_derivatives(cavity: CavitySpec, bins) -> tuple:
     which is g H(q) with H(q) = -sum_s q_s ln q_s in closed form: BOSE H =
     y s_bar - ln(1 - exp(-y)), FERMI H = ln(1 + exp(-|y|)) + |y| min(q_0,
     q_1); Stirling needs every class with q_s > 1e-9 to hold 10 cells.
-    BOLTZMANN counts the classical gas, ln(g^N / N!) for the N = g s_bar
-    quanta of a bin, N (1 + y) under Stirling, which needs every bin to
-    hold 10 quanta; the count is negative, outside its range, in a bin
-    with more than e quanta per cell (s_bar > e, so y < -1). An
-    AccuracyWarning says when either rule fails.
-    The derivatives solve the 2x2 system of the (T, mu) responses of (S,
-    E, N), bins held fixed, taken to rounding from one complex step in y
-    (Squire and Trapp, SIAM Review 40, 1998); at equilibrium they return
-    1/T and -mu/T. One bin, where E = eps N, cannot tell them apart.
+    BOLTZMANN counts the classical gas, ln(g^N / N!) for the N = g s_bar quanta
+    of a bin, N (1 + y) under Stirling, which needs every bin to hold 10 quanta;
+    the count is negative, outside its range, in a bin with more than e quanta
+    per cell (s_bar > e, so y < -1). An AccuracyWarning says when either fails.
+    The derivatives solve the 2x2 system of the (T, mu) responses of (S, E,
+    N), bins held fixed, taken to rounding from one complex step in y (Squire
+    and Trapp, SIAM Review 40, 1998): 1/T and -mu/T at equilibrium. One bin
+    (E = eps N) cannot tell them apart, nor can bins whose response underflows.
     """
     if len(bins) < 2:
         raise DomainError("need at least two bins to separate dS/dE from dS/dN")
@@ -383,25 +379,30 @@ def entropy_and_derivatives(cavity: CavitySpec, bins) -> tuple:
     if np.any(bins.g * q_light < _STIRLING_MIN):
         sparse = ("bins hold fewer than 10 quanta" if stats is Statistics.BOLTZMANN
                   else "occupancy classes hold fewer than 10 cells")
-        warnings.warn(
-            f"some {sparse}; the Stirling entropy is degraded", AccuracyWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"some {sparse}; the Stirling entropy is degraded",
+                      AccuracyWarning, stacklevel=2)
     if stats is Statistics.BOLTZMANN and np.any(q_light > math.e):
-        warnings.warn(
-            "some bins hold more than e quanta per cell; the classical count "
-            "ln(g^N/N!) is negative there", AccuracyWarning, stacklevel=2,
-        )
+        warnings.warn("some bins hold more than e quanta per cell; the classical "
+                      "count ln(g^N/N!) is negative there", AccuracyWarning, stacklevel=2)
     # S, E, N depend on (T, mu) only through y; f(y + i d) = f(y) + i d f'(y)
-    # + O(d^2) cancels nothing. Im alone is read: complex log1p rounds Re
-    z = _reduced_energy(bins, temperature, mu) + 1e-200j
-    s_bar = _mean_occupancy(stats, z)
-    dh, ds_bar = _cell_entropy(stats, z, s_bar)[0].imag / 1e-200, s_bar.imag / 1e-200
+    # + O(d^2) cancels nothing, and d^2 is 1e-40 relative, d shrinking with y
+    # at the Bose pole. Im alone is read: complex log1p rounds Re
+    y = _reduced_energy(bins, temperature, mu)
+    d = 1e-20 * (np.minimum(y, 1.0) if stats is Statistics.BOSE else 1.0)
+    s_bar = _mean_occupancy(stats, y + 1j * d)
+    dh, ds_bar = _cell_entropy(stats, y + 1j * d, s_bar)[0].imag / d, s_bar.imag / d
     per_bin = bins.g * np.array([K_BOLTZMANN * dh, ds_bar * bins.epsilon, ds_bar])
-    # dy/dT = -y/T and dy/dmu = -1/kT, each row scaled by its sign and its
-    # divisor; a bin at y = +-inf is empty or full all around, and adds 0
-    y = np.where(np.isinf(z.real), 0.0, z.real)
-    diff = np.array([y, np.ones_like(y)]) @ per_bin.T  # rows T, mu; columns S, E, N
+    # an Im part below the least normal float is off by up to one subnormal
+    small = np.isfinite(y) & (abs(s_bar.imag) < 2.2e-308)
+    # rows T and mu by dy/dT = -y/T and dy/dmu = -1/kT, less their signs and
+    # divisors; the T row less y times the mu row at the bin that responds
+    # most, which then cannot round the rest away. y = +-inf adds 0
+    y = np.where(np.isinf(y), 0.0, y)
+    w = np.array([y - y[np.argmax(abs(per_bin[2]))], np.ones_like(y)])
+    lost = abs(w) @ np.where(small, bins.g * (5e-324 / d), 0.0) if small.any() else 0.0
+    if np.any(lost > 2.2e-16 * (abs(w) @ abs(per_bin[2]))):
+        raise NumericalError("bins too far from mu: their (T, mu) response underflows")
+    diff = w @ per_bin.T  # rows T, mu; columns S, E, N
     try:
         ds_de, ds_dn = np.linalg.solve(diff[:, 1:], diff[:, 0])
     except np.linalg.LinAlgError as exc:

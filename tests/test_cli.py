@@ -518,6 +518,8 @@ class TestExitCodes:
             (("balance", "--frequencies", "1e-300"), 1),
             # a NumericalError is a numerical failure
             (("counts", "--mbar", "1e12"), 2),
+            # so is a window whose every bin's (T, mu) response underflows
+            (("cavity", "--x-lo", "700", "--x-hi", "800", "--entropy"), 2),
             # so is valid input whose law misses its own normalization
             (("counts", "--stat", "bose", "--g", "10000000", "--sbar", "1e-6"), 2),
             # so is an arithmetic fault: a division by zero or an overflow
@@ -1187,6 +1189,12 @@ class TestCommandValues:
 
     def test_entropy_next_to_the_bose_pole(self):
         rec = record("cavity", "--x-lo", "1e-7", "--entropy")
+        assert rec["ds_de_times_t"] == pytest.approx(1.0, abs=1e-13)
+
+    def test_entropy_far_above_mu(self):
+        # the complex step's Im parts, 1e-20 exp(-y), stay normal floats at
+        # y = 260, where a step of 1e-200 would leave them subnormal
+        rec = record("cavity", "--x-lo", "260", "--x-hi", "400", "--entropy")
         assert rec["ds_de_times_t"] == pytest.approx(1.0, abs=1e-13)
 
     def test_lhv_semiclassical_family(self):

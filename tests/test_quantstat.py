@@ -7,7 +7,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.constants import c as C_LIGHT
 from scipy.constants import h as H_PLANCK
@@ -435,6 +435,36 @@ class TestEntropy:
         with pytest.raises(DomainError, match="need at least two bins"):
             entropy_and_derivatives(cavity, bins)
 
+    @pytest.mark.parametrize("statistics", list(Statistics))
+    @pytest.mark.parametrize("log_v", [-12.0, 0.0])
+    @pytest.mark.parametrize("x_hi", [273.4, 1000.0])
+    def test_two_bins_far_apart_keep_both_responses(self, statistics, log_v, x_hi):
+        # the second bin holds 1.6e-24 (x_hi 273.4) or 5e-71 (x_hi 1000) of
+        # the first's quanta, and alone separates dS/dE from dS/dN. The T row,
+        # taken relative to the first bin, keeps it; a plain sum rounds it away
+        t = 10.0
+        bins = photon_bins(10.0**log_v, t, 2, 1.0, x_hi)
+        _, ds_de, ds_dn = entropy_and_derivatives(CavitySpec(1.0, t, 0.0, statistics), bins)
+        assert ds_de * t == pytest.approx(1.0, abs=1e-13)
+        assert ds_dn / K_BOLTZMANN == pytest.approx(0.0, abs=1e-13)
+
+    @pytest.mark.parametrize("statistics", list(Statistics))
+    def test_far_tail_window_keeps_its_derivatives_or_refuses(self, statistics):
+        # y from 260 to 400: the complex step's Im parts, 1e-20 exp(-y), stay
+        # normal floats. The error, a few u times the condition number, grows
+        # with y in dS/dN, which carries the mean energy per quantum, 300 kT
+        t = 5800.0
+        _, ds_de, ds_dn = entropy_and_derivatives(
+            CavitySpec(1.0, t, 0.0, statistics), photon_bins(1.0, t, 200, 260.0, 400.0)
+        )
+        assert ds_de * t == pytest.approx(1.0, abs=1e-13)
+        assert ds_dn / K_BOLTZMANN == pytest.approx(0.0, abs=300 * 1e-13)
+        # from y = 700 every Im part is subnormal or 0, with too few digits
+        with pytest.raises(NumericalError, match="response underflows"):
+            entropy_and_derivatives(
+                CavitySpec(1.0, t, 0.0, statistics), photon_bins(1.0, t, 200, 700.0, 800.0)
+            )
+
     @pytest.mark.parametrize("statistics, mu_over_kt", [
         (Statistics.BOSE, 0.0), (Statistics.BOSE, -0.5), (Statistics.BOSE, -3.0),
         (Statistics.FERMI, 0.0), (Statistics.FERMI, 2.0), (Statistics.FERMI, -3.0),
@@ -445,11 +475,12 @@ class TestEntropy:
     @pytest.mark.parametrize("t", [300.0, 5800.0])
     def test_equilibrium_identities(self, statistics, mu_over_kt, t):
         # dS/dE = 1/T and dS/dN = -mu/T for every law, mu measured in kT.
-        # The complex step has no truncation error (its d^2 term is 1e-400
+        # The complex step has no truncation error (its d^2 term is 1e-40
         # relative) and no difference to cancel, so only rounding is left: a
         # few u = 1.1e-16 in each entry of the 2x2 solve, times its condition
-        # number after column scaling, under 150 on this grid (146 for
-        # Boltzmann at mu = 12 kT): 150 * 6u is 1e-13
+        # number after column scaling, under 8 on this grid (7.9 for Fermi at
+        # mu = 10 kT): 8 * 6u is 5e-15, and the sums over 200 bins add a few
+        # u more; 1e-13 keeps a tenfold margin over the 7.1e-15 seen
         mu = mu_over_kt * K_BOLTZMANN * t
         _, ds_de, ds_dn = entropy_and_derivatives(
             CavitySpec(1.0, t, mu, statistics), photon_bins(1.0, t, 200)
@@ -618,6 +649,8 @@ def _decimal_gas_count(g: float, y: float) -> tuple:
 
 class TestAgainstPerBinCode:
     @settings(max_examples=80, deadline=None)
+    # two Bose bins at y = 4.07 and 67.3, whose second a plain T-row sum rounds away
+    @example(Statistics.BOSE, 2, 1.0, -6.0, 0.0, 2.437, 0.0, 2)
     @given(
         statistics=st.sampled_from(list(Statistics)),
         n_bins=st.integers(min_value=1, max_value=300),
@@ -684,20 +717,7 @@ class TestAgainstPerBinCode:
             with pytest.raises(DomainError, match="need at least two bins"):
                 entropy_and_derivatives(cavity, bins)
         elif not near:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    entropy_and_derivatives(cavity, bins)
-                except NumericalError as exc:
-                    # a refusal is right only where one bin's response is all
-                    # that rounding keeps: the next holds under 1e-12 of its
-                    # dN/dy, which is -g s_bar (1 + s_bar), (1 - s_bar) or 1
-                    assert "degenerate (T, mu) response" in str(exc)
-                    sign = {Statistics.BOSE: 1.0, Statistics.FERMI: -1.0}
-                    mean = old_counts / bins.g
-                    slope = np.sort(old_counts * (1.0 + sign.get(statistics, 0.0) * mean))
-                    assert slope[-2] < 1e-12 * slope[-1]
-            assert any("Stirling" in str(w.message) for w in caught) == warns
+            assert _sparse_warning(cavity, bins) == warns
 
 
 class TestCellEntropy:
